@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-record bench-smoke examples-smoke overload-smoke lint ci
+.PHONY: test bench bench-record bench-smoke perfbench-smoke examples-smoke overload-smoke lint ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -39,6 +39,12 @@ bench-record:
 bench-smoke:
 	$(PYTHON) scripts/bench.py --smoke
 
+## The serving benchmark's own tests: tiny interactive, fidelity, steady and
+## restart units (every replay source: grouped memo, multiplex windows, warm
+## recordings) plus the output checks that reject a corrupted report.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench/tests -q
+
 ## The overload gauntlet: 3x offered load with admission control on must
 ## shed (reject AND degrade) without a single deadline violation among
 ## admitted jobs, and the captured trace must replay byte-identically.
@@ -46,4 +52,4 @@ overload-smoke:
 	$(PYTHON) scripts/overload_gauntlet.py
 
 ## The exact entrypoint .github/workflows/ci.yml calls — reproducible locally.
-ci: lint test examples-smoke bench-smoke overload-smoke
+ci: lint test examples-smoke bench-smoke perfbench-smoke overload-smoke

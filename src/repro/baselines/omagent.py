@@ -20,7 +20,8 @@ from repro.agents.library import AgentLibrary, default_library
 from repro.cluster.cluster import Cluster, paper_testbed
 from repro.cluster.hardware import get_cpu_spec
 from repro.cluster.manager import ClusterManager
-from repro.cluster.scheduler import FirstFitPolicy, PlacementPolicy
+from repro.policies.base import PlacementPolicy
+from repro.policies.placement import FirstFitPolicy
 from repro.core.execution import ServerPool, WorkflowExecutor
 from repro.core.job import JobResult
 from repro.core.quality import cascade_quality

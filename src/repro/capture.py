@@ -142,6 +142,8 @@ class TraceCapture:
     report: Dict[str, object] = field(default_factory=dict)
     #: Serving mode the trace was captured under.
     mode: str = "grouped"
+    #: The ``multiplex_window`` option the trace was served with.
+    multiplex_window: Optional[int] = None
 
     # ----------------------------------------------------------------- #
     # Serialization
@@ -160,6 +162,9 @@ class TraceCapture:
             # their pre-existing checksums (and stay loadable by older
             # readers of the same schema version).
             payload["mode"] = self.mode
+        if self.multiplex_window is not None:
+            # Same rule: emitted only when set, so existing checksums hold.
+            payload["multiplex_window"] = self.multiplex_window
         return payload
 
     def checksum(self) -> str:
@@ -201,6 +206,9 @@ class TraceCapture:
                 entries=entries,
                 report=dict(payload["report"]),  # type: ignore[arg-type]
                 mode=str(payload.get("mode", "grouped")),  # type: ignore[union-attr]
+                multiplex_window=payload.get(  # type: ignore[union-attr]
+                    "multiplex_window"
+                ),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise CaptureError(f"malformed capture payload: {error}") from error
@@ -291,7 +299,8 @@ def capture_trace(
     workload in the trace must be spec-registered, because the capture
     embeds the serialized specs for environment-independent replay.
     ``mode`` selects the serving path (``"grouped"`` or ``"multiplex"``);
-    it is recorded in the capture so replay serves the same way.
+    it is recorded in the capture, with the ``multiplex_window`` option, so
+    replay serves the same way.
     """
     from repro.loadgen import default_registry
 
@@ -335,6 +344,7 @@ def capture_trace(
         entries=entries,
         report=report.canonical_dict(),
         mode=mode,
+        multiplex_window=options.get("multiplex_window"),
     )
     return capture, report
 
@@ -355,6 +365,7 @@ def replay_capture(
         from repro.service import AIWorkflowService
 
         service = AIWorkflowService(policy=capture.policy)
+    options.setdefault("multiplex_window", capture.multiplex_window)
     return capture_trace(
         service,
         capture.job_arrivals(),

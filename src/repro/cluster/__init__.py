@@ -21,10 +21,10 @@ from repro.cluster.hardware import (
 from repro.cluster.node import Node
 from repro.cluster.cluster import Cluster, paper_testbed
 from repro.cluster.allocator import Allocation, Allocator, ResourceRequest
-from repro.cluster.scheduler import (
+from repro.policies.base import PlacementPolicy
+from repro.policies.placement import (
     BestFitPolicy,
     FirstFitPolicy,
-    PlacementPolicy,
     SpreadPolicy,
     WorkflowAwarePolicy,
 )

@@ -64,8 +64,9 @@ class Allocator:
     """Places :class:`ResourceRequest` objects onto cluster nodes."""
 
     def __init__(self, cluster: Cluster, policy: Optional["PlacementPolicy"] = None) -> None:
-        # Imported here to avoid a circular import with scheduler.py.
-        from repro.cluster.scheduler import FirstFitPolicy, PlacementPolicy
+        # Imported here: the placement policies import this module.
+        from repro.policies.base import PlacementPolicy
+        from repro.policies.placement import FirstFitPolicy
 
         if policy is not None and not isinstance(policy, PlacementPolicy):
             raise TypeError(f"policy must be a PlacementPolicy, got {type(policy)!r}")

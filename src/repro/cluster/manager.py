@@ -20,7 +20,7 @@ from repro.cluster.allocator import (
 )
 from repro.cluster.cluster import Cluster
 from repro.cluster.hardware import GpuGeneration
-from repro.cluster.scheduler import PlacementPolicy
+from repro.policies.base import PlacementPolicy
 from repro.cluster.spot import SpotCapacityModel
 from repro.cluster.telemetry_exchange import (
     ResourceStatsMessage,

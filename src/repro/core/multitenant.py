@@ -38,7 +38,7 @@ from repro.core.planner import PlannerOverride, PlanningError
 from repro.core.runtime import MurakkabRuntime
 from repro.sim.energy import EnergyAccountant, EnergyBreakdown
 from repro.sim.trace import ExecutionTrace
-from repro.telemetry.metrics import round_sig
+from repro.telemetry.metrics import result_digest, round_sig
 
 
 @dataclass
@@ -340,17 +340,8 @@ def run_submissions(
                 result = window_results.get(submission.job.job_id)
                 if result is None:
                     return None
-                plan = result.plan
                 signature.append(
-                    (
-                        plan.describe() if plan is not None else None,
-                        round_sig(result.started_at - base),
-                        round_sig(result.makespan_s),
-                        round_sig(result.energy_wh),
-                        round_sig(result.cost),
-                        round_sig(result.quality),
-                        result.provisioned_gpus,
-                    )
+                    (round_sig(result.started_at - base), result_digest(result))
                 )
             return tuple(signature)
 

@@ -18,7 +18,8 @@ from repro.cluster.cluster import Cluster, paper_testbed
 from repro.cluster.dynamics import ClusterDynamics, DynamicsConfig
 from repro.cluster.hardware import get_cpu_spec
 from repro.cluster.manager import ClusterManager
-from repro.cluster.scheduler import PlacementPolicy, WorkflowAwarePolicy
+from repro.policies.base import PlacementPolicy
+from repro.policies.placement import WorkflowAwarePolicy
 from repro.core.constraints import ConstraintSet
 from repro.core.execution import ExecutionError, ServerPool, WorkflowExecutor
 from repro.core.job import Job, JobResult

@@ -1,46 +1,42 @@
 """Trace-driven load generation for the AIWaaS endpoint.
 
-The ROADMAP's target is a service that absorbs *heavy traffic*, not one job
-at a time.  ``AIWorkflowService.submit()`` plans and simulates each job
-independently; replaying a captured arrival trace through it costs the full
-orchestration + simulation pipeline per job even when thousands of arrivals
-are the same workload under the same constraints.
+:class:`ServiceLoadGenerator` serves a whole arrival trace
+(:class:`~repro.workloads.arrival.JobArrival` schedules — Poisson, uniform,
+bursty, diurnal, from ``repro.workloads.arrival``) on the service's **one
+shared** :class:`~repro.sim.engine.SimulationEngine`, in one of two modes:
 
-:class:`ServiceLoadGenerator` is the batched-admission layer that fixes
-this.  It consumes :class:`~repro.workloads.arrival.JobArrival` schedules
-(Poisson, uniform, bursty, diurnal — ``repro.workloads.arrival``), groups
-compatible jobs by ``(workload template, constraints, quality_target)``, and
-serves the whole trace on the service's **one shared**
-:class:`~repro.sim.engine.SimulationEngine`:
+* ``mode="grouped"`` (default, the throughput path) serves jobs FIFO
+  through the standard submission path, grouped by ``(workload template,
+  constraints, quality_target)``; a single-job trace is byte-identical to
+  ``submit()``.
+* ``mode="multiplex"`` (the fidelity path) admits every job at its arrival
+  time and interleaves them on the shared engine and warm server pool via
+  :func:`repro.core.multitenant.run_submissions` (true Figure-2
+  multiplexing); jobs are stamped from one compiled template per admission
+  group.
 
-* ``mode="grouped"`` (default, the throughput path): the first arrivals of
-  each group run through the standard submission path unchanged — so a
-  single-job trace is byte-identical to ``submit()`` — until two consecutive
-  jobs of the group produce identical results against an unchanged warm
-  pool.  From then on the group is in *steady state* and every further
-  arrival is accounted **incrementally**: its completion is a single batched
-  engine event carrying the memoized result, not a re-run of the pipeline.
-  This is semantically the serial ``submit()`` loop (jobs are served FIFO),
-  memoized: identical job + identical warm-pool state → identical result.
-  Deploying a new serving instance (a new group, a registered model)
-  changes the pool signature and forces every group to re-converge.
+Both modes run every arrival through one admission step (the rate-limit /
+deadline-feasibility ladder of :mod:`repro.admission`, and one QoE record
+per arrival for the capture collector) and share one **confirm-then-replay
+core**: once a behaviour is confirmed — the same result twice under an
+unchanged serving context (warm pool, profile store, dynamics, policy) — it
+becomes a replay *slot*, and each later job it covers is one row ``(job_id,
+arrival_at, start, finish, slot)`` for a replay sink instead of a pipeline
+run.  Three pattern sources feed the core:
 
-* ``mode="multiplex"`` (the fidelity path): every job is admitted at its
-  arrival time and executed concurrently on the shared engine and warm
-  server pool via :func:`repro.core.multitenant.run_submissions` — true
-  Figure-2 multiplexing with per-event interleaving.  Jobs are stamped from
-  one compiled template per admission group (a clone with a fresh id shares
-  the template's inputs and digest-keyed plan), and a steady-**window**
-  detector watches for a repeating window of arrivals producing identical
-  interleaved results: once two consecutive windows match, the remaining
-  windows are accounted as batched completion deltas instead of being
-  re-simulated (``multiplex_window=0`` forces the pre-detector per-event
-  path; ``vectorized=False`` keeps the batched path but accounts one engine
-  event per replayed completion).  The admission ladder and the QoE
-  collector run in this mode too — estimates come from the config's cost
-  priors, since overlapped execution has no serial probe stream.
+* the **grouped memo**: one slot per group whose last two probes matched;
+  any change of serving context makes the group re-converge;
+* the **multiplex window**: ``period`` slots from a confirmed repeating
+  window of arrivals (:class:`~repro.core.multitenant.WindowReplayPlan`);
+  ``multiplex_window=0`` disables detection;
+* the **warm recording**: the persisted
+  :class:`~repro.warmstate.ReplayRecord` slots of an identical earlier
+  trace, replayed with zero probes.
 
-Telemetry streams into bounded :class:`~repro.telemetry.metrics.StreamingAggregate`
+The default sink accounts contiguous rows at array level;
+``vectorized=False`` schedules one engine completion event per row instead,
+the reference path the differential tests compare against.  Telemetry
+streams into bounded :class:`~repro.telemetry.metrics.StreamingAggregate`
 accumulators (plus the service's capped
 :class:`~repro.service.ServiceStats`), so a 10k-job replay holds O(groups)
 state, not O(jobs).
@@ -51,7 +47,7 @@ from __future__ import annotations
 import math
 import time as _wall_time
 from dataclasses import dataclass, field, replace as dataclass_replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.admission import AdmissionController, admission_of
 from repro.core.constraints import DEFAULT_PRIORITY
@@ -64,6 +60,7 @@ from repro.telemetry.metrics import (
     ThroughputMeter,
     evict_oldest,
     repeated_sum,
+    result_digest,
     round_sig,
     sequential_sum,
 )
@@ -200,42 +197,148 @@ def default_registry() -> WorkloadRegistry:
 
 
 # --------------------------------------------------------------------- #
-# Group state and report
+# The replay core: slots and sinks
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class SteadyState:
-    """The memoized warm-pool behaviour of one job group."""
+class _ReplaySlot(NamedTuple):
+    """One confirmed served result, replayable at any start time.
 
-    makespan_s: float
-    energy: EnergyBreakdown
-    cost: float
-    quality: float
-    provisioned_gpus: int
-    plan: Optional[object]
-    #: Warm-pool fingerprint the record was observed under; a different
-    #: signature (new instance deployed) invalidates the record.
-    pool_signature: Tuple[Tuple[str, str], ...]
-    #: Profile-store mutation version the record was observed under; a
-    #: registered or retired agent bumps it and forces re-convergence, so a
-    #: trace run transparently adopts new models exactly like ``submit()``.
-    store_version: int = 0
-    #: Cluster-dynamics disruption version the record was observed under; a
-    #: preemption, failure, or scaling event bumps it, so the group is fully
-    #: re-simulated against the changed cluster before memoizing again.
-    dynamics_version: int = 0
-    #: Fingerprint of the control-plane policy bundle the record was observed
-    #: under; a different bundle plans differently, so its steady state is
-    #: never replayed for another policy.
-    policy_fingerprint: str = "default"
-    #: Costed fabric-transfer counters of the steady job (all zero without
-    #: an attached fabric, or when the fabric moves every payload for free).
-    transfer_s: float = 0.0
-    transferred_bytes: int = 0
-    cross_rack_bytes: int = 0
-    transfer_wh: float = 0.0
-    transfer_events: int = 0
+    Built once per confirmation — a grouped memo, a multiplex window
+    position, or a persisted :class:`~repro.warmstate.ReplayRecord`.
+    ``values`` is ``(makespan_s, energy_wh, cost, quality)``, the exact
+    floats per-job accounting observes; ``transfer`` is ``(transfer_s,
+    transferred_bytes, cross_rack_bytes, transfer_wh, transfer_events)``, or
+    ``None`` when the result moved no costed bytes (every result, on
+    fabric-free runs).  ``result`` is the confirmed
+    :class:`~repro.core.job.JobResult` the reference sink stamps completions
+    from; recording slots carry none (recordings replay only through the
+    vectorized sink) and may pin their exact finish time instead.
+    """
+
+    values: Tuple[float, float, float, float]
+    transfer: Optional[Tuple[float, int, int, float, int]] = None
+    result: Optional[JobResult] = None
+    pinned_finish: Optional[float] = None
+
+    @classmethod
+    def of(cls, result: JobResult) -> "_ReplaySlot":
+        transfer = (
+            (
+                result.transfer_s,
+                result.transferred_bytes,
+                result.cross_rack_bytes,
+                result.transfer_wh,
+                result.transfer_events,
+            )
+            if result.transfer_events
+            else None
+        )
+        values = (result.makespan_s, result.energy_wh, result.cost, result.quality)
+        return cls(values, transfer, result)
+
+    @classmethod
+    def of_record(cls, record: ReplayRecord) -> "_ReplaySlot":
+        values = (record.makespan_s, record.energy_wh, record.cost, record.quality)
+        return cls(values, pinned_finish=record.pinned_finish)
+
+    def stamp(self, job_id: str, started_at: float, finished_at: float) -> JobResult:
+        """A replayed completion of this slot, as the reference sink accounts it."""
+        source = self.result
+        energy = source.energy
+        return JobResult(
+            job_id=job_id,
+            makespan_s=source.makespan_s,
+            started_at=started_at,
+            finished_at=finished_at,
+            energy=EnergyBreakdown(
+                idle_wh=energy.idle_wh,
+                dynamic_wh_by_category=dict(energy.dynamic_wh_by_category),
+                cpu_wh=energy.cpu_wh,
+            ),
+            cost=source.cost,
+            quality=source.quality,
+            plan=source.plan,
+            provisioned_gpus=source.provisioned_gpus,
+            transfer_s=source.transfer_s,
+            transferred_bytes=source.transferred_bytes,
+            cross_rack_bytes=source.cross_rack_bytes,
+            transfer_wh=source.transfer_wh,
+            transfer_events=source.transfer_events,
+        )
+
+
+class _ReplaySink:
+    """Where every pattern source sends its replayed completions.
+
+    ``add(job_id, arrival_at, start, finish, slot)`` buffers one row, in
+    completion order, as columns.  ``flush()`` accounts the buffered rows
+    before the engine moves on (a probe, a disruption): this sink at array
+    level (:meth:`ServiceLoadGenerator._account_run`), :class:`_EventSink`
+    as one engine event per row.  ``close(last_finish)`` flushes, drains the
+    engine, and leaves its clock at the last completion.
+    """
+
+    def __init__(
+        self, generator: "ServiceLoadGenerator", report: "TraceReport"
+    ) -> None:
+        self.generator = generator
+        self.report = report
+        #: ids, arrival times, starts, finishes, slots.
+        self.columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
+
+    def add(
+        self,
+        job_id: str,
+        arrival_at: float,
+        start: float,
+        finish: float,
+        slot: _ReplaySlot,
+    ) -> None:
+        ids, arrivals, starts, finishes, slots = self.columns
+        ids.append(job_id)
+        arrivals.append(arrival_at)
+        starts.append(start)
+        finishes.append(finish)
+        slots.append(slot)
+
+    def flush(self) -> None:
+        if self.columns[0]:
+            self._account(*self.columns)
+            for column in self.columns:
+                column.clear()
+
+    def _account(self, ids, arrivals, starts, finishes, slots) -> None:
+        self.generator._account_run(self.report, ids, arrivals, starts, finishes, slots)
+
+    def close(self, last_finish: float) -> None:
+        self.flush()
+        engine = self.generator.service.runtime.engine
+        engine.run()
+        if engine.now < last_finish:
+            # Array-accounted completions never entered the event queue;
+            # bring the shared clock to the last one, exactly where the
+            # reference path's final event leaves it.
+            engine.run(until=last_finish)
+
+
+class _EventSink(_ReplaySink):
+    """The ``vectorized=False`` reference: one engine event per replayed row."""
+
+    def _account(self, ids, arrivals, starts, finishes, slots) -> None:
+        complete = self._complete_replay
+        rows = zip(ids, arrivals, starts, finishes, slots)
+        self.generator.service.runtime.engine.schedule_at_batch(
+            (finish, complete, (slot.stamp(job_id, start, finish), arrived))
+            for job_id, arrived, start, finish, slot in rows
+        )
+
+    def _complete_replay(self, result: JobResult, arrival_at: float) -> None:
+        """Fires on the shared engine at the job's completion watermark."""
+        service = self.generator.service
+        service.runtime.engine.mark(result.job_id)
+        service.stats.record(result)
+        self.report.account(result, arrival_at, simulated=False)
 
 
 @dataclass
@@ -244,28 +347,22 @@ class GroupState:
 
     workload: str
     signature: Optional[tuple] = None
-    steady: Optional[SteadyState] = None
-    #: (result digest, pool signature) of the most recent simulated job.
+    #: The confirmed slot every further job of the group replays, valid only
+    #: under :attr:`steady_context`.
+    steady: Optional[_ReplaySlot] = None
+    #: The serving context (:meth:`ServiceLoadGenerator._context`) the slot
+    #: was confirmed under; any change forces the group to re-converge.
+    steady_context: Optional[tuple] = None
+    #: (result digest, serving context) of the most recent simulated job.
     last_observation: Optional[tuple] = None
     simulated: int = 0
     replayed: int = 0
     #: Set when the factory broke its determinism contract; the group is
     #: then always fully simulated.
     unstable: bool = False
-    #: ``(makespan_s, energy_wh, cost, quality)`` of :attr:`steady` — the
-    #: exact floats per-replay accounting would observe, precomputed once so
-    #: the vectorized path accounts whole runs without building JobResults.
-    steady_values: Optional[Tuple[float, float, float, float]] = None
     #: Index of the steady record in the trace recording being captured
     #: (``None`` when no recording is active for this steady state).
     steady_record: Optional[int] = None
-    #: ``(transfer_s, transferred_bytes, cross_rack_bytes, transfer_wh,
-    #: transfer_events)`` of :attr:`steady` — the transfer analogue of
-    #: :attr:`steady_values`, kept parallel (not appended) so every existing
-    #: consumer of the 4-tuple is untouched.  ``None`` when the steady job
-    #: moved no costed bytes, so the replay paths skip transfer accounting
-    #: entirely on fabric-free runs.
-    steady_transfer: Optional[Tuple[float, int, int, float, int]] = None
     #: Most recent observed makespan of this group (set by every probe) —
     #: the admission controller's deadline-feasibility estimate.
     estimate: Optional[float] = None
@@ -653,29 +750,270 @@ class TraceReport:
         }
 
 
-@dataclass
-class _MultiplexEntry:
-    """One admitted multiplex arrival: identity, SLO, and QoE bookkeeping.
 
-    ``index`` is the arrival's position in the offered trace (feeds
-    ``job_ids``); ``group`` is the admission group the job was compiled
-    under (the workload, plus :data:`DEGRADED_SUFFIX` when the ladder
-    degraded it); ``ready_at`` is the absolute admission time after any
-    defer; ``qoe`` is the entry's slot in the deferred QoE record buffer.
+# --------------------------------------------------------------------- #
+# The admission step, completion accounting and QoE records
+# --------------------------------------------------------------------- #
+
+
+@dataclass
+class _Entry:
+    """One admitted arrival: identity, SLO, and QoE bookkeeping.
+
+    ``group`` is the admission group the job is compiled under (the
+    workload, plus :data:`DEGRADED_SUFFIX` when the ladder degraded it);
+    ``ready_at`` is the absolute admission time after any defer; ``qoe`` is
+    the entry's position in the run's QoE record buffer.
     """
 
-    index: int
     workload: str
     group: str
     job_id: str
     arrival_s: float
     arrival_at: float
     ready_at: float
-    priority: str
-    outcome: str
+    priority: str = DEFAULT_PRIORITY
+    outcome: str = "admit"
     deadline_s: Optional[float] = None
     deadline_at: Optional[float] = None
     qoe: Optional[int] = None
+
+
+def _qoe_record(
+    entry: _Entry,
+    outcome: str,
+    started_s: Optional[float] = None,
+    finished_s: Optional[float] = None,
+    makespan_s: Optional[float] = None,
+    quality: Optional[float] = None,
+    slo_met: Optional[bool] = None,
+) -> Dict[str, object]:
+    """One per-arrival QoE record for the capture collector.
+
+    Timings are trace-relative (the trace epoch is subtracted before this is
+    called), so captures taken against a warm, long-lived service match
+    those from a cold one byte for byte.  Rejected and failed arrivals keep
+    ``None`` timing fields.
+    """
+    arrival_s = entry.arrival_s
+    if slo_met is None and entry.deadline_s is not None:
+        if outcome in ("reject", "failed"):
+            slo_met = False
+    return {
+        "job_id": entry.job_id,
+        "workload": entry.workload,
+        "priority": entry.priority,
+        "outcome": outcome,
+        "arrival_s": arrival_s,
+        "started_s": started_s,
+        "finished_s": finished_s,
+        "queue_delay_s": started_s - arrival_s if started_s is not None else None,
+        "makespan_s": makespan_s,
+        "latency_s": finished_s - arrival_s if finished_s is not None else None,
+        "quality": quality,
+        "deadline_s": entry.deadline_s,
+        "slo_met": slo_met,
+    }
+
+
+class _TraceRun:
+    """Per-run state both serving modes share: the admission step, the
+    completion accounting of admitted jobs, and the QoE record buffer."""
+
+    def __init__(
+        self,
+        report: "TraceReport",
+        registry: WorkloadRegistry,
+        job_ids: Callable[[int, str], str],
+        epoch: float,
+        controller: Optional[AdmissionController],
+        collector: Optional[Callable[[Dict[str, object]], None]],
+    ) -> None:
+        self.report = report
+        self.registry = registry
+        self.job_ids = job_ids
+        #: Trace timestamps are trace-relative; a long-lived service's engine
+        #: clock has already advanced past earlier work, so arrivals are
+        #: rebased onto this epoch (0 for a fresh service).
+        self.epoch = epoch
+        self.controller = controller
+        self.collector = collector
+        #: One QoE record per offered arrival, in arrival order (``None``
+        #: without a collector).  Rejections are recorded at once; an
+        #: admitted arrival holds its entry until it completes, and one still
+        #: held at the end was lost to the cluster.  Emission waits for the
+        #: end so the collector sees arrival order however completions
+        #: interleave.
+        self.qoe: Optional[list] = [] if collector is not None else None
+        #: Whether completions need per-class or QoE accounting at all.
+        self.tracks = controller is not None or collector is not None
+        self._slo: Dict[str, Tuple[str, Optional[float]]] = {}
+        self._degraded: Dict[str, tuple] = {}
+
+    def admit(
+        self,
+        index: int,
+        arrival: JobArrival,
+        backlog_until: float,
+        groups: Optional[Dict[str, "GroupState"]] = None,
+    ) -> Optional[_Entry]:
+        """Run one arrival through the admission ladder.
+
+        Returns the admitted entry, or ``None`` once a rejection is counted
+        and recorded.  The ladder runs before any engine state is touched, so
+        rejected arrivals cost nothing downstream.  ``groups`` supplies the
+        observed makespan estimates (grouped serving); without it the ladder
+        runs on the config's cost priors.
+        """
+        workload = arrival.workload
+        arrival_at = self.epoch + arrival.arrival_time
+        entry = _Entry(
+            workload,
+            workload,
+            self.job_ids(index, workload),
+            arrival.arrival_time,
+            arrival_at,
+            arrival_at,
+        )
+        if not self.tracks:
+            return entry
+        entry.priority, entry.deadline_s = self._workload_slo(workload)
+        controller = self.controller
+        if controller is not None:
+            full = degraded = None
+            if groups is not None:
+                full = groups.get(workload)
+                degraded = groups.get(workload + DEGRADED_SUFFIX)
+            decision = controller.decide(
+                tenant=workload,
+                priority=entry.priority,
+                arrival_at=arrival_at,
+                deadline_s=entry.deadline_s,
+                estimate_s=full.estimate if full is not None else None,
+                degraded_estimate_s=degraded.estimate if degraded is not None else None,
+                backlog_until=backlog_until,
+            )
+            report = self.report
+            counters = report.class_counters(entry.priority)
+            if not decision.admitted:
+                report.rejected_jobs += 1
+                counters["rejected"] += 1
+                if self.qoe is not None:
+                    self.qoe.append(_qoe_record(entry, "reject"))
+                return None
+            entry.outcome = decision.outcome
+            counters["jobs"] += 1
+            if decision.outcome == "degrade":
+                report.degraded_jobs += 1
+                counters["degraded"] += 1
+                entry.group = workload + DEGRADED_SUFFIX
+            elif decision.outcome == "defer":
+                report.deferred_jobs += 1
+                counters["deferred"] += 1
+                entry.ready_at = arrival_at + decision.wait_s
+            if entry.deadline_s is None:
+                entry.deadline_s = controller.config.default_deadline_s
+            if entry.deadline_s is not None:
+                entry.deadline_at = arrival_at + entry.deadline_s
+        if self.qoe is not None:
+            entry.qoe = len(self.qoe)
+            self.qoe.append(entry)
+        return entry
+
+    def complete(
+        self,
+        entry: _Entry,
+        start: float,
+        finish: float,
+        makespan_s: float,
+        quality: float,
+    ) -> None:
+        """Per-class latency, deadline SLO, and QoE record of one completion."""
+        deadline_at = entry.deadline_at
+        if self.controller is not None:
+            report = self.report
+            report.class_latency(entry.priority).add(finish - entry.arrival_at)
+            if deadline_at is not None and finish > deadline_at:
+                report.slo_violations += 1
+                report.class_counters(entry.priority)["slo_violations"] += 1
+        if entry.qoe is not None:
+            # ``slo_met`` is decided on absolute engine timestamps, exactly as
+            # the report's ``slo_violations`` counter is, so a job admitted
+            # with zero slack cannot disagree with the report over float
+            # rounding in the rebased timings.
+            self.qoe[entry.qoe] = _qoe_record(
+                entry,
+                entry.outcome,
+                started_s=start - self.epoch,
+                finished_s=finish - self.epoch,
+                makespan_s=makespan_s,
+                quality=quality,
+                slo_met=finish <= deadline_at if deadline_at is not None else None,
+            )
+
+    def emit(self) -> None:
+        """Hand every QoE record to the collector, in arrival order."""
+        if self.collector is None:
+            return
+        for record in self.qoe:
+            if isinstance(record, _Entry):
+                # Admitted but never completed: lost to the cluster.
+                record = _qoe_record(record, "failed")
+            self.collector(record)
+
+    def _workload_slo(self, workload: str) -> Tuple[str, Optional[float]]:
+        """The (priority, deadline_s) a workload's spec declares.
+
+        Factory-registered workloads carry no spec: they are served at the
+        default priority, best effort (the config's default deadline still
+        applies after admission).
+        """
+        slo = self._slo.get(workload)
+        if slo is None:
+            spec = self.registry.spec(workload)
+            if spec is not None:
+                slo = (spec.priority, spec.deadline_s)
+            else:
+                slo = (DEFAULT_PRIORITY, None)
+            self._slo[workload] = slo
+        return slo
+
+    def build_job(self, entry: _Entry) -> Job:
+        """The job an admitted entry runs.
+
+        A degraded entry compiles the degraded-quality variant of its
+        workload, once per run and sharing the workload's materialized
+        inputs, so degraded jobs stay deterministic per workload.  A
+        factory-registered workload has no spec to recompile; its
+        "degraded" variant is the original job.
+        """
+        if entry.outcome != "degrade":
+            return self.registry.build(entry.workload, entry.job_id)
+        variant = self._degraded.get(entry.workload)
+        if variant is None:
+            spec = self.registry.spec(entry.workload)
+            if spec is None:
+                variant = (None, None)
+            else:
+                config = self.controller.config
+                overrides: Dict[str, object] = {
+                    "quality_target": config.degraded_quality
+                }
+                if config.degraded_constraint is not None:
+                    from repro.core.constraints import Constraint
+
+                    overrides["constraints"] = Constraint(config.degraded_constraint)
+                variant = (
+                    spec.with_overrides(**overrides),
+                    self.registry.materialized_inputs(entry.workload),
+                )
+            self._degraded[entry.workload] = variant
+        spec, inputs = variant
+        if spec is None:
+            return self.registry.build(entry.workload, entry.job_id)
+        from repro.spec.compiler import compile_spec
+
+        return compile_spec(spec, inputs=inputs, job_id=entry.job_id)
 
 
 # --------------------------------------------------------------------- #
@@ -831,11 +1169,27 @@ class ServiceLoadGenerator:
             save_warm_state()
         return report
 
-    def _dynamics_version(self) -> int:
-        return self._dynamics.log.version if self._dynamics is not None else 0
+    def _context(self) -> tuple:
+        """The serving context a confirmed slot is valid under.
 
-    def _policy_fingerprint(self) -> str:
-        return self._policy_fp
+        ``(warm-pool signature, profile-store version, dynamics disruption
+        version, policy fingerprint)``: deploying a new serving instance, a
+        registered or retired agent, a preemption/failure/scaling event, or
+        another policy bundle each change it and force re-convergence, so a
+        trace run adopts them exactly like ``submit()``.  Nothing changes it
+        while replayed rows are buffered, so callers refresh it after each
+        engine run.
+        """
+        dynamics = self._dynamics
+        return (
+            self._pool_signature(),
+            self.service.runtime.profile_store.version,
+            dynamics.log.version if dynamics is not None else 0,
+            self._policy_fp,
+        )
+
+    def _sink(self, vectorized: bool, report: TraceReport) -> _ReplaySink:
+        return (_ReplaySink if vectorized else _EventSink)(self, report)
 
     # ------------------------------------------------------------------ #
     # Grouped (steady-state memoized) serving
@@ -851,25 +1205,12 @@ class ServiceLoadGenerator:
     ) -> TraceReport:
         service = self.service
         engine = service.runtime.engine
+        dynamics = self._dynamics
         report = TraceReport(mode="grouped")
         report.admission_controlled = controller is not None
+        run = _TraceRun(report, registry, job_ids, engine.now, controller, collector)
         groups: Dict[str, GroupState] = {}
-        #: Per-workload (priority, deadline_s) from the registered spec.
-        slo_memo: Dict[str, Tuple[str, Optional[float]]] = {}
-        #: Per-workload degraded-variant (spec, inputs), compiled lazily.
-        degraded_memo: Dict[str, tuple] = {}
-        #: Replayed completions not yet injected: (finish, callback, args).
-        #: Only used on the per-arrival reference path (``vectorized=False``).
-        pending: List[tuple] = []
-        pool_signature = self._pool_signature()
-        store = service.runtime.profile_store
-        # Trace timestamps are trace-relative; a long-lived service's engine
-        # clock has already advanced past earlier work, so arrivals are
-        # rebased onto the current epoch (a fresh service has epoch 0 and is
-        # unaffected).
-        epoch = engine.now
-        previous_finish = engine.now
-
+        context = self._context()
         ordered = sorted(
             enumerate(arrivals), key=lambda pair: (pair[1].arrival_time, pair[0])
         )
@@ -883,347 +1224,122 @@ class ServiceLoadGenerator:
         if (
             vectorized
             and cache is not None
-            and self._dynamics is None
+            and dynamics is None
             and controller is None
             and collector is None
         ):
             recording_key = self._trace_context_key(
-                registry, ordered, pool_signature, store, epoch
+                registry, ordered, context, run.epoch
             )
             if recording_key is not None:
                 cached = cache.load_trace_recording(recording_key)
                 if (
                     cached is not None
                     and len(cached.script) == len(ordered)
-                    and all(
-                        0 <= step < len(cached.records) for step in cached.script
-                    )
+                    and all(0 <= step < len(cached.records) for step in cached.script)
                 ):
-                    return self._replay_recording(
-                        cached, ordered, epoch, job_ids, report
-                    )
-                recording = TraceRecording(
-                    store_version=store.version, epoch=epoch
-                )
+                    return self._replay_recording(cached, ordered, run)
+                recording = TraceRecording(store_version=context[1], epoch=run.epoch)
 
-        #: Columns of the current contiguous steady-state run (vectorized
-        #: path): job ids, arrival/start/finish times, and the memoized
-        #: (makespan, energy, cost, quality) tuple per job.
-        run_ids: List[str] = []
-        run_arrivals: List[float] = []
-        run_starts: List[float] = []
-        run_finishes: List[float] = []
-        run_values: List[tuple] = []
-        run_transfers: List[Optional[tuple]] = []
-
-        def drain() -> None:
-            """Account the buffered steady-state run at array level."""
-            if run_ids:
-                self._account_run(
-                    report,
-                    run_ids,
-                    run_arrivals,
-                    run_starts,
-                    run_finishes,
-                    run_values,
-                    transfers=run_transfers,
-                )
-                run_ids.clear()
-                run_arrivals.clear()
-                run_starts.clear()
-                run_finishes.clear()
-                run_values.clear()
-                run_transfers.clear()
-
+        sink = self._sink(vectorized, report)
+        previous_finish = run.epoch
         for index, arrival in ordered:
-            job_id = job_ids(index, arrival.workload)
-            arrival_at = epoch + arrival.arrival_time
-            group_name = arrival.workload
-            ready_at = arrival_at
-            deadline_at: Optional[float] = None
-            priority = DEFAULT_PRIORITY
-            deadline_s: Optional[float] = None
-            outcome = "admit"
-            if controller is not None or collector is not None:
-                priority, deadline_s = self._workload_slo(
-                    registry, arrival.workload, slo_memo
-                )
-            if controller is not None:
-                # The admission ladder runs before any engine state is
-                # touched: rejected arrivals cost nothing downstream.
-                full_group = groups.get(arrival.workload)
-                degraded_group = groups.get(arrival.workload + DEGRADED_SUFFIX)
-                decision = controller.decide(
-                    tenant=arrival.workload,
-                    priority=priority,
-                    arrival_at=arrival_at,
-                    deadline_s=deadline_s,
-                    estimate_s=full_group.estimate if full_group is not None else None,
-                    degraded_estimate_s=(
-                        degraded_group.estimate if degraded_group is not None else None
-                    ),
-                    backlog_until=previous_finish,
-                )
-                if not decision.admitted:
-                    report.rejected_jobs += 1
-                    report.class_counters(priority)["rejected"] += 1
-                    if collector is not None:
-                        collector(
-                            self._qoe_record(
-                                job_id,
-                                arrival.workload,
-                                priority,
-                                "reject",
-                                arrival.arrival_time,
-                                deadline_s=deadline_s,
-                            )
-                        )
-                    continue
-                outcome = decision.outcome
-                report.class_counters(priority)["jobs"] += 1
-                if decision.outcome == "degrade":
-                    report.degraded_jobs += 1
-                    report.class_counters(priority)["degraded"] += 1
-                    group_name = arrival.workload + DEGRADED_SUFFIX
-                elif decision.outcome == "defer":
-                    report.deferred_jobs += 1
-                    report.class_counters(priority)["deferred"] += 1
-                    ready_at = arrival_at + decision.wait_s
-                if deadline_s is None:
-                    deadline_s = controller.config.default_deadline_s
-                if deadline_s is not None:
-                    deadline_at = arrival_at + deadline_s
-            group = groups.setdefault(group_name, GroupState(group_name))
-            service_start = max(ready_at, previous_finish)
-            if self._dynamics is not None:
+            entry = run.admit(index, arrival, previous_finish, groups)
+            if entry is None:
+                continue
+            group = groups.get(entry.group)
+            if group is None:
+                group = groups[entry.group] = GroupState(entry.group)
+            service_start = max(entry.ready_at, previous_finish)
+            if dynamics is not None:
                 # A disruption is due before this job starts: let it fire so
                 # the steady-state check below sees the changed cluster (the
                 # version bump forces a fresh probe).  Between disruptions
-                # the batched replay path stays untouched.
-                upcoming = self._dynamics.next_event_at()
+                # the replay path stays untouched.
+                upcoming = dynamics.next_event_at()
                 if upcoming is not None and upcoming <= service_start:
-                    if vectorized:
-                        drain()
-                    else:
-                        self._flush(engine, pending)
+                    sink.flush()
                     engine.run(until=service_start)
-                    pool_signature = self._pool_signature()
-            steady = group.steady
-            if (
-                steady is not None
-                and not group.unstable
-                and steady.pool_signature == pool_signature
-                and steady.store_version == store.version
-                and steady.dynamics_version == self._dynamics_version()
-                and steady.policy_fingerprint == self._policy_fingerprint()
-            ):
-                # Steady state: account the completion incrementally — a
-                # buffered array entry (or, on the reference path, one
-                # batched engine event) instead of a full pipeline run.
-                finish = service_start + steady.makespan_s
-                if controller is not None:
-                    self._note_completion(
-                        report, priority, deadline_at, arrival_at, finish
+                    context = self._context()
+            slot = group.steady
+            if slot is not None and group.steady_context == context:
+                # Steady state: replay the confirmed slot instead of running
+                # the pipeline.
+                finish = service_start + slot.values[0]
+                if run.tracks:
+                    run.complete(
+                        entry, service_start, finish, slot.values[0], slot.values[3]
                     )
-                if collector is not None:
-                    collector(
-                        self._qoe_record(
-                            job_id,
-                            arrival.workload,
-                            priority,
-                            outcome,
-                            arrival.arrival_time,
-                            started_s=service_start - epoch,
-                            finished_s=finish - epoch,
-                            makespan_s=steady.makespan_s,
-                            quality=group.steady_values[3],
-                            deadline_s=deadline_s,
-                            slo_met=(
-                                finish <= deadline_at
-                                if deadline_at is not None
-                                else None
-                            ),
-                        )
-                    )
-                if vectorized:
-                    run_ids.append(job_id)
-                    run_arrivals.append(arrival_at)
-                    run_starts.append(service_start)
-                    run_finishes.append(finish)
-                    run_values.append(group.steady_values)
-                    run_transfers.append(group.steady_transfer)
-                    if recording is not None:
-                        if group.steady_record is None:
-                            recording = None
-                        else:
-                            recording.script.append(group.steady_record)
-                else:
-                    result = self._replay_result(job_id, steady, service_start, finish)
-                    pending.append(
-                        (finish, self._complete_replay, (result, arrival_at, report))
-                    )
+                sink.add(entry.job_id, entry.arrival_at, service_start, finish, slot)
+                if recording is not None:
+                    if group.steady_record is None:
+                        recording = None
+                    else:
+                        recording.script.append(group.steady_record)
                 previous_finish = finish
                 group.replayed += 1
                 continue
 
             # Probe: run the standard submission path on the shared engine.
-            if vectorized:
-                drain()
-            else:
-                self._flush(engine, pending)
+            sink.flush()
             if service_start > engine.now:
                 engine.run(until=service_start)
-            if group_name.endswith(DEGRADED_SUFFIX):
-                job = self._degraded_job(
-                    registry, arrival.workload, job_id, controller, degraded_memo
-                )
-            else:
-                job = registry.build(arrival.workload, job_id)
+            job = run.build_job(entry)
             self._check_signature(group, job)
-            if self._dynamics is not None:
-                try:
-                    result = service.submit_job(job)
-                except (ExecutionError, PlanningError) as error:
-                    # The cluster shrank past recovery for this job; account
-                    # the failure and keep serving the rest of the trace.
-                    # (The runtime already logged ExecutionError failures.)
-                    report.failed_jobs += 1
-                    if isinstance(error, PlanningError):
-                        self._dynamics.log.failed_jobs += 1
-                    previous_finish = max(previous_finish, engine.now)
-                    pool_signature = self._pool_signature()
-                    group.last_observation = None
-                    group.steady = None
-                    if collector is not None:
-                        collector(
-                            self._qoe_record(
-                                job_id,
-                                arrival.workload,
-                                priority,
-                                "failed",
-                                arrival.arrival_time,
-                                deadline_s=deadline_s,
-                            )
-                        )
-                    continue
-            else:
+            try:
                 result = service.submit_job(job)
+            except (ExecutionError, PlanningError) as error:
+                if dynamics is None:
+                    raise
+                # The cluster shrank past recovery for this job; account the
+                # failure and keep serving the rest of the trace.  (The
+                # runtime already logged ExecutionError failures.)
+                report.failed_jobs += 1
+                if isinstance(error, PlanningError):
+                    dynamics.log.failed_jobs += 1
+                previous_finish = max(previous_finish, engine.now)
+                context = self._context()
+                group.last_observation = None
+                group.steady = None
+                continue
             self.last_probe_result = result
-            report.account(result, arrival_at, simulated=True)
+            report.account(result, entry.arrival_at, simulated=True)
             group.simulated += 1
             group.estimate = result.makespan_s
             previous_finish = result.finished_at
-            pool_signature = self._pool_signature()
-            if controller is not None:
-                self._note_completion(
-                    report, priority, deadline_at, arrival_at, result.finished_at
+            context = self._context()
+            if run.tracks:
+                run.complete(
+                    entry,
+                    result.started_at,
+                    result.finished_at,
+                    result.makespan_s,
+                    result.quality,
                 )
-            if collector is not None:
-                collector(
-                    self._qoe_record(
-                        job_id,
-                        arrival.workload,
-                        priority,
-                        outcome,
-                        arrival.arrival_time,
-                        started_s=result.started_at - epoch,
-                        finished_s=result.finished_at - epoch,
-                        makespan_s=result.makespan_s,
-                        quality=result.quality,
-                        deadline_s=deadline_s,
-                        slo_met=(
-                            result.finished_at <= deadline_at
-                            if deadline_at is not None
-                            else None
-                        ),
-                    )
-                )
+            if group.unstable:
+                # Non-deterministic factories never replay identically; drop
+                # the recording rather than persist a wrong one.
+                recording = None
+                continue
+            slot = _ReplaySlot.of(result)
             if recording is not None:
-                if group.unstable:
-                    # Non-deterministic factories never replay identically;
-                    # drop the recording rather than persist a wrong one.
-                    recording = None
-                else:
-                    recording.records.append(
-                        ReplayRecord(
-                            makespan_s=result.makespan_s,
-                            energy_wh=result.energy_wh,
-                            cost=result.cost,
-                            quality=result.quality,
-                            pinned_finish=result.finished_at,
-                        )
-                    )
-                    recording.script.append(len(recording.records) - 1)
-            if not group.unstable:
-                digest = self._result_digest(result)
-                observation = (
-                    digest,
-                    pool_signature,
-                    store.version,
-                    self._dynamics_version(),
-                    self._policy_fingerprint(),
+                recording.records.append(
+                    ReplayRecord(*slot.values, pinned_finish=result.finished_at)
                 )
-                if group.last_observation == observation:
-                    group.steady = SteadyState(
-                        makespan_s=result.makespan_s,
-                        energy=self._copy_energy(result.energy),
-                        cost=result.cost,
-                        quality=result.quality,
-                        provisioned_gpus=result.provisioned_gpus,
-                        plan=result.plan,
-                        pool_signature=pool_signature,
-                        store_version=store.version,
-                        dynamics_version=self._dynamics_version(),
-                        policy_fingerprint=self._policy_fingerprint(),
-                        transfer_s=result.transfer_s,
-                        transferred_bytes=result.transferred_bytes,
-                        cross_rack_bytes=result.cross_rack_bytes,
-                        transfer_wh=result.transfer_wh,
-                        transfer_events=result.transfer_events,
-                    )
-                    group.steady_values = (
-                        result.makespan_s,
-                        result.energy_wh,
-                        result.cost,
-                        result.quality,
-                    )
-                    group.steady_transfer = (
-                        (
-                            result.transfer_s,
-                            result.transferred_bytes,
-                            result.cross_rack_bytes,
-                            result.transfer_wh,
-                            result.transfer_events,
-                        )
-                        if result.transfer_events
-                        else None
-                    )
-                    if recording is not None:
-                        recording.records.append(
-                            ReplayRecord(
-                                makespan_s=result.makespan_s,
-                                energy_wh=result.energy_wh,
-                                cost=result.cost,
-                                quality=result.quality,
-                            )
-                        )
-                        group.steady_record = len(recording.records) - 1
-                    else:
-                        group.steady_record = None
-                group.last_observation = observation
+                recording.script.append(len(recording.records) - 1)
+            observation = (result_digest(result), context)
+            if group.last_observation == observation:
+                group.steady = slot
+                group.steady_context = context
+                group.steady_record = None
+                if recording is not None:
+                    recording.records.append(ReplayRecord(*slot.values))
+                    group.steady_record = len(recording.records) - 1
+            group.last_observation = observation
 
-        if vectorized:
-            drain()
-            engine.run()
-            if engine.now < previous_finish:
-                # Replayed completions never entered the event queue; bring
-                # the shared clock to the last completion, exactly where the
-                # reference path's final event leaves it.
-                engine.run(until=previous_finish)
-        else:
-            self._flush(engine, pending)
-            engine.run()
+        sink.close(previous_finish)
         report.groups = {name: group.counters() for name, group in groups.items()}
+        run.emit()
         if (
             recording is not None
             and recording_key is not None
@@ -1234,356 +1350,13 @@ class ServiceLoadGenerator:
         return report
 
     # ------------------------------------------------------------------ #
-    # Admission helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _workload_slo(
-        registry: WorkloadRegistry,
-        workload: str,
-        memo: Dict[str, Tuple[str, Optional[float]]],
-    ) -> Tuple[str, Optional[float]]:
-        """The (priority, deadline_s) a workload's spec declares.
-
-        Factory-registered workloads carry no spec: they are served at the
-        default priority, best effort (the config's default deadline still
-        applies downstream).
-        """
-        slo = memo.get(workload)
-        if slo is None:
-            spec = registry.spec(workload)
-            if spec is not None:
-                slo = (spec.priority, spec.deadline_s)
-            else:
-                slo = (DEFAULT_PRIORITY, None)
-            memo[workload] = slo
-        return slo
-
-    @staticmethod
-    def _degraded_job(
-        registry: WorkloadRegistry,
-        workload: str,
-        job_id: str,
-        controller: AdmissionController,
-        memo: Dict[str, tuple],
-    ) -> Job:
-        """Compile the degraded-quality variant of a registered workload.
-
-        The variant shares the workload's materialized inputs (so degraded
-        jobs stay deterministic per workload) and is memoized per run.  A
-        factory-registered workload has no spec to recompile; its
-        "degraded" variant is the original job.
-        """
-        entry = memo.get(workload)
-        if entry is None:
-            spec = registry.spec(workload)
-            if spec is None:
-                entry = (None, None)
-            else:
-                overrides: Dict[str, object] = {
-                    "quality_target": controller.config.degraded_quality
-                }
-                if controller.config.degraded_constraint is not None:
-                    from repro.core.constraints import Constraint
-
-                    overrides["constraints"] = Constraint(
-                        controller.config.degraded_constraint
-                    )
-                entry = (
-                    spec.with_overrides(**overrides),
-                    registry.materialized_inputs(workload),
-                )
-            memo[workload] = entry
-        degraded, inputs = entry
-        if degraded is None:
-            return registry.build(workload, job_id)
-        from repro.spec.compiler import compile_spec
-
-        return compile_spec(degraded, inputs=inputs, job_id=job_id)
-
-    @staticmethod
-    def _note_completion(
-        report: TraceReport,
-        priority: str,
-        deadline_at: Optional[float],
-        arrival_at: float,
-        finish: float,
-    ) -> None:
-        """Per-class latency and deadline-SLO accounting for one admitted job."""
-        report.class_latency(priority).add(finish - arrival_at)
-        if deadline_at is not None and finish > deadline_at:
-            report.slo_violations += 1
-            report.class_counters(priority)["slo_violations"] += 1
-
-    @staticmethod
-    def _qoe_record(
-        job_id: str,
-        workload: str,
-        priority: str,
-        outcome: str,
-        arrival_s: float,
-        started_s: Optional[float] = None,
-        finished_s: Optional[float] = None,
-        makespan_s: Optional[float] = None,
-        quality: Optional[float] = None,
-        deadline_s: Optional[float] = None,
-        slo_met: Optional[bool] = None,
-    ) -> Dict[str, object]:
-        """One per-arrival QoE record for the capture collector.
-
-        Timings are trace-relative (the trace epoch is subtracted before
-        this is called), so captures taken against a warm, long-lived
-        service match those from a cold one byte for byte.  Rejected and
-        failed arrivals keep ``None`` timing fields.
-
-        Completed jobs pass ``slo_met`` explicitly — computed on absolute
-        engine timestamps, exactly as the report's ``slo_violations``
-        counter is — so a job admitted with zero slack cannot disagree
-        with the report over float rounding in the rebased timings.
-        """
-        latency_s = (
-            finished_s - arrival_s if finished_s is not None else None
-        )
-        if slo_met is None and deadline_s is not None:
-            if outcome in ("reject", "failed"):
-                slo_met = False
-        return {
-            "job_id": job_id,
-            "workload": workload,
-            "priority": priority,
-            "outcome": outcome,
-            "arrival_s": arrival_s,
-            "started_s": started_s,
-            "finished_s": finished_s,
-            "queue_delay_s": (
-                started_s - arrival_s if started_s is not None else None
-            ),
-            "makespan_s": makespan_s,
-            "latency_s": latency_s,
-            "quality": quality,
-            "deadline_s": deadline_s,
-            "slo_met": slo_met,
-        }
-
-    def _complete_replay(
-        self, result: JobResult, arrival_time: float, report: TraceReport
-    ) -> None:
-        """Fires on the shared engine at the job's completion watermark."""
-        engine = self.service.runtime.engine
-        engine.mark(result.job_id)
-        self.service.stats.record(result)
-        report.account(result, arrival_time, simulated=False)
-
-    @staticmethod
-    def _flush(engine, pending: List[tuple]) -> None:
-        if pending:
-            engine.schedule_at_batch(pending)
-            pending.clear()
-
-    # ------------------------------------------------------------------ #
-    # Vectorized steady-state accounting
-    # ------------------------------------------------------------------ #
-    def _account_run(
-        self,
-        report: TraceReport,
-        ids: List[str],
-        arrival_col: List[float],
-        starts: List[float],
-        finishes: List[float],
-        values: List[tuple],
-        transfers: Optional[List[Optional[tuple]]] = None,
-    ) -> None:
-        """Account one contiguous run of replayed completions at array level.
-
-        Byte-identical to firing one engine event per completion and
-        accounting each through :meth:`_complete_replay`: every streaming
-        aggregate receives the same value sequence in the same order (totals
-        accumulate in sequential IEEE-754 order — see
-        :func:`~repro.telemetry.metrics.sequential_sum`), and the bounded
-        detail dicts end in the same state with the same eviction counters.
-        """
-        n = len(ids)
-        stats = self.service.stats
-        report.jobs += n
-        report.replayed_jobs += n
-        report.replay_runs += 1
-        first = values[0]
-        if all(value is first for value in values):
-            # Homogeneous run (one group in steady state): every job carries
-            # the same memoized tuple, so totals are repeated additions and
-            # min/max are single comparisons.
-            makespan, energy, cost, quality = first
-            report.makespan_s.add_repeated(makespan, n)
-            report.energy_wh.add_repeated(energy, n)
-            report.cost.add_repeated(cost, n)
-            report.quality.add_repeated(quality, n)
-            stats.makespan_s.add_repeated(makespan, n)
-            stats.energy_wh.add_repeated(energy, n)
-            stats.cost.add_repeated(cost, n)
-            stats.quality.add_repeated(quality, n)
-            stats.total_makespan_s = repeated_sum(stats.total_makespan_s, makespan, n)
-            stats.total_energy_wh = repeated_sum(stats.total_energy_wh, energy, n)
-            stats.total_cost = repeated_sum(stats.total_cost, cost, n)
-        else:
-            makespans = [value[0] for value in values]
-            energies = [value[1] for value in values]
-            costs = [value[2] for value in values]
-            qualities = [value[3] for value in values]
-            report.makespan_s.add_sequence(makespans)
-            report.energy_wh.add_sequence(energies)
-            report.cost.add_sequence(costs)
-            report.quality.add_sequence(qualities)
-            stats.makespan_s.add_sequence(makespans)
-            stats.energy_wh.add_sequence(energies)
-            stats.cost.add_sequence(costs)
-            stats.quality.add_sequence(qualities)
-            stats.total_makespan_s = sequential_sum(stats.total_makespan_s, makespans)
-            stats.total_energy_wh = sequential_sum(stats.total_energy_wh, energies)
-            stats.total_cost = sequential_sum(stats.total_cost, costs)
-        if transfers is not None:
-            # Plain scalar accumulation in job order — exactly the += the
-            # reference path performs per result, so fabric-attached runs
-            # stay byte-identical across the two paths.  ``None`` entries
-            # (jobs that moved no costed bytes — every job, on fabric-free
-            # runs) are skipped without touching any accumulator.
-            for entry in transfers:
-                if entry is None:
-                    continue
-                t_s, t_bytes, t_cross, t_wh, t_events = entry
-                report.transfer_s += t_s
-                report.transferred_bytes += t_bytes
-                report.cross_rack_bytes += t_cross
-                report.transfer_wh += t_wh
-                report.transfer_events += t_events
-                stats.transfer_s += t_s
-                stats.transferred_bytes += t_bytes
-                stats.cross_rack_bytes += t_cross
-                stats.transfer_wh += t_wh
-                stats.transfer_events += t_events
-        # Starts never precede arrivals on this path, so the delay is the
-        # plain difference (the reference path's max(0.0, ...) is a no-op).
-        delays = [start - arrived for start, arrived in zip(starts, arrival_col)]
-        report.queue_delay_s.add_sequence(delays)
-        for finish, arrived in zip(finishes, arrival_col):
-            report.add_latency(finish - arrived)
-        throughput = report.throughput
-        throughput.completed += n
-        low = min(starts)
-        high = max(finishes)
-        if low < throughput.first_start:
-            throughput.first_start = low
-        if high > throughput.last_finish:
-            throughput.last_finish = high
-        stats.jobs_completed += n
-        engine = self.service.runtime.engine
-        self._bulk_mark(engine.watermarks, engine.WATERMARK_CAP, ids, finishes)
-        stats.per_job_evicted += self._bulk_insert(
-            stats.per_job,
-            stats.max_per_job_records,
-            ids,
-            [self._values_summary(value) for value in values],
-        )
-        self._bulk_insert(
-            report.job_summaries,
-            report.max_job_summaries,
-            ids,
-            [self._values_summary(value) for value in values],
-        )
-
-    @staticmethod
-    def _values_summary(values: tuple) -> Dict[str, float]:
-        """The :meth:`JobResult.compact_summary` dict for a memoized tuple."""
-        return {
-            "makespan_s": values[0],
-            "energy_wh": values[1],
-            "cost": values[2],
-            "quality": values[3],
-        }
-
-    @staticmethod
-    def _bulk_insert(mapping: Dict, cap: Optional[int], keys, payloads) -> int:
-        """``mapping[key] = payload`` pairwise with insertion-oldest eviction
-        beyond ``cap`` — byte-identical (final contents, order, and eviction
-        count) to inserting one at a time, in O(n + evictions).
-
-        The arithmetic fast path requires every key to be fresh (no
-        duplicates in the batch, none already present): re-inserting an
-        existing key keeps its dict position, which arithmetic cannot model,
-        so such batches fall back to the sequential loop.
-        """
-        n = len(keys)
-        fresh = len(set(keys)) == n and (
-            not mapping or not any(key in mapping for key in keys)
-        )
-        if not fresh:
-            evicted = 0
-            for key, payload in zip(keys, payloads):
-                mapping[key] = payload
-                evicted += evict_oldest(mapping, cap)
-            return evicted
-        if cap is None:
-            for key, payload in zip(keys, payloads):
-                mapping[key] = payload
-            return 0
-        overflow = len(mapping) + n - cap
-        if overflow <= 0:
-            for key, payload in zip(keys, payloads):
-                mapping[key] = payload
-            return 0
-        if overflow >= len(mapping):
-            # Everything pre-existing is evicted, plus the head of the batch.
-            mapping.clear()
-            keep_from = max(0, n - cap)
-            for key, payload in zip(keys[keep_from:], payloads[keep_from:]):
-                mapping[key] = payload
-            return overflow
-        evict_oldest(mapping, len(mapping) - overflow)
-        for key, payload in zip(keys, payloads):
-            mapping[key] = payload
-        return overflow
-
-    @staticmethod
-    def _bulk_mark(watermarks: Dict[str, float], cap: int, keys, times) -> None:
-        """Batched :meth:`SimulationEngine.mark` at given completion times.
-
-        Matches marking each key as its completion event fires: same final
-        watermark contents, order, and cap behaviour.
-        """
-        n = len(keys)
-        fresh = len(set(keys)) == n and (
-            not watermarks or not any(key in watermarks for key in keys)
-        )
-        if not fresh:
-            for key, at in zip(keys, times):
-                existing = watermarks.get(key)
-                if existing is None or at > existing:
-                    watermarks[key] = at
-                while len(watermarks) > cap:
-                    del watermarks[next(iter(watermarks))]
-            return
-        overflow = len(watermarks) + n - cap
-        if overflow <= 0:
-            for key, at in zip(keys, times):
-                watermarks[key] = at
-            return
-        if overflow >= len(watermarks):
-            watermarks.clear()
-            keep_from = max(0, n - cap)
-            for key, at in zip(keys[keep_from:], times[keep_from:]):
-                watermarks[key] = at
-            return
-        evict_oldest(watermarks, len(watermarks) - overflow)
-        for key, at in zip(keys, times):
-            watermarks[key] = at
-
-    # ------------------------------------------------------------------ #
     # Persistent trace recordings (warm-state cache)
     # ------------------------------------------------------------------ #
     def _trace_context_key(
         self,
         registry: WorkloadRegistry,
         ordered: List[tuple],
-        pool_signature: tuple,
-        store,
+        context: tuple,
         epoch: float,
     ) -> Optional[tuple]:
         """The exact-match cache key for recording/replaying this trace.
@@ -1620,72 +1393,54 @@ class ServiceLoadGenerator:
             )
             for node in runtime.cluster.nodes
         )
+        pool_signature, store_version, _dynamics_version, policy_fingerprint = context
         return trace_context_key(
             library_fingerprint=runtime.library.fingerprint(),
-            policy_fingerprint=self._policy_fingerprint(),
+            policy_fingerprint=policy_fingerprint,
             workload_sequence=workload_sequence,
             spec_digests=tuple(spec_digests),
             cluster_fingerprint=cluster_fingerprint,
             pool_signature=pool_signature,
-            store_version=store.version,
+            store_version=store_version,
             epoch=epoch,
         )
 
     def _replay_recording(
-        self,
-        recording: TraceRecording,
-        ordered: List[tuple],
-        epoch: float,
-        job_ids: Callable[[int, str], str],
-        report: TraceReport,
+        self, recording: TraceRecording, ordered: List[tuple], run: _TraceRun
     ) -> TraceReport:
         """Serve the whole trace from a persistent recording: zero probes.
 
         Every completion — including positions that were probe simulations
-        when the recording was captured — is replayed from its record.
-        Probe records carry their exact simulated ``finished_at`` (pinned),
-        because ``start + makespan`` does not round-trip bit-exactly; steady
-        records recompute ``finish = start + makespan`` exactly as live
-        replay accounting does.  The resulting aggregates, service stats,
-        and watermarks are byte-identical to a cold serving of the same
-        trace in the same context.
+        when the recording was captured — replays its record's slot.  Probe
+        records carry their exact simulated ``finished_at`` (pinned), because
+        ``start + makespan`` does not round-trip bit-exactly; steady records
+        recompute ``finish = start + makespan`` exactly as live replay does.
+        The resulting aggregates, service stats, and watermarks are
+        byte-identical to a cold serving of the same trace in the same
+        context.
         """
-        engine = self.service.runtime.engine
-        records = recording.records
-        values_by_record = [
-            (record.makespan_s, record.energy_wh, record.cost, record.quality)
-            for record in records
-        ]
-        previous_finish = engine.now
-        run_ids: List[str] = []
-        run_arrivals: List[float] = []
-        run_starts: List[float] = []
-        run_finishes: List[float] = []
-        run_values: List[tuple] = []
-        groups: Dict[str, GroupState] = {}
+        report = run.report
+        slots = [_ReplaySlot.of_record(record) for record in recording.records]
+        sink = _ReplaySink(self, report)
+        replayed: Dict[str, int] = {}
+        previous_finish = run.epoch
         for position, (index, arrival) in enumerate(ordered):
-            step = recording.script[position]
-            record = records[step]
-            arrival_at = epoch + arrival.arrival_time
+            slot = slots[recording.script[position]]
+            arrival_at = run.epoch + arrival.arrival_time
             start = arrival_at if arrival_at > previous_finish else previous_finish
-            pinned = record.pinned_finish
-            finish = pinned if pinned is not None else start + record.makespan_s
-            run_ids.append(job_ids(index, arrival.workload))
-            run_arrivals.append(arrival_at)
-            run_starts.append(start)
-            run_finishes.append(finish)
-            run_values.append(values_by_record[step])
+            finish = slot.pinned_finish
+            if finish is None:
+                finish = start + slot.values[0]
+            job_id = run.job_ids(index, arrival.workload)
+            sink.add(job_id, arrival_at, start, finish, slot)
             previous_finish = finish
-            group = groups.setdefault(arrival.workload, GroupState(arrival.workload))
-            group.replayed += 1
-        self._account_run(
-            report, run_ids, run_arrivals, run_starts, run_finishes, run_values
-        )
+            replayed[arrival.workload] = replayed.get(arrival.workload, 0) + 1
+        sink.close(previous_finish)
         report.warm_trace = True
-        engine.run()
-        if engine.now < previous_finish:
-            engine.run(until=previous_finish)
-        report.groups = {name: group.counters() for name, group in groups.items()}
+        report.groups = {
+            name: {"simulated": 0, "replayed": count}
+            for name, count in replayed.items()
+        }
         return report
 
     def _pool_signature(self) -> Tuple[Tuple[str, str], ...]:
@@ -1708,50 +1463,6 @@ class ServiceLoadGenerator:
             group.unstable = True
             group.steady = None
 
-    @staticmethod
-    def _result_digest(result: JobResult) -> tuple:
-        # Metrics are compared at 12 significant digits (round_sig) so that
-        # ~1e-15 relative floating-point jitter between identical executions
-        # at different absolute engine times cannot block convergence.
-        plan = result.plan
-        return (
-            plan.describe() if plan is not None else None,
-            round_sig(result.makespan_s),
-            round_sig(result.energy_wh),
-            round_sig(result.cost),
-            round_sig(result.quality),
-            result.provisioned_gpus,
-        )
-
-    @staticmethod
-    def _copy_energy(energy: EnergyBreakdown) -> EnergyBreakdown:
-        return EnergyBreakdown(
-            idle_wh=energy.idle_wh,
-            dynamic_wh_by_category=dict(energy.dynamic_wh_by_category),
-            cpu_wh=energy.cpu_wh,
-        )
-
-    @staticmethod
-    def _replay_result(
-        job_id: str, steady: SteadyState, started_at: float, finished_at: float
-    ) -> JobResult:
-        return JobResult(
-            job_id=job_id,
-            makespan_s=steady.makespan_s,
-            started_at=started_at,
-            finished_at=finished_at,
-            energy=ServiceLoadGenerator._copy_energy(steady.energy),
-            cost=steady.cost,
-            quality=steady.quality,
-            plan=steady.plan,
-            provisioned_gpus=steady.provisioned_gpus,
-            transfer_s=steady.transfer_s,
-            transferred_bytes=steady.transferred_bytes,
-            cross_rack_bytes=steady.cross_rack_bytes,
-            transfer_wh=steady.transfer_wh,
-            transfer_events=steady.transfer_events,
-        )
-
     # ------------------------------------------------------------------ #
     # Multiplexed (full shared-engine interleaving) serving
     # ------------------------------------------------------------------ #
@@ -1768,116 +1479,37 @@ class ServiceLoadGenerator:
         from repro.core.multitenant import TenantSubmission, run_submissions
 
         service = self.service
-        engine = service.runtime.engine
         report = TraceReport(mode="multiplex")
         report.admission_controlled = controller is not None
-        # Rebase trace-relative arrival times onto the shared engine's
-        # current epoch, as in the grouped path.
-        epoch = engine.now
-        slo_memo: Dict[str, Tuple[str, Optional[float]]] = {}
-        degraded_memo: Dict[str, tuple] = {}
-        #: One QoE slot per offered arrival, in arrival order.  Rejected
-        #: arrivals fill their slot immediately; admitted ones fill it at
-        #: completion (simulated or replayed); leftovers are jobs lost to
-        #: the cluster and become "failed" records.  Emission is deferred
-        #: to the end so the collector sees arrival order regardless of how
-        #: completions interleave.
-        qoe_records: List[Optional[Dict[str, object]]] = []
-        entries: List[_MultiplexEntry] = []
+        run = _TraceRun(
+            report, registry, job_ids, service.runtime.engine.now, controller, collector
+        )
+        entries: List[_Entry] = []
         #: Serial backlog watermark fed to the deadline-feasibility rung.
         #: Multiplexed jobs overlap, so there is no FIFO probe stream to
         #: observe makespans from: the ladder runs on the config's cost
         #: priors, keeping every decision a pure function of the arrival
         #: sequence (the capture/replay property).
-        backlog = epoch
-        ordered = sorted(
+        backlog = run.epoch
+        for index, arrival in sorted(
             enumerate(arrivals), key=lambda pair: (pair[1].arrival_time, pair[0])
-        )
-        for index, arrival in ordered:
-            job_id = job_ids(index, arrival.workload)
-            arrival_at = epoch + arrival.arrival_time
-            group = arrival.workload
-            ready_at = arrival_at
-            priority = DEFAULT_PRIORITY
-            deadline_s: Optional[float] = None
-            deadline_at: Optional[float] = None
-            outcome = "admit"
-            if controller is not None or collector is not None:
-                priority, deadline_s = self._workload_slo(
-                    registry, arrival.workload, slo_memo
-                )
+        ):
+            entry = run.admit(index, arrival, backlog)
+            if entry is None:
+                continue
             if controller is not None:
-                decision = controller.decide(
-                    tenant=arrival.workload,
-                    priority=priority,
-                    arrival_at=arrival_at,
-                    deadline_s=deadline_s,
-                    estimate_s=None,
-                    degraded_estimate_s=None,
-                    backlog_until=backlog,
-                )
-                if not decision.admitted:
-                    report.rejected_jobs += 1
-                    report.class_counters(priority)["rejected"] += 1
-                    if collector is not None:
-                        qoe_records.append(
-                            self._qoe_record(
-                                job_id,
-                                arrival.workload,
-                                priority,
-                                "reject",
-                                arrival.arrival_time,
-                                deadline_s=deadline_s,
-                            )
-                        )
-                    continue
-                outcome = decision.outcome
-                report.class_counters(priority)["jobs"] += 1
-                if decision.outcome == "degrade":
-                    report.degraded_jobs += 1
-                    report.class_counters(priority)["degraded"] += 1
-                    group = arrival.workload + DEGRADED_SUFFIX
-                elif decision.outcome == "defer":
-                    report.deferred_jobs += 1
-                    report.class_counters(priority)["deferred"] += 1
-                    ready_at = arrival_at + decision.wait_s
-                if deadline_s is None:
-                    deadline_s = controller.config.default_deadline_s
-                if deadline_s is not None:
-                    deadline_at = arrival_at + deadline_s
+                config = controller.config
                 prior = (
-                    controller.config.degraded_prior_s
-                    if group.endswith(DEGRADED_SUFFIX)
-                    else controller.config.estimate_prior_s
+                    config.degraded_prior_s
+                    if entry.outcome == "degrade"
+                    else config.estimate_prior_s
                 )
-                backlog = max(ready_at, backlog) + (prior or 0.0)
-            qoe_slot: Optional[int] = None
-            if collector is not None:
-                qoe_records.append(None)
-                qoe_slot = len(qoe_records) - 1
-            entries.append(
-                _MultiplexEntry(
-                    index=index,
-                    workload=arrival.workload,
-                    group=group,
-                    job_id=job_id,
-                    arrival_s=arrival.arrival_time,
-                    arrival_at=arrival_at,
-                    ready_at=ready_at,
-                    priority=priority,
-                    outcome=outcome,
-                    deadline_s=deadline_s,
-                    deadline_at=deadline_at,
-                    qoe=qoe_slot,
-                )
-            )
+                backlog = max(entry.ready_at, backlog) + (prior or 0.0)
+            entries.append(entry)
 
         if not entries:
             # Every arrival was shed; nothing touches the engine.
-            report.groups = {}
-            if collector is not None:
-                for record in qoe_records:
-                    collector(record)
+            run.emit()
             return report
 
         # Deferred admissions shift ready times, so re-sort (stably) before
@@ -1892,23 +1524,13 @@ class ServiceLoadGenerator:
         # materialized inputs and spec digest, so the digest-keyed plan
         # cache plans each group once no matter how many arrivals it has.
         templates: Dict[str, Job] = {}
-        by_job_id: Dict[str, _MultiplexEntry] = {}
+        by_job_id: Dict[str, _Entry] = {}
         group_counts: Dict[str, Dict[str, int]] = {}
         submissions: List[TenantSubmission] = []
         for entry in entries:
             template = templates.get(entry.group)
             if template is None:
-                if entry.group.endswith(DEGRADED_SUFFIX):
-                    template = self._degraded_job(
-                        registry,
-                        entry.workload,
-                        entry.job_id,
-                        controller,
-                        degraded_memo,
-                    )
-                else:
-                    template = registry.build(entry.workload, entry.job_id)
-                templates[entry.group] = template
+                template = templates[entry.group] = run.build_job(entry)
             by_job_id[entry.job_id] = entry
             group_counts.setdefault(entry.group, {"simulated": 0, "replayed": 0})
             submissions.append(
@@ -1940,31 +1562,13 @@ class ServiceLoadGenerator:
             stats.record(result)
             report.account(result, entry.arrival_at, simulated=True)
             group_counts[entry.group]["simulated"] += 1
-            if controller is not None:
-                self._note_completion(
-                    report,
-                    entry.priority,
-                    entry.deadline_at,
-                    entry.arrival_at,
+            if run.tracks:
+                run.complete(
+                    entry,
+                    result.started_at,
                     result.finished_at,
-                )
-            if entry.qoe is not None:
-                qoe_records[entry.qoe] = self._qoe_record(
-                    entry.job_id,
-                    entry.workload,
-                    entry.priority,
-                    entry.outcome,
-                    entry.arrival_s,
-                    started_s=result.started_at - epoch,
-                    finished_s=result.finished_at - epoch,
-                    makespan_s=result.makespan_s,
-                    quality=result.quality,
-                    deadline_s=entry.deadline_s,
-                    slo_met=(
-                        result.finished_at <= entry.deadline_at
-                        if entry.deadline_at is not None
-                        else None
-                    ),
+                    result.makespan_s,
+                    result.quality,
                 )
 
         tenant_report = run_submissions(
@@ -1976,36 +1580,17 @@ class ServiceLoadGenerator:
             window=period,
         )
         report.failed_jobs = tenant_report.failed_jobs
-        if tenant_report.replay_plan is not None:
-            self._replay_windows(
-                report,
-                entries,
-                tenant_report.replay_plan,
-                vectorized,
-                controller,
-                group_counts,
-                qoe_records,
-                epoch,
-            )
+        plan = tenant_report.replay_plan
+        if plan is not None:
+            sink = self._sink(vectorized, report)
+            remaining = entries[plan.resume_at :]
+            self._replay_windows(run, remaining, plan, group_counts, sink)
         report.groups = group_counts
-        if collector is not None:
-            for entry in entries:
-                if entry.qoe is not None and qoe_records[entry.qoe] is None:
-                    # Admitted but never completed: lost to the cluster.
-                    qoe_records[entry.qoe] = self._qoe_record(
-                        entry.job_id,
-                        entry.workload,
-                        entry.priority,
-                        "failed",
-                        entry.arrival_s,
-                        deadline_s=entry.deadline_s,
-                    )
-            for record in qoe_records:
-                collector(record)
+        run.emit()
         return report
 
     @staticmethod
-    def _pattern_holds(entries: List["_MultiplexEntry"], period: int) -> bool:
+    def _pattern_holds(entries: List[_Entry], period: int) -> bool:
         """Whether ``entries`` repeats with ``period``: same admission-group
         sequence, constant positive window-to-window ready-time shift.
 
@@ -2029,9 +1614,7 @@ class ServiceLoadGenerator:
         return True
 
     @classmethod
-    def _detect_multiplex_period(
-        cls, entries: List["_MultiplexEntry"]
-    ) -> Optional[int]:
+    def _detect_multiplex_period(cls, entries: List[_Entry]) -> Optional[int]:
         """Smallest period the admitted arrival pattern repeats at, if any.
 
         Aperiodic traces reject each candidate within a few comparisons
@@ -2046,133 +1629,217 @@ class ServiceLoadGenerator:
                 return period
         return None
 
+    @staticmethod
     def _replay_windows(
-        self,
-        report: TraceReport,
-        entries: List["_MultiplexEntry"],
+        run: _TraceRun,
+        remaining: List[_Entry],
         plan,
-        vectorized: bool,
-        controller: Optional[AdmissionController],
         group_counts: Dict[str, Dict[str, int]],
-        qoe_records: List[Optional[Dict[str, object]]],
-        epoch: float,
+        sink: _ReplaySink,
     ) -> None:
-        """Account the unsimulated tail from the confirmed window pattern.
+        """Replay the unsimulated tail from the confirmed window pattern.
 
         Remaining entry ``i`` replays pattern slot ``i % period``: its start
         is its own window's first ready time plus the slot's offset from the
         confirmed window's base (clamped to the entry's own ready time, as
         the engine would), and its finish adds the slot's exact makespan.
-        Completions are ordered by (finish, position) — the shared engine's
-        (time, sequence) order — then accounted either at array level (one
-        vectorized run) or as one batched engine event each (the
-        ``vectorized=False`` reference path); both land on byte-identical
-        aggregates, stats, and watermarks.
+        Rows reach the sink in (finish, position) order — the shared
+        engine's (time, sequence) order.
         """
-        engine = self.service.runtime.engine
         period = plan.period
-        pattern = plan.pattern
-        offsets = [result.started_at - plan.base for result in pattern]
-        values = [
-            (result.makespan_s, result.energy_wh, result.cost, result.quality)
-            for result in pattern
-        ]
-        transfers = [
-            (
-                result.transfer_s,
-                result.transferred_bytes,
-                result.cross_rack_bytes,
-                result.transfer_wh,
-                result.transfer_events,
-            )
-            if result.transfer_events
-            else None
-            for result in pattern
-        ]
-        remaining = entries[plan.resume_at :]
+        slots = [_ReplaySlot.of(result) for result in plan.pattern]
+        offsets = [result.started_at - plan.base for result in plan.pattern]
         rows = []
         for position, entry in enumerate(remaining):
-            slot = position % period
-            window_base = remaining[(position // period) * period].ready_at
-            start = window_base + offsets[slot]
+            index = position % period
+            start = remaining[position - index].ready_at + offsets[index]
             if start < entry.ready_at:
                 start = entry.ready_at
-            finish = start + pattern[slot].makespan_s
-            rows.append((finish, position, entry, slot, start))
+            slot = slots[index]
+            rows.append((start + slot.values[0], position, entry, slot, start))
         rows.sort(key=lambda row: (row[0], row[1]))
         for finish, _position, entry, slot, start in rows:
             group_counts[entry.group]["replayed"] += 1
-            if controller is not None:
-                self._note_completion(
-                    report, entry.priority, entry.deadline_at, entry.arrival_at, finish
-                )
-            if entry.qoe is not None:
-                qoe_records[entry.qoe] = self._qoe_record(
-                    entry.job_id,
-                    entry.workload,
-                    entry.priority,
-                    entry.outcome,
-                    entry.arrival_s,
-                    started_s=start - epoch,
-                    finished_s=finish - epoch,
-                    makespan_s=pattern[slot].makespan_s,
-                    quality=pattern[slot].quality,
-                    deadline_s=entry.deadline_s,
-                    slo_met=(
-                        finish <= entry.deadline_at
-                        if entry.deadline_at is not None
-                        else None
-                    ),
-                )
-        if vectorized:
-            self._account_run(
-                report,
-                [row[2].job_id for row in rows],
-                [row[2].arrival_at for row in rows],
-                [row[4] for row in rows],
-                [row[0] for row in rows],
-                [values[row[3]] for row in rows],
-                transfers=[transfers[row[3]] for row in rows],
-            )
-            last_finish = rows[-1][0]
-            if engine.now < last_finish:
-                engine.run(until=last_finish)
+            if run.tracks:
+                run.complete(entry, start, finish, slot.values[0], slot.values[3])
+            sink.add(entry.job_id, entry.arrival_at, start, finish, slot)
+        sink.close(rows[-1][0])
+
+    # ------------------------------------------------------------------ #
+    # Vectorized replay accounting
+    # ------------------------------------------------------------------ #
+    def _account_run(
+        self,
+        report: TraceReport,
+        ids: List[str],
+        arrival_col: List[float],
+        starts: List[float],
+        finishes: List[float],
+        slots: List[_ReplaySlot],
+    ) -> None:
+        """Account one contiguous run of replayed rows at array level.
+
+        Byte-identical to firing one engine event per row through
+        :class:`_EventSink`: every streaming aggregate receives the same
+        value sequence in the same order (totals accumulate in sequential
+        IEEE-754 order — see :func:`~repro.telemetry.metrics.sequential_sum`),
+        and the bounded detail dicts end in the same state with the same
+        eviction counters.
+        """
+        n = len(ids)
+        stats = self.service.stats
+        report.jobs += n
+        report.replayed_jobs += n
+        report.replay_runs += 1
+        first = slots[0]
+        if all(slot is first for slot in slots):
+            # Homogeneous run (one group in steady state): every job carries
+            # the same slot, so totals are repeated additions and min/max
+            # are single comparisons.
+            makespan, energy, cost, quality = first.values
+            report.makespan_s.add_repeated(makespan, n)
+            report.energy_wh.add_repeated(energy, n)
+            report.cost.add_repeated(cost, n)
+            report.quality.add_repeated(quality, n)
+            stats.makespan_s.add_repeated(makespan, n)
+            stats.energy_wh.add_repeated(energy, n)
+            stats.cost.add_repeated(cost, n)
+            stats.quality.add_repeated(quality, n)
+            stats.total_makespan_s = repeated_sum(stats.total_makespan_s, makespan, n)
+            stats.total_energy_wh = repeated_sum(stats.total_energy_wh, energy, n)
+            stats.total_cost = repeated_sum(stats.total_cost, cost, n)
         else:
-            pending = [
-                (
-                    finish,
-                    self._complete_replay,
-                    (
-                        self._pattern_result(
-                            entry.job_id, pattern[slot], start, finish
-                        ),
-                        entry.arrival_at,
-                        report,
-                    ),
-                )
-                for finish, _position, entry, slot, start in rows
-            ]
-            self._flush(engine, pending)
-            engine.run()
+            makespans = [slot.values[0] for slot in slots]
+            energies = [slot.values[1] for slot in slots]
+            costs = [slot.values[2] for slot in slots]
+            qualities = [slot.values[3] for slot in slots]
+            report.makespan_s.add_sequence(makespans)
+            report.energy_wh.add_sequence(energies)
+            report.cost.add_sequence(costs)
+            report.quality.add_sequence(qualities)
+            stats.makespan_s.add_sequence(makespans)
+            stats.energy_wh.add_sequence(energies)
+            stats.cost.add_sequence(costs)
+            stats.quality.add_sequence(qualities)
+            stats.total_makespan_s = sequential_sum(stats.total_makespan_s, makespans)
+            stats.total_energy_wh = sequential_sum(stats.total_energy_wh, energies)
+            stats.total_cost = sequential_sum(stats.total_cost, costs)
+        # Plain scalar accumulation in job order — exactly the += the
+        # reference path performs per result, so fabric-attached runs stay
+        # byte-identical across the two paths.  Slots that moved no costed
+        # bytes (every slot, on fabric-free runs) touch no accumulator.
+        for slot in slots:
+            transfer = slot.transfer
+            if transfer is None:
+                continue
+            t_s, t_bytes, t_cross, t_wh, t_events = transfer
+            report.transfer_s += t_s
+            report.transferred_bytes += t_bytes
+            report.cross_rack_bytes += t_cross
+            report.transfer_wh += t_wh
+            report.transfer_events += t_events
+            stats.transfer_s += t_s
+            stats.transferred_bytes += t_bytes
+            stats.cross_rack_bytes += t_cross
+            stats.transfer_wh += t_wh
+            stats.transfer_events += t_events
+        # Starts never precede arrivals on this path, so the delay is the
+        # plain difference (the reference path's max(0.0, ...) is a no-op).
+        delays = [start - arrived for start, arrived in zip(starts, arrival_col)]
+        report.queue_delay_s.add_sequence(delays)
+        for finish, arrived in zip(finishes, arrival_col):
+            report.add_latency(finish - arrived)
+        throughput = report.throughput
+        throughput.completed += n
+        low = min(starts)
+        high = max(finishes)
+        if low < throughput.first_start:
+            throughput.first_start = low
+        if high > throughput.last_finish:
+            throughput.last_finish = high
+        stats.jobs_completed += n
+        engine = self.service.runtime.engine
+        self._bulk_mark(engine.watermarks, engine.WATERMARK_CAP, ids, finishes)
+        stats.per_job_evicted += self._bulk_insert(
+            stats.per_job,
+            stats.max_per_job_records,
+            ids,
+            [self._values_summary(slot.values) for slot in slots],
+        )
+        self._bulk_insert(
+            report.job_summaries,
+            report.max_job_summaries,
+            ids,
+            [self._values_summary(slot.values) for slot in slots],
+        )
 
     @staticmethod
-    def _pattern_result(
-        job_id: str, slot: JobResult, started_at: float, finished_at: float
-    ) -> JobResult:
-        """A replayed completion stamped from one confirmed pattern slot."""
-        return JobResult(
-            job_id=job_id,
-            makespan_s=slot.makespan_s,
-            started_at=started_at,
-            finished_at=finished_at,
-            energy=ServiceLoadGenerator._copy_energy(slot.energy),
-            cost=slot.cost,
-            quality=slot.quality,
-            plan=slot.plan,
-            provisioned_gpus=slot.provisioned_gpus,
-            transfer_s=slot.transfer_s,
-            transferred_bytes=slot.transferred_bytes,
-            cross_rack_bytes=slot.cross_rack_bytes,
-            transfer_wh=slot.transfer_wh,
-            transfer_events=slot.transfer_events,
-        )
+    def _values_summary(values: tuple) -> Dict[str, float]:
+        """The :meth:`JobResult.compact_summary` dict for a slot's values."""
+        return {
+            "makespan_s": values[0],
+            "energy_wh": values[1],
+            "cost": values[2],
+            "quality": values[3],
+        }
+
+    @staticmethod
+    def _bulk_insert(mapping: Dict, cap: Optional[int], keys, payloads) -> int:
+        """``mapping[key] = payload`` pairwise with insertion-oldest eviction
+        beyond ``cap`` — byte-identical (final contents, order, and eviction
+        count) to inserting one at a time, in O(n + evictions).
+
+        The arithmetic fast path requires every key to be fresh (no
+        duplicates in the batch, none already present): re-inserting an
+        existing key keeps its dict position, which arithmetic cannot model,
+        so such batches fall back to the sequential loop.
+        """
+        if not _fresh(mapping, keys):
+            evicted = 0
+            for key, payload in zip(keys, payloads):
+                mapping[key] = payload
+                evicted += evict_oldest(mapping, cap)
+            return evicted
+        return _insert_fresh(mapping, cap, keys, payloads)
+
+    @staticmethod
+    def _bulk_mark(watermarks: Dict[str, float], cap: int, keys, times) -> None:
+        """Batched :meth:`SimulationEngine.mark` at given completion times.
+
+        Matches marking each key as its completion event fires: same final
+        watermark contents, order, and cap behaviour.  Fresh keys take the
+        bulk-insert arithmetic; otherwise a re-marked key keeps its latest
+        time.
+        """
+        if _fresh(watermarks, keys):
+            _insert_fresh(watermarks, cap, keys, times)
+            return
+        for key, at in zip(keys, times):
+            existing = watermarks.get(key)
+            if existing is None or at > existing:
+                watermarks[key] = at
+            evict_oldest(watermarks, cap)
+
+
+def _fresh(mapping: Dict, keys) -> bool:
+    """Whether no key repeats in ``keys`` or is already in ``mapping``."""
+    return len(set(keys)) == len(keys) and (
+        not mapping or not any(key in mapping for key in keys)
+    )
+
+
+def _insert_fresh(mapping: Dict, cap: Optional[int], keys, payloads) -> int:
+    """The arithmetic form of inserting fresh keys one at a time with
+    insertion-oldest eviction beyond ``cap``; returns the eviction count."""
+    n = len(keys)
+    overflow = 0 if cap is None else len(mapping) + n - cap
+    if overflow >= len(mapping) and overflow > 0:
+        # Everything pre-existing is evicted, plus the head of the batch.
+        mapping.clear()
+        keep_from = max(0, n - cap)
+        keys, payloads = keys[keep_from:], payloads[keep_from:]
+    elif overflow > 0:
+        evict_oldest(mapping, len(mapping) - overflow)
+    for key, payload in zip(keys, payloads):
+        mapping[key] = payload
+    return max(0, overflow)

@@ -5,7 +5,7 @@ re-deciding the workflow -> model -> hardware mapping as conditions change
 (§3.2).  Before this module, those decisions were hardwired across four
 layers: configuration search in :mod:`repro.core.planner`, task->agent
 mapping in :mod:`repro.core.mapper`, node placement in
-:mod:`repro.cluster.scheduler`, and quality adaptation in
+:mod:`repro.cluster.allocator`, and quality adaptation in
 :mod:`repro.core.quality_control`.  Every run therefore used one implicit
 greedy policy.
 

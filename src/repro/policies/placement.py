@@ -9,9 +9,7 @@ policy adds the elastic-cluster lesson from PR 3: a long-lived serving
 instance placed on a ``spot:*`` node is lost the moment the window closes,
 so durable deployments should prefer durable capacity.
 
-These classes historically lived in :mod:`repro.cluster.scheduler`, which
-now re-exports them; the abstract interface is
-:class:`repro.policies.base.PlacementPolicy`.
+The abstract interface is :class:`repro.policies.base.PlacementPolicy`.
 """
 
 from __future__ import annotations

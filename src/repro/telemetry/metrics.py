@@ -36,6 +36,25 @@ def round_sig(value: float, digits: int = 12) -> float:
     return float(f"{value:.{digits}g}")
 
 
+def result_digest(result) -> tuple:
+    """What makes two served results "the same" for replay.
+
+    The plan text, the four accounted metrics at 12 significant digits
+    (:func:`round_sig`), and the provisioned GPUs of a
+    :class:`~repro.core.job.JobResult`.  The grouped steady-state memo and
+    the multiplex steady-window detector both confirm a repeat on it.
+    """
+    plan = result.plan
+    return (
+        plan.describe() if plan is not None else None,
+        round_sig(result.makespan_s),
+        round_sig(result.energy_wh),
+        round_sig(result.cost),
+        round_sig(result.quality),
+        result.provisioned_gpus,
+    )
+
+
 def sequential_sum(start: float, values: Sequence[float]) -> float:
     """``start + v0 + v1 + ...`` with strict left-to-right IEEE-754 order.
 

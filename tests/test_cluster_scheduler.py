@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.allocator import Allocator, ResourceRequest
 from repro.cluster.cluster import Cluster
 from repro.cluster.node import Node
-from repro.cluster.scheduler import (
+from repro.policies.placement import (
     BestFitPolicy,
     FirstFitPolicy,
     SpreadPolicy,

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.admission import AdmissionConfig
 from repro.loadgen import ServiceLoadGenerator, WorkloadRegistry, default_registry
 from repro.service import AIWorkflowService
 from repro.workflows.newsfeed import newsfeed_job
@@ -308,10 +309,65 @@ def _accounting_snapshot(service, report):
         "per_job": tuple(stats.per_job.items()),
         "watermarks": tuple(engine.watermarks.items()),
         "engine_now": engine.now,
+        "transfers": tuple(
+            (
+                owner.transfer_events,
+                owner.transferred_bytes,
+                owner.cross_rack_bytes,
+                owner.transfer_s,
+                owner.transfer_wh,
+            )
+            for owner in (report, stats)
+        ),
+        "admission": (
+            report.rejected_jobs,
+            report.degraded_jobs,
+            report.deferred_jobs,
+            report.slo_violations,
+            report.priority_classes,
+            {key: agg.summary() for key, agg in report.priority_latency.items()},
+            tuple(report.latency_s),
+        ),
     }
 
 
-def _differential_reports(registry, numpy_enabled, monkeypatch, **options):
+#: Feature combinations the vectorized/reference differentials run under:
+#: ``(service options, serving options)`` per case.  The admission ladder is
+#: quality-only (no degraded planning objective).
+DIFFERENTIAL_CASES = {
+    "plain": ({}, {}),
+    "admission": (
+        {},
+        {
+            "admission": AdmissionConfig(
+                rate_per_s=0.5,
+                burst=3,
+                max_defer_s=20,
+                degrade=True,
+                default_deadline_s=120,
+            )
+        },
+    ),
+    "congested": ({"fabric": "congested"}, {}),
+}
+
+#: ``(numpy_enabled, case)`` for every differential; the plain case keeps the
+#: bare accounting-backend id.
+DIFFERENTIAL_PARAMS = [
+    pytest.param(
+        numpy_enabled,
+        case,
+        id=("" if case == "plain" else f"{case}-")
+        + ("numpy" if numpy_enabled else "pure-python"),
+    )
+    for case in DIFFERENTIAL_CASES
+    for numpy_enabled in (True, False)
+]
+
+
+def _differential_reports(
+    registry, numpy_enabled, monkeypatch, service_options=None, collectors=None, **options
+):
     if not numpy_enabled:
         import repro.telemetry.metrics as metrics
 
@@ -322,19 +378,35 @@ def _differential_reports(registry, numpy_enabled, monkeypatch, **options):
         workloads=("newsfeed", "chain-of-thought"),
         seed=5,
     )
-    reference_service = AIWorkflowService()
+    ref_collector, vec_collector = collectors or (None, None)
+    reference_service = AIWorkflowService(**(service_options or {}))
     reference = reference_service.submit_trace(
-        arrivals, registry=registry, vectorized=False, **options
+        arrivals,
+        registry=registry,
+        vectorized=False,
+        collector=ref_collector,
+        **options,
     )
-    vector_service = AIWorkflowService()
-    vectorized = vector_service.submit_trace(arrivals, registry=registry, **options)
+    vector_service = AIWorkflowService(**(service_options or {}))
+    vectorized = vector_service.submit_trace(
+        arrivals, registry=registry, collector=vec_collector, **options
+    )
     return (reference_service, reference), (vector_service, vectorized)
 
 
-@pytest.mark.parametrize("numpy_enabled", [True, False], ids=["numpy", "pure-python"])
-def test_vectorized_accounting_is_byte_identical(registry, monkeypatch, numpy_enabled):
+@pytest.mark.parametrize("numpy_enabled, case", DIFFERENTIAL_PARAMS)
+def test_vectorized_accounting_is_byte_identical(
+    registry, monkeypatch, numpy_enabled, case
+):
+    service_options, options = DIFFERENTIAL_CASES[case]
+    ref_records, vec_records = [], []
     (ref_service, reference), (vec_service, vectorized) = _differential_reports(
-        registry, numpy_enabled, monkeypatch
+        registry,
+        numpy_enabled,
+        monkeypatch,
+        service_options=service_options,
+        collectors=(ref_records.append, vec_records.append),
+        **options,
     )
     # The per-arrival reference never batches; the vectorized path must.
     assert reference.replay_runs == 0
@@ -342,6 +414,11 @@ def test_vectorized_accounting_is_byte_identical(registry, monkeypatch, numpy_en
     assert vectorized.replayed_jobs > vectorized.simulated_jobs
     assert _accounting_snapshot(vec_service, vectorized) == _accounting_snapshot(
         ref_service, reference
+    )
+    # One QoE record per offered arrival, identical on both paths.
+    assert vec_records == ref_records
+    assert len(vec_records) == (
+        vectorized.jobs + vectorized.rejected_jobs + vectorized.failed_jobs
     )
 
 

@@ -11,10 +11,15 @@ pre-detector per-event serving behaviour.
 
 import pytest
 
-from test_loadgen import _accounting_snapshot
+from test_loadgen import DIFFERENTIAL_CASES, DIFFERENTIAL_PARAMS, _accounting_snapshot
 
 from repro.admission import AdmissionConfig
-from repro.capture import capture_trace, replay_capture, replays_identically
+from repro.capture import (
+    TraceCapture,
+    capture_trace,
+    replay_capture,
+    replays_identically,
+)
 from repro.loadgen import ServiceLoadGenerator, WorkloadRegistry, default_registry
 from repro.service import AIWorkflowService
 from repro.sim.energy import EnergyBreakdown
@@ -41,8 +46,8 @@ def _burst_arrivals(windows=12, span=40.0):
     return arrivals
 
 
-def _serve(registry, **options):
-    service = AIWorkflowService()
+def _serve(registry, service_options=None, **options):
+    service = AIWorkflowService(**(service_options or {}))
     report = service.submit_trace(
         _burst_arrivals(), registry=registry, mode="multiplex", **options
     )
@@ -112,21 +117,39 @@ def test_multiplex_window_validation(registry):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("numpy_enabled", [True, False], ids=["numpy", "pure-python"])
-def test_multiplex_fast_path_is_byte_identical(registry, monkeypatch, numpy_enabled):
+#: Jobs replayed per differential case: the congested fabric needs a third
+#: window before two consecutive windows match.
+REPLAYED = {"plain": 30, "admission": 30, "congested": 27}
+
+
+@pytest.mark.parametrize("numpy_enabled, case", DIFFERENTIAL_PARAMS)
+def test_multiplex_fast_path_is_byte_identical(
+    registry, monkeypatch, numpy_enabled, case
+):
     if not numpy_enabled:
         import repro.telemetry.metrics as metrics
 
         monkeypatch.setattr(metrics, "_np", None)
-    ref_service, reference = _serve(registry, vectorized=False)
-    vec_service, vectorized = _serve(registry)
+    service_options, options = DIFFERENTIAL_CASES[case]
+    ref_records, vec_records = [], []
+    ref_service, reference = _serve(
+        registry,
+        service_options,
+        vectorized=False,
+        collector=ref_records.append,
+        **options,
+    )
+    vec_service, vectorized = _serve(
+        registry, service_options, collector=vec_records.append, **options
+    )
     # Both paths detect the same window and replay the same tail; only the
     # accounting mechanism differs (array-level vs. one engine event each).
-    assert reference.replayed_jobs == vectorized.replayed_jobs == 30
+    assert reference.replayed_jobs == vectorized.replayed_jobs == REPLAYED[case]
     assert reference.replay_runs == 0 and vectorized.replay_runs == 1
     assert _accounting_snapshot(vec_service, vectorized) == _accounting_snapshot(
         ref_service, reference
     )
+    assert vec_records == ref_records and len(vec_records) == 36
     ref_service.shutdown()
     vec_service.shutdown()
 
@@ -195,7 +218,8 @@ def _overload_arrivals(count=24, interval=1.1):
     ]
 
 
-def test_multiplex_capture_replays_identically():
+@pytest.mark.parametrize("window", [None, 0], ids=["auto-window", "no-window"])
+def test_multiplex_capture_replays_identically(window):
     service = AIWorkflowService()
     capture, report = capture_trace(
         service,
@@ -203,6 +227,7 @@ def test_multiplex_capture_replays_identically():
         registry=_spec_registry(),
         admission=ADMISSION,
         mode="multiplex",
+        multiplex_window=window,
     )
     service.shutdown()
     assert capture.mode == "multiplex"
@@ -213,6 +238,25 @@ def test_multiplex_capture_replays_identically():
     assert any(entry.outcome == "reject" for entry in capture.entries)
     replayed, _ = replay_capture(capture)
     assert replayed.mode == "multiplex"
+    assert replays_identically(capture, replayed)
+
+    # The periodic burst is window-replayed unless the capture disabled the
+    # detector; replay must serve it with the captured window option.
+    service = AIWorkflowService()
+    capture, report = capture_trace(
+        service,
+        _burst_arrivals(),
+        registry=default_registry(),
+        mode="multiplex",
+        multiplex_window=window,
+    )
+    service.shutdown()
+    assert report.replayed_jobs == (30 if window is None else 0)
+    assert ("multiplex_window" in capture.payload()) == (window is not None)
+    loaded = TraceCapture.from_json(capture.to_json())
+    assert loaded.multiplex_window == window
+    replayed, replay_report = replay_capture(loaded)
+    assert replay_report.replayed_jobs == report.replayed_jobs
     assert replays_identically(capture, replayed)
 
 
