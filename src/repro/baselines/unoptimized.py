@@ -1,8 +1,8 @@
 """The unoptimized reference path for the orchestration hot-path overhaul.
 
 The indexed profile store, memoized profiling, plan cache, cached DAG
-structure, tuple-heap event loop, and incremental executor dispatch are pure
-performance work: they must not change a single scheduling decision, plan
+structure, decomposition templates, tuple-heap event loop, and incremental
+executor dispatch are pure performance work: they must not change a single scheduling decision, plan
 assignment, or event ordering.  This module reproduces the original
 (pre-optimization) behaviour of every layer so benchmarks and tests can run
 the same job down both paths and assert
@@ -17,24 +17,39 @@ QoS claims: the measurement substrate itself must be checkable).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import networkx as nx
 
 from repro.agents.library import AgentLibrary, default_library
 from repro.core.dag import TaskGraph
+from repro.core.decomposer import JobDecomposer
+from repro.core.job import Job
 from repro.core.runtime import MurakkabRuntime
 from repro.core.task import Task
+from repro.llm.orchestrator_llm import ReActTrace
 from repro.profiling.profiler import Profiler
 
 
 class UncachedTaskGraph(TaskGraph):
-    """A :class:`TaskGraph` with the original uncached structure queries.
+    """A :class:`TaskGraph` with the original networkx structure queries.
 
-    ``topological_order``/``stage_order`` recompute the full lexicographical
-    topological sort on every call, and ``add_dependency`` re-runs the
-    whole-graph acyclicity check per edge — exactly as the seed code did.
+    Keeps its own ``networkx.DiGraph`` mirror and answers every structure
+    query from it, recomputing on every call: ``topological_order``/
+    ``stage_order`` re-run the full lexicographical topological sort,
+    ``validate`` and ``add_dependency`` the whole-graph acyclicity check,
+    and ``predecessors``/``successors``/``edges`` iterate networkx's
+    adjacency — exactly as the seed code did.
     """
+
+    def __init__(self, workflow_id: str = "workflow") -> None:
+        super().__init__(workflow_id)
+        self._nx = nx.DiGraph()
+
+    def add_task(self, task: Task) -> Task:
+        super().add_task(task)
+        self._nx.add_node(task.task_id)
+        return task
 
     def add_dependency(self, upstream_id: str, downstream_id: str) -> None:
         for task_id in (upstream_id, downstream_id):
@@ -42,15 +57,32 @@ class UncachedTaskGraph(TaskGraph):
                 raise KeyError(f"unknown task: {task_id}")
         if upstream_id == downstream_id:
             raise ValueError(f"task {upstream_id} cannot depend on itself")
-        self._graph.add_edge(upstream_id, downstream_id)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(upstream_id, downstream_id)
+        self._nx.add_edge(upstream_id, downstream_id)
+        if not nx.is_directed_acyclic_graph(self._nx):
+            self._nx.remove_edge(upstream_id, downstream_id)
             raise ValueError(
                 f"adding edge {upstream_id} -> {downstream_id} would create a cycle"
             )
+        self._succ[upstream_id][downstream_id] = self._tasks[downstream_id]
+        self._pred[downstream_id][upstream_id] = self._tasks[upstream_id]
+
+    def predecessors(self, task_id: str) -> List[Task]:
+        return [self._tasks[t] for t in self._nx.predecessors(task_id)]
+
+    def successors(self, task_id: str) -> List[Task]:
+        return [self._tasks[t] for t in self._nx.successors(task_id)]
+
+    def edges(self) -> List[Tuple[str, str]]:
+        return list(self._nx.edges())
+
+    def validate(self) -> None:
+        if not self._tasks:
+            raise ValueError("task graph is empty")
+        if not nx.is_directed_acyclic_graph(self._nx):
+            raise ValueError("task graph contains a cycle")
 
     def topological_order(self) -> List[Task]:
-        order = nx.lexicographical_topological_sort(self._graph)
+        order = nx.lexicographical_topological_sort(self._nx)
         return [self._tasks[task_id] for task_id in order]
 
     def stage_order(self) -> List[str]:
@@ -59,6 +91,16 @@ class UncachedTaskGraph(TaskGraph):
             if task.stage not in seen:
                 seen.append(task.stage)
         return seen
+
+
+class UncachedJobDecomposer(JobDecomposer):
+    """A :class:`JobDecomposer` without the template memo: every job is
+    decomposed from scratch into an :class:`UncachedTaskGraph`."""
+
+    graph_factory = UncachedTaskGraph
+
+    def decompose(self, job: Job) -> Tuple[TaskGraph, ReActTrace]:
+        return self.decompose_fresh(job)
 
 
 def _stepwise_run(engine, until: Optional[float] = None, max_events: Optional[int] = None):
@@ -86,7 +128,7 @@ def unoptimized_runtime(library: Optional[AgentLibrary] = None) -> MurakkabRunti
 
     * profiles the library from scratch (no memoized default store),
     * plans every submission without the plan cache,
-    * builds DAGs through :class:`UncachedTaskGraph`,
+    * decomposes every job from scratch into an :class:`UncachedTaskGraph`,
     * drives the engine through the original step-wise event loop, and
     * executes with full ready-task rescans per dispatch.
     """
@@ -96,7 +138,9 @@ def unoptimized_runtime(library: Optional[AgentLibrary] = None) -> MurakkabRunti
         profile_store=Profiler().profile_library(library),
     )
     runtime.orchestrator.planner.enable_plan_cache = False
-    runtime.orchestrator.decomposer.graph_factory = UncachedTaskGraph
+    runtime.orchestrator.decomposer = UncachedJobDecomposer(
+        runtime.orchestrator.decomposer.orchestrator_llm
+    )
     runtime.executor_options["incremental_dispatch"] = False
     engine = runtime.engine
     runtime.engine.run = lambda until=None, max_events=None: _stepwise_run(

@@ -6,12 +6,38 @@ inputs (one frame-extraction task per video, one transcription /
 summarisation task per scene, one sentiment task per post, a single vector
 database insertion, a single final answer, ...), and wires dataflow
 dependencies between tasks at matching granularity.
+
+Each decomposer compiles every *distinct* job once.  A bounded FIFO memo on
+the decomposer remembers each job content it has seen: description, task
+hints, constraint description and inputs.  When the same content comes
+again, it is decomposed, wired, validated and topologically sorted one last
+time into a template.  That job and every later one with the same content
+get a *stamp* of the template: fresh :class:`Task` objects and a
+:meth:`TaskGraph.stamp` of its structure.  Content seen only once costs
+just its key, so a stream of distinct jobs builds no templates.
+
+The job id lives in exactly three places, and a stamp rewrites exactly
+those: the task ids (``{job_id}/{stage}/{n}``), the graph's
+``workflow_id``, and the ``collection`` payload of the vector-database and
+question-answering tasks.  A stamp shares only data nothing mutates: work
+payloads that hold no job id, task ``metadata``, and the orchestrator LLM's
+``ReActTrace``.
+
+The memo keys on content, never on object identity, because ``Job.inputs``
+is a caller-owned mutable sequence.  The inputs enter the key as their
+pickled bytes: type-exact (a tuple is not a list, ``1`` is not ``"1"``) and
+insertion-ordered, so equal keys mean inputs that decompose identically.
+A template is decomposed from a private copy of the inputs, unpickled from
+the key, so a later in-place edit by the caller cannot leak into it.
+Inputs pickle cannot encode are decomposed afresh every time.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+import pickle
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.agents.base import AgentInterface, WorkUnit
 from repro.core.dag import TaskGraph
@@ -53,20 +79,105 @@ def _normalise_inputs(inputs: Sequence[object]) -> Tuple[List[dict], List[dict]]
     return videos, items
 
 
+#: Interfaces whose "once" payload names the job's own vector collection.
+_COLLECTION_INTERFACES = (AgentInterface.VECTOR_DB, AgentInterface.QUESTION_ANSWERING)
+
+
+class _Template(NamedTuple):
+    """One compiled job: a private graph (its tasks are never handed out)
+    and the decomposition trace every stamp shares."""
+
+    graph: TaskGraph
+    trace: ReActTrace
+
+    def stamp(self, job_id: str) -> TaskGraph:
+        """The template retargeted to job ``job_id``, on fresh tasks."""
+        old_id = self.graph.workflow_id
+        cut = len(old_id)
+        tasks = []
+        for task in self.graph:
+            work = task.work
+            if task.interface in _COLLECTION_INTERFACES and "collection" in work.payload:
+                work = WorkUnit(
+                    kind=work.kind,
+                    quantity=work.quantity,
+                    payload={**work.payload, "collection": job_id},
+                )
+            tasks.append(
+                Task(
+                    task_id=job_id + task.task_id[cut:],
+                    description=task.description,
+                    interface=task.interface,
+                    work=work,
+                    stage=task.stage,
+                    metadata=task.metadata,
+                )
+            )
+        return self.graph.stamp(old_id, job_id, tasks)
+
+
 class JobDecomposer:
     """Expands a :class:`~repro.core.job.Job` into a :class:`TaskGraph`."""
 
+    #: Class used to build task graphs (swapped by the unoptimized
+    #: reference path in repro.baselines.unoptimized).
+    graph_factory = TaskGraph
+
+    #: FIFO bound on the per-decomposer template memo.
+    _MEMO_MAX = 256
+
     def __init__(self, orchestrator_llm: Optional[OrchestratorLLM] = None) -> None:
         self.orchestrator_llm = orchestrator_llm or OrchestratorLLM()
-        #: Class used to build task graphs (swapped by the unoptimized
-        #: reference path in repro.baselines.unoptimized).
-        self.graph_factory = TaskGraph
+        #: content key -> template, or ``None`` for content seen only once.
+        self._templates: Dict[tuple, Optional[_Template]] = {}
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
     def decompose(self, job: Job) -> Tuple[TaskGraph, ReActTrace]:
-        """Build the task graph for ``job`` and return it with the LLM trace."""
+        """The task graph for ``job`` and the LLM trace, stamped from a
+        template once the same content has been seen before."""
+        key = self._template_key(job)
+        if key is None:
+            return self.decompose_fresh(job)
+        if key not in self._templates:
+            # First sighting: remember the content and compile on its first
+            # repeat, so a stream of distinct jobs pays only for the key.
+            self._remember(key, None)
+            return self.decompose_fresh(job)
+        template = self._templates[key]
+        if template is None:
+            template = self._templates[key] = self._compile(job, key[-1])
+        return template.stamp(job.job_id), template.trace
+
+    def _compile(self, job: Job, pickled_inputs: bytes) -> _Template:
+        # Template payloads outlive the job, so they must not alias the
+        # caller's inputs (which it may edit later): decompose a private
+        # copy of the inputs exactly as they were keyed.
+        private = dataclasses.replace(job, inputs=pickle.loads(pickled_inputs))
+        graph, trace = self.decompose_fresh(private)
+        graph.stage_order()  # cached, so every stamp inherits it
+        return _Template(graph, trace)
+
+    def _template_key(self, job: Job) -> Optional[tuple]:
+        try:
+            inputs = pickle.dumps(job.inputs, pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            return None  # inputs pickle cannot encode are never memoized
+        return (
+            job.description,
+            tuple(job.tasks),
+            job.constraint_set().describe(),
+            inputs,
+        )
+
+    def _remember(self, key: tuple, template: Optional[_Template]) -> None:
+        if len(self._templates) >= self._MEMO_MAX:
+            self._templates.pop(next(iter(self._templates)))
+        self._templates[key] = template
+
+    def decompose_fresh(self, job: Job) -> Tuple[TaskGraph, ReActTrace]:
+        """Decompose ``job`` from scratch, bypassing the template memo."""
         videos, items = _normalise_inputs(job.inputs)
         input_names = [v["name"] for v in videos] + [
             str(item.get("id", item.get("text", "item"))) for item in items

@@ -287,6 +287,9 @@ class WorkflowExecutor:
         self._order_index: Dict[str, int] = {}
         self._global_active = 0
         self._retry_scheduled = False
+        #: Allocation retries since a task last started (see
+        #: MAX_ALLOCATION_RETRIES).
+        self._retry_count = 0
         self._pending_preds: Dict[str, int] = {}
         self._ready_pool: List[Task] = []
         self._completed_count = 0
@@ -327,11 +330,14 @@ class WorkflowExecutor:
     # ------------------------------------------------------------------ #
     def start(self, graph: TaskGraph, delay: float = 0.0) -> None:
         """Deploy serving instances and schedule the first dispatch pass."""
-        graph.validate()
+        # The topological order is cached by decomposition (and carried over
+        # by stamps), and computing it rejects a cyclic graph, so it doubles
+        # as the validation.
+        order = graph.topological_order()
+        if not order:
+            raise ValueError("task graph is empty")
         self._graph = graph
-        self._order_index = {
-            task.task_id: index for index, task in enumerate(graph.topological_order())
-        }
+        self._order_index = {task.task_id: index for index, task in enumerate(order)}
         if self.incremental_dispatch:
             # Seed the counters from current task states so graphs arriving
             # with some tasks already COMPLETED account correctly.
@@ -557,7 +563,7 @@ class WorkflowExecutor:
         self._retry_scheduled = False
         if self._aborted:
             return
-        self._retry_count = getattr(self, "_retry_count", 0) + 1
+        self._retry_count += 1
         if self._retry_count > self.MAX_ALLOCATION_RETRIES:
             raise self._execution_error(
                 f"workflow {self.workflow_id!r} could not obtain resources after "
@@ -714,6 +720,7 @@ class WorkflowExecutor:
             transfer_s = self._absorb_transfers(task, lane, allocation)
         task.mark(TaskState.RUNNING)
         task.started_at = self.engine.now + transfer_s
+        self._retry_count = 0
         lane.active += 1
         if lane.server is not None:
             lane.server.active += 1

@@ -32,7 +32,29 @@ class OrchestrationResult:
     graph: TaskGraph
     plan: ExecutionPlan
     react_trace: ReActTrace
-    tool_calls: Dict[str, ToolCall] = field(default_factory=dict)
+    #: Maps tasks to tool calls on demand (``None``: there are none).
+    mapper: Optional[TaskAgentMapper] = field(default=None, repr=False, compare=False)
+    #: The planner's chosen agent per interface, as of :meth:`prepare`.
+    chosen_agents: Dict[AgentInterface, str] = field(default_factory=dict, repr=False)
+    _tool_calls: Optional[Dict[str, ToolCall]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def tool_calls(self) -> Dict[str, ToolCall]:
+        """The tool call for every task, keyed by task id.
+
+        Lazy: built on first read (nothing on the serving path reads them)
+        from the agents chosen at planning time, so a later lane replan
+        does not change them.
+        """
+        if self._tool_calls is None:
+            self._tool_calls = (
+                self.mapper.map_graph(self.graph, self.chosen_agents)
+                if self.mapper is not None
+                else {}
+            )
+        return self._tool_calls
 
     @property
     def decomposition_latency_s(self) -> float:
@@ -69,7 +91,7 @@ class WorkflowOrchestrator:
         cluster_stats: Optional[ResourceStatsMessage] = None,
         overrides: Optional[Dict[AgentInterface, PlannerOverride]] = None,
     ) -> OrchestrationResult:
-        """Decompose ``job``, plan its configuration, and emit tool calls."""
+        """Decompose ``job`` and plan its configuration; tool calls follow lazily."""
         graph, react_trace = self.decomposer.decompose(job)
         plan = self.planner.plan(
             graph,
@@ -78,7 +100,10 @@ class WorkflowOrchestrator:
             overrides=overrides,
             spec_digest=getattr(job, "spec_digest", ""),
         )
-        tool_calls = self.mapper.map_graph(graph, plan.chosen_agents())
         return OrchestrationResult(
-            graph=graph, plan=plan, react_trace=react_trace, tool_calls=tool_calls
+            graph=graph,
+            plan=plan,
+            react_trace=react_trace,
+            mapper=self.mapper,
+            chosen_agents=plan.chosen_agents(),
         )

@@ -191,3 +191,66 @@ def test_all_tasks_reach_completed_state(library, profile_store, videos):
     graph, plan = _plan_and_graph(library, profile_store, videos, "exec-states")
     WorkflowExecutor(engine, manager, library, plan, workflow_id="exec-states").execute(graph)
     assert all(task.state is TaskState.COMPLETED for task in graph)
+
+
+def _cpu_chain(library, profile_store, length, workflow_id):
+    """A chain of CPU-only sentiment tasks: each one allocates on dispatch."""
+    from repro.agents.base import WorkUnit
+    from repro.core.dag import TaskGraph
+    from repro.core.task import Task
+
+    graph = TaskGraph(workflow_id)
+    for index in range(length):
+        graph.add_task(
+            Task(
+                task_id=f"{workflow_id}/sentiment/{index}",
+                description=f"post {index}",
+                interface=AgentInterface.SENTIMENT_ANALYSIS,
+                work=WorkUnit(kind="item", payload={"texts": ["fine"]}),
+            )
+        )
+        if index:
+            graph.add_dependency(
+                f"{workflow_id}/sentiment/{index - 1}", f"{workflow_id}/sentiment/{index}"
+            )
+    plan = ConfigurationPlanner(profile_store, library).plan(
+        graph, ConstraintSet((MIN_COST,), quality_floor=0.0)
+    )
+    assert not any(a.uses_gpu for a in plan.assignments_for(AgentInterface.SENTIMENT_ANALYSIS))
+    return graph, plan
+
+
+def test_allocation_retry_limit_counts_consecutive_retries(
+    library, profile_store, monkeypatch
+):
+    # Every task is refused twice before it gets its cores: ten retries in
+    # total, never more than two in a row, against a limit of three.
+    monkeypatch.setattr(WorkflowExecutor, "MAX_ALLOCATION_RETRIES", 3)
+    engine, _, manager = _environment(library)
+    graph, plan = _cpu_chain(library, profile_store, 5, "exec-flaky")
+    refusals = {}
+    allocate = manager.allocate
+
+    def flaky_allocate(request):
+        refusals[request.owner] = refusals.get(request.owner, 0) + 1
+        return allocate(request) if refusals[request.owner] > 2 else None
+
+    monkeypatch.setattr(manager, "allocate", flaky_allocate)
+    executor = WorkflowExecutor(engine, manager, library, plan, workflow_id="exec-flaky")
+    executor.execute(graph)
+    assert all(task.state is TaskState.COMPLETED for task in graph)
+    assert sum(refusals.values()) == 15
+
+
+def test_allocation_retry_limit_still_stops_unrunnable_workflow(
+    library, profile_store, monkeypatch
+):
+    monkeypatch.setattr(WorkflowExecutor, "MAX_ALLOCATION_RETRIES", 3)
+    engine, _, manager = _environment(library)
+    graph, plan = _cpu_chain(library, profile_store, 2, "exec-stuck")
+    attempts = []
+    monkeypatch.setattr(manager, "allocate", lambda request: attempts.append(request) or None)
+    executor = WorkflowExecutor(engine, manager, library, plan, workflow_id="exec-stuck")
+    with pytest.raises(ExecutionError, match="after 3 retries"):
+        executor.execute(graph)
+    assert len(attempts) == 4

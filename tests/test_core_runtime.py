@@ -122,3 +122,15 @@ def test_sequential_jobs_reuse_same_runtime(runtime, videos):
     second = runtime.submit(video_understanding_job(videos=videos, job_id="rt-seq-2"))
     assert second.started_at >= first.finished_at
     assert second.makespan_s == pytest.approx(first.makespan_s, rel=0.05)
+
+
+def test_orchestration_tool_calls_are_built_lazily_once(runtime, videos):
+    job = video_understanding_job(videos=videos, job_id="lazy-tools")
+    orchestration = runtime.orchestrator.prepare(job)
+    assert orchestration._tool_calls is None
+    calls = orchestration.tool_calls
+    assert orchestration.tool_calls is calls
+    assert set(calls) == {task.task_id for task in orchestration.graph}
+    assert calls == runtime.orchestrator.mapper.map_graph(
+        orchestration.graph, orchestration.plan.chosen_agents()
+    )
