@@ -20,13 +20,14 @@ examples-smoke:
 ## repro.fabric check does the same for fabric profiles, including their
 ## golden JSON surfaces under tests/data/fabrics/ (regenerate with
 ## scripts/update_fabric_goldens.py after an intentional profile change).
-## The last check keeps networkx out of the serving stack: only the
-## unoptimized reference oracle and the tests may import it.
+## The last check keeps networkx and the unoptimized reference oracle
+## (repro.baselines.unoptimized, the one module that imports networkx) out
+## of the serving stack: only the tests may import them.
 lint:
 	$(PYTHON) -W error::SyntaxWarning -m compileall -q -f src tests benchmarks scripts examples
 	$(PYTHON) -c "from repro.policies import validate_registry; validate_registry()"
 	$(PYTHON) -c "from repro.fabric import validate_profiles; validate_profiles('tests/data/fabrics')"
-	$(PYTHON) -c "import sys, repro, repro.service, repro.loadgen, repro.client; assert 'networkx' not in sys.modules, 'the serving stack imports networkx'"
+	$(PYTHON) -c "import sys, repro, repro.service, repro.loadgen, repro.client; assert 'repro.baselines.unoptimized' not in sys.modules, 'the serving stack imports the reference oracle'; assert 'networkx' not in sys.modules, 'the serving stack imports networkx'"
 
 ## Run the micro-benchmarks, append BENCH_<n>.json to the perf trajectory,
 ## and fail if a gated hot-path metric regressed >20% vs the previous record.

@@ -13,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import MultiTenantRuntime, TenantSubmission
+from repro import MurakkabRuntime, TenantSubmission, run_submissions
 from repro.experiments.multitenant import run_multitenant
 from repro.workflows.newsfeed import newsfeed_job
 from repro.workflows.video_understanding import video_understanding_job
@@ -21,8 +21,8 @@ from repro.workflows.video_understanding import video_understanding_job
 
 def main() -> None:
     print("=== One shared cluster, two tenants ===")
-    runtime = MultiTenantRuntime()
-    report = runtime.run_all(
+    report = run_submissions(
+        MurakkabRuntime(),
         [
             TenantSubmission(arrival_time=0.0, job=video_understanding_job(job_id="workflow-a")),
             TenantSubmission(arrival_time=5.0, job=newsfeed_job(user="Alice", job_id="workflow-b")),

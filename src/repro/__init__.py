@@ -48,7 +48,7 @@ from repro.capture import (
     replays_identically,
 )
 from repro.core.runtime import MurakkabRuntime
-from repro.core.multitenant import MultiTenantRuntime, TenantSubmission
+from repro.core.multitenant import TenantSubmission, run_submissions
 from repro.core.planner import PlannerOverride
 from repro.agents.base import AgentInterface, ExecutionMode, HardwareConfig
 from repro.agents.library import AgentLibrary, default_library
@@ -117,8 +117,8 @@ __all__ = [
     "Job",
     "JobResult",
     "MurakkabRuntime",
-    "MultiTenantRuntime",
     "TenantSubmission",
+    "run_submissions",
     "PlannerOverride",
     "AgentInterface",
     "ExecutionMode",

@@ -17,13 +17,15 @@ QoS claims: the measurement substrate itself must be checkable).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
+from repro.agents.base import AgentInterface
 from repro.agents.library import AgentLibrary, default_library
 from repro.core.dag import TaskGraph
 from repro.core.decomposer import JobDecomposer
+from repro.core.execution import WorkflowExecutor
 from repro.core.job import Job
 from repro.core.runtime import MurakkabRuntime
 from repro.core.task import Task
@@ -103,6 +105,22 @@ class UncachedJobDecomposer(JobDecomposer):
         return self.decompose_fresh(job)
 
 
+class RescanWorkflowExecutor(WorkflowExecutor):
+    """A :class:`WorkflowExecutor` that rescans the graph instead of reading
+    its incremental counters: every dispatch recomputes the ready set, and
+    every completion check and announcement walks the whole graph, exactly
+    as the seed executor did."""
+
+    def _take_ready(self) -> List[Task]:
+        return self._graph.ready_tasks()
+
+    def _is_complete(self) -> bool:
+        return self._graph.is_complete()
+
+    def _progress(self) -> Tuple[Dict[AgentInterface, int], int]:
+        return self._graph.pending_counts_by_interface(), len(self._graph.completed())
+
+
 def _stepwise_run(engine, until: Optional[float] = None, max_events: Optional[int] = None):
     """The original engine loop: peek/step method calls per event."""
     fired = 0
@@ -130,7 +148,8 @@ def unoptimized_runtime(library: Optional[AgentLibrary] = None) -> MurakkabRunti
     * plans every submission without the plan cache,
     * decomposes every job from scratch into an :class:`UncachedTaskGraph`,
     * drives the engine through the original step-wise event loop, and
-    * executes with full ready-task rescans per dispatch.
+    * executes every job, single submission or multi-job serving, on a
+      :class:`RescanWorkflowExecutor`.
     """
     library = library or default_library()
     runtime = MurakkabRuntime(
@@ -141,7 +160,7 @@ def unoptimized_runtime(library: Optional[AgentLibrary] = None) -> MurakkabRunti
     runtime.orchestrator.decomposer = UncachedJobDecomposer(
         runtime.orchestrator.decomposer.orchestrator_llm
     )
-    runtime.executor_options["incremental_dispatch"] = False
+    runtime.executor_class = RescanWorkflowExecutor
     engine = runtime.engine
     runtime.engine.run = lambda until=None, max_events=None: _stepwise_run(
         engine, until=until, max_events=max_events

@@ -242,7 +242,6 @@ class WorkflowExecutor:
         sequential: bool = False,
         announce: bool = True,
         workflow_id: str = "workflow",
-        incremental_dispatch: bool = True,
         on_finish: Optional[Callable[["WorkflowExecutor"], None]] = None,
         replanner: Optional[Callable[[AgentInterface], PlanAssignment]] = None,
         stop_when_finished: bool = False,
@@ -257,13 +256,6 @@ class WorkflowExecutor:
         self.sequential = sequential
         self.announce = announce
         self.workflow_id = workflow_id
-        #: When True, readiness and progress counters are maintained
-        #: incrementally as tasks complete instead of rescanning the whole
-        #: graph on every dispatch/announcement.  Scheduling decisions are
-        #: identical either way; the flag exists so the unoptimized
-        #: reference path (repro.baselines.unoptimized) can reproduce the
-        #: original rescan behaviour for differential benchmarks.
-        self.incremental_dispatch = incremental_dispatch
         #: Invoked exactly once, when the last task completes.  Multi-job
         #: coordinators use this to account each job's completion as it
         #: happens (streaming accounting) instead of scanning every executor
@@ -290,6 +282,10 @@ class WorkflowExecutor:
         #: Allocation retries since a task last started (see
         #: MAX_ALLOCATION_RETRIES).
         self._retry_count = 0
+        #: Readiness and progress counters, maintained incrementally as
+        #: tasks complete instead of rescanning the whole graph on every
+        #: dispatch and announcement; read only through :meth:`_take_ready`,
+        #: :meth:`_is_complete` and :meth:`_progress`.
         self._pending_preds: Dict[str, int] = {}
         self._ready_pool: List[Task] = []
         self._completed_count = 0
@@ -338,24 +334,23 @@ class WorkflowExecutor:
             raise ValueError("task graph is empty")
         self._graph = graph
         self._order_index = {task.task_id: index for index, task in enumerate(order)}
-        if self.incremental_dispatch:
-            # Seed the counters from current task states so graphs arriving
-            # with some tasks already COMPLETED account correctly.
-            self._completed_count = sum(
-                1 for task in graph if task.state is TaskState.COMPLETED
+        # Seed the counters from current task states so graphs arriving
+        # with some tasks already COMPLETED account correctly.
+        self._completed_count = sum(
+            1 for task in graph if task.state is TaskState.COMPLETED
+        )
+        self._pending_by_interface = dict(graph.pending_counts_by_interface())
+        self._pending_preds = {}
+        self._ready_pool = []
+        for task in graph:
+            degree = sum(
+                1
+                for p in graph.predecessors(task.task_id)
+                if p.state is not TaskState.COMPLETED
             )
-            self._pending_by_interface = dict(graph.pending_counts_by_interface())
-            self._pending_preds = {}
-            self._ready_pool = []
-            for task in graph:
-                degree = sum(
-                    1
-                    for p in graph.predecessors(task.task_id)
-                    if p.state is not TaskState.COMPLETED
-                )
-                self._pending_preds[task.task_id] = degree
-                if degree == 0 and task.state is TaskState.PENDING:
-                    self._ready_pool.append(task)
+            self._pending_preds[task.task_id] = degree
+            if degree == 0 and task.state is TaskState.PENDING:
+                self._ready_pool.append(task)
         self._build_lanes(graph)
         if self.announce:
             self._announce()
@@ -459,11 +454,7 @@ class WorkflowExecutor:
         if self._aborted:
             return
         assert self._graph is not None
-        if self.incremental_dispatch:
-            ready = self._ready_pool
-            self._ready_pool = []
-        else:
-            ready = self._graph.ready_tasks()
+        ready = self._take_ready()
         ready.sort(key=lambda task: self._order_index[task.task_id])
         for task in ready:
             lanes = self._lanes[task.interface]
@@ -480,10 +471,10 @@ class WorkflowExecutor:
             and self._global_active == 0
             and not self._is_complete()
             and not any(lane.queue for lanes in self._lanes.values() for lane in lanes)
-            and not (self._ready_pool if self.incremental_dispatch else self._graph.ready_tasks())
         ):
-            # Nothing queued, nothing running, nothing ready, graph unfinished:
-            # dependencies can never be satisfied.
+            # Nothing queued, nothing running, graph unfinished: every ready
+            # task was just queued and none can become ready without a
+            # completion, so the dependencies can never be satisfied.
             raise self._execution_error(
                 f"workflow {self.workflow_id!r} deadlocked: no runnable tasks remain"
             )
@@ -493,11 +484,19 @@ class WorkflowExecutor:
         error.executor = self
         return error
 
+    def _take_ready(self) -> List[Task]:
+        """Hand over the tasks that became ready since the last dispatch."""
+        ready = self._ready_pool
+        self._ready_pool = []
+        return ready
+
     def _is_complete(self) -> bool:
         assert self._graph is not None
-        if self.incremental_dispatch:
-            return self._completed_count == len(self._graph)
-        return self._graph.is_complete()
+        return self._completed_count == len(self._graph)
+
+    def _progress(self) -> Tuple[Dict[AgentInterface, int], int]:
+        """``(pending tasks per interface, completed tasks)`` to announce."""
+        return self._pending_by_interface, self._completed_count
 
     def _pump(self, lane: _Lane) -> bool:
         """Start as many queued tasks on ``lane`` as capacity allows."""
@@ -828,15 +827,14 @@ class WorkflowExecutor:
         if allocation is not None:
             self.cluster_manager.release(allocation)
 
-        if self.incremental_dispatch:
-            self._completed_count += 1
-            self._pending_by_interface[task.interface] -= 1
-            pending_preds = self._pending_preds
-            for successor in self._graph.successors(task.task_id):
-                remaining = pending_preds[successor.task_id] - 1
-                pending_preds[successor.task_id] = remaining
-                if remaining == 0 and successor.state is TaskState.PENDING:
-                    self._ready_pool.append(successor)
+        self._completed_count += 1
+        self._pending_by_interface[task.interface] -= 1
+        pending_preds = self._pending_preds
+        for successor in self._graph.successors(task.task_id):
+            remaining = pending_preds[successor.task_id] - 1
+            pending_preds[successor.task_id] = remaining
+            if remaining == 0 and successor.state is TaskState.PENDING:
+                self._ready_pool.append(successor)
 
         if self.announce:
             self._announce()
@@ -853,16 +851,6 @@ class WorkflowExecutor:
     # ------------------------------------------------------------------ #
     # Trace + telemetry
     # ------------------------------------------------------------------ #
-    def transfer_summary(self) -> Dict[str, float]:
-        """The costed-transfer counters in :class:`JobResult` field order."""
-        return {
-            "transfer_s": self.transfer_seconds,
-            "transferred_bytes": self.transferred_bytes,
-            "cross_rack_bytes": self.cross_rack_bytes,
-            "transfer_wh": self.transfer_wh,
-            "transfer_events": self.transfer_events,
-        }
-
     def _record_trace(
         self,
         task: Task,
@@ -898,12 +886,7 @@ class WorkflowExecutor:
 
     def _announce(self) -> None:
         assert self._graph is not None
-        if self.incremental_dispatch:
-            pending = self._pending_by_interface
-            completed = self._completed_count
-        else:
-            pending = self._graph.pending_counts_by_interface()
-            completed = len(self._graph.completed())
+        pending, completed = self._progress()
         announcement = WorkflowAnnouncement(
             workflow_id=self.workflow_id,
             timestamp=self.engine.now,

@@ -10,8 +10,12 @@ submissions onto one runtime's shared engine and server pool in
 deterministic arrival order (batch-injected into the event queue), and
 either keeps full per-job results and a merged trace (the classic two-tenant
 experiment) or streams per-job accounting through a callback with bounded
-retained state (the trace-serving path, where N is in the thousands).
-:class:`MultiTenantRuntime` remains the convenient façade over it.
+retained state (the trace-serving path, where N is in the thousands).  Each
+job is launched and accounted through the same
+:meth:`~repro.core.runtime.MurakkabRuntime.launch` and
+:meth:`~repro.core.runtime.MurakkabRuntime.result_of` as a single
+``submit``, so bundle-pinned overrides, dynamics replanning and the
+runtime's executor class apply identically here.
 
 With ``window=p`` the coordinator serves the schedule in windows of ``p``
 submissions each and watches for a *steady window*: once two consecutive
@@ -29,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro import calibration
 from repro.agents.base import AgentInterface
 from repro.cluster.hardware import get_cpu_spec
 from repro.core.execution import ExecutionError, ServerPool, WorkflowExecutor
@@ -189,8 +192,9 @@ def run_submissions(
         gpu_power=runtime.cluster.nodes[0].gpu_spec.power,
         cpu_power_per_core_w=get_cpu_spec().active_w_per_core,
     )
-    executors: Dict[str, WorkflowExecutor] = {}
-    contexts: Dict[str, tuple] = {}
+    #: ``job_id -> (job, orchestration, executor)`` of every job in flight
+    #: (and, with ``collect_traces``, every finished one), in admission order.
+    launched: Dict[str, tuple] = {}
     finish_times: List[float] = []
     start_times: List[float] = []
     dynamic_energy = EnergyBreakdown()
@@ -201,26 +205,10 @@ def run_submissions(
     )
 
     def finish_streaming(executor: WorkflowExecutor) -> None:
-        job, orchestration = contexts.pop(executor.workflow_id)
-        executors.pop(executor.workflow_id, None)
-        if runtime.dynamics is not None:
-            runtime.dynamics.job_finished(executor)
-        started_at = executor.trace.start_time()
-        finished_at = (
-            executor.finished_at if executor.finished_at is not None else engine.now
-        )
-        start_times.append(started_at)
-        finish_times.append(finished_at)
-        result = runtime._build_result(
-            job=job,
-            orchestration=orchestration,
-            results=executor.results,
-            trace=executor.trace,
-            pool=pool,
-            started_at=started_at,
-            finished_at=finished_at,
-            transfers=executor.transfer_summary(),
-        )
+        job, orchestration, _ = launched.pop(executor.workflow_id)
+        result = runtime.result_of(job, orchestration, executor, pool)
+        start_times.append(result.started_at)
+        finish_times.append(result.finished_at)
         # Fold the job's dynamic (busy) energy into the running total now;
         # fleet idle energy needs the final batch window and pool size, so it
         # is integrated once at the end.
@@ -239,10 +227,12 @@ def run_submissions(
 
     def admit(submission: TenantSubmission) -> None:
         job = submission.job
-        stats = runtime.cluster_manager.stats()
         try:
-            orchestration = runtime.orchestrator.prepare(
-                job, cluster_stats=stats, overrides=submission.overrides
+            executor, orchestration, delay = runtime.launch(
+                job,
+                submission.overrides,
+                pool,
+                on_finish=None if collect_traces else finish_streaming,
             )
         except PlanningError:
             # Under dynamics the cluster may have shrunk below any feasible
@@ -252,41 +242,8 @@ def run_submissions(
             runtime.dynamics.log.failed_jobs += 1
             report.failed_jobs += 1
             return
-        dag_latency = (
-            orchestration.decomposition_latency_s or calibration.DAG_CREATION_SECONDS
-        )
-        trace = ExecutionTrace(label=job.job_id)
-        trace.add(
-            task_id=f"{job.job_id}/orchestration",
-            task_name="job decomposition (orchestrator LLM)",
-            category="Orchestration",
-            start=engine.now,
-            end=engine.now + dag_latency,
-            cpu_cores=1,
-            cpu_utilization=0.1,
-            metadata={"workflow": job.job_id},
-        )
-        executor = WorkflowExecutor(
-            engine=engine,
-            cluster_manager=runtime.cluster_manager,
-            library=runtime.library,
-            plan=orchestration.plan,
-            server_pool=pool,
-            trace=trace,
-            workflow_id=job.job_id,
-            on_finish=None if collect_traces else finish_streaming,
-            replanner=(
-                runtime.make_replanner(job.constraint_set(), submission.overrides)
-                if runtime.dynamics is not None
-                else None
-            ),
-            fabric=runtime.fabric,
-        )
-        if runtime.dynamics is not None:
-            runtime.dynamics.register_executor(executor)
-        executor.start(orchestration.graph, delay=dag_latency)
-        executors[job.job_id] = executor
-        contexts[job.job_id] = (job, orchestration)
+        executor.start(orchestration.graph, delay=delay)
+        launched[job.job_id] = (job, orchestration, executor)
 
     ordered = sorted(
         enumerate(submissions), key=lambda pair: (pair[1].arrival_time, pair[0])
@@ -308,8 +265,7 @@ def run_submissions(
                     raise
                 failed.abort()
                 runtime.dynamics.job_failed(failed)
-                executors.pop(failed.workflow_id, None)
-                contexts.pop(failed.workflow_id, None)
+                launched.pop(failed.workflow_id, None)
                 report.failed_jobs += 1
 
     if window is None:
@@ -333,7 +289,7 @@ def run_submissions(
 
         def window_digest(start: int, base: float) -> Optional[tuple]:
             """Per-position signature of a quiescent window, else ``None``."""
-            if executors or engine.pending_events:
+            if launched or engine.pending_events:
                 return None
             signature: List[object] = [pool.signature()]
             for _index, submission in ordered[start : start + period]:
@@ -377,46 +333,27 @@ def run_submissions(
 
     if collect_traces:
         merged_trace = ExecutionTrace(label="multi-tenant")
-        for job_id, executor in executors.items():
-            if runtime.dynamics is not None:
-                runtime.dynamics.job_finished(executor)
-            job, orchestration = contexts[job_id]
-            finished_at = (
-                executor.finished_at if executor.finished_at is not None else engine.now
-            )
-            started_at = executor.trace.start_time()
-            start_times.append(started_at)
-            finish_times.append(finished_at)
-            result = runtime._build_result(
-                job=job,
-                orchestration=orchestration,
-                results=executor.results,
-                trace=executor.trace,
-                pool=pool,
-                started_at=started_at,
-                finished_at=finished_at,
-                transfers=executor.transfer_summary(),
-            )
+        for job_id, (job, orchestration, executor) in launched.items():
+            result = runtime.result_of(job, orchestration, executor, pool)
+            start_times.append(result.started_at)
+            finish_times.append(result.finished_at)
             report.job_results[job_id] = result
             report.completed_jobs += 1
             report.job_summaries[job_id] = result.compact_summary()
             if on_result is not None:
                 on_result(result)
-        report.batch_start = min(start_times) if start_times else 0.0
-        report.batch_end = max(finish_times) if finish_times else 0.0
-        for executor in executors.values():
             merged_trace.extend(executor.trace.intervals)
+    report.batch_start = min(start_times) if start_times else 0.0
+    report.batch_end = max(finish_times) if finish_times else 0.0
+    report.provisioned_gpus = pool.total_gpus()
+    if collect_traces:
         report.merged_trace = merged_trace
-        report.provisioned_gpus = pool.total_gpus()
         report.total_energy = accountant.account(
             merged_trace,
             provisioned_gpus=pool.total_gpus(),
             window=(report.batch_start, report.batch_end),
         )
     else:
-        report.batch_start = min(start_times) if start_times else 0.0
-        report.batch_end = max(finish_times) if finish_times else 0.0
-        report.provisioned_gpus = pool.total_gpus()
         idle_wh = (
             pool.total_gpus()
             * runtime.cluster.nodes[0].gpu_spec.power.idle_w
@@ -433,20 +370,3 @@ def run_submissions(
         pool.teardown_all()
     return report
 
-
-class MultiTenantRuntime(MurakkabRuntime):
-    """A Murakkab runtime that multiplexes several workflows on one cluster."""
-
-    def run_all(
-        self,
-        submissions: Sequence[TenantSubmission],
-        collect_traces: bool = True,
-        on_result: Optional[Callable[[JobResult], None]] = None,
-    ) -> MultiTenantReport:
-        """Run every submission to completion and report cluster-level metrics."""
-        return run_submissions(
-            self,
-            submissions,
-            collect_traces=collect_traces,
-            on_result=on_result,
-        )

@@ -5,11 +5,17 @@ and the discrete-event engine.  ``submit`` runs one declarative job end to
 end: orchestration (decompose -> map -> plan against live cluster stats),
 DAG announcement to the cluster manager, execution with serving instances
 and per-task CPU lanes, and finally energy / cost / quality accounting.
+
+``launch`` (orchestrate and build the executor) and ``result_of`` (account
+a finished executor) are the only launch and accounting steps of an
+orchestrated job: ``submit`` and the multi-job coordinator
+:func:`repro.core.multitenant.run_submissions` are thin callers of both, so
+a choice the control plane pins reaches every way a job is executed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import calibration
 from repro.agents.base import AgentInterface, AgentResult
@@ -42,6 +48,10 @@ SECONDS_PER_HOUR = 3600.0
 class MurakkabRuntime:
     """End-to-end runtime: declarative jobs in, measured results out."""
 
+    #: Class of every executor :meth:`launch` builds (swapped by the
+    #: reference oracle in repro.baselines.unoptimized).
+    executor_class = WorkflowExecutor
+
     def __init__(
         self,
         cluster: Optional[Cluster] = None,
@@ -67,10 +77,6 @@ class MurakkabRuntime:
         self.profile_store = profile_store or default_profile_store(self.library)
         self.orchestrator = WorkflowOrchestrator(self.library, self.profile_store)
         self.orchestrator.planner.max_cpu_cores_per_agent = max_cpu_cores_per_agent
-        #: Extra keyword arguments passed to every WorkflowExecutor this
-        #: runtime creates (e.g. ``{"incremental_dispatch": False}`` for the
-        #: unoptimized reference path in repro.baselines.unoptimized).
-        self.executor_options: Dict[str, object] = {}
         #: Installed cluster-dynamics schedule, or ``None`` for the frozen
         #: testbed (see :meth:`attach_dynamics`).
         self.dynamics: Optional[ClusterDynamics] = None
@@ -207,41 +213,47 @@ class MurakkabRuntime:
     # ------------------------------------------------------------------ #
     # Job submission
     # ------------------------------------------------------------------ #
-    def submit(
+    def launch(
         self,
         job: Job,
-        overrides: Optional[Dict[AgentInterface, PlannerOverride]] = None,
-        keep_warm: bool = False,
-        server_pool: Optional[ServerPool] = None,
-    ) -> JobResult:
-        """Run ``job`` to completion and return its result and metrics."""
+        overrides: Optional[Dict[AgentInterface, PlannerOverride]],
+        pool: ServerPool,
+        on_finish: Optional[Callable[[WorkflowExecutor], None]] = None,
+    ) -> Tuple[WorkflowExecutor, OrchestrationResult, float]:
+        """Orchestrate ``job`` now and build its (not yet started) executor.
+
+        The one launch path of every orchestrated job, single submission
+        and multi-job serving alike: bundle-pinned overrides are merged
+        (explicit per-call overrides win on conflicting interfaces), the job
+        is prepared against live cluster stats, its orchestration interval
+        is recorded, and the executor is registered with any attached
+        dynamics schedule.  Returns ``(executor, orchestration, delay)``;
+        the caller starts the executor on ``orchestration.graph`` after
+        ``delay`` (the decomposition latency).
+        """
         if self.policy is not None and self.policy.overrides:
-            # Bundle-pinned choices apply to every submission; explicit
-            # per-call overrides win on conflicting interfaces.
             merged: Dict[AgentInterface, PlannerOverride] = dict(self.policy.overrides)
             if overrides:
                 merged.update(overrides)
             overrides = merged
-        submit_time = self.engine.now
-        stats = self.cluster_manager.stats()
-        orchestration = self.orchestrator.prepare(job, cluster_stats=stats, overrides=overrides)
-
-        pool = server_pool or ServerPool(self.cluster_manager, self.library)
+        now = self.engine.now
+        orchestration = self.orchestrator.prepare(
+            job, cluster_stats=self.cluster_manager.stats(), overrides=overrides
+        )
+        delay = orchestration.decomposition_latency_s or calibration.DAG_CREATION_SECONDS
         trace = ExecutionTrace(label=job.job_id)
-        dag_latency = orchestration.decomposition_latency_s or calibration.DAG_CREATION_SECONDS
         trace.add(
             task_id=f"{job.job_id}/orchestration",
             task_name="job decomposition (orchestrator LLM)",
             category="Orchestration",
-            start=submit_time,
-            end=submit_time + dag_latency,
+            start=now,
+            end=now + delay,
             cpu_cores=1,
             cpu_utilization=0.1,
             metadata={"workflow": job.job_id},
         )
-
         dynamics = self.dynamics
-        executor = WorkflowExecutor(
+        executor = self.executor_class(
             engine=self.engine,
             cluster_manager=self.cluster_manager,
             library=self.library,
@@ -249,6 +261,7 @@ class MurakkabRuntime:
             server_pool=pool,
             trace=trace,
             workflow_id=job.job_id,
+            on_finish=on_finish,
             replanner=(
                 self.make_replanner(
                     job.constraint_set(), overrides, spec_digest=job.spec_digest
@@ -258,37 +271,35 @@ class MurakkabRuntime:
             ),
             stop_when_finished=dynamics is not None,
             fabric=self.fabric,
-            **self.executor_options,
         )
         if dynamics is not None:
             dynamics.register_executor(executor)
+        return executor, orchestration, delay
+
+    def submit(
+        self,
+        job: Job,
+        overrides: Optional[Dict[AgentInterface, PlannerOverride]] = None,
+        keep_warm: bool = False,
+        server_pool: Optional[ServerPool] = None,
+    ) -> JobResult:
+        """Run ``job`` to completion and return its result and metrics."""
+        pool = server_pool or ServerPool(self.cluster_manager, self.library)
+        executor, orchestration, delay = self.launch(job, overrides, pool)
         try:
-            results = executor.execute(orchestration.graph, delay=dag_latency)
+            executor.execute(orchestration.graph, delay=delay)
         except ExecutionError:
             # Give up cleanly: cancel the workflow's in-flight events and
             # release everything it holds, so later jobs on the shared
             # engine never see its zombies; tear down the per-job pool
             # exactly as the success path would.
             executor.abort()
-            if dynamics is not None:
-                dynamics.job_failed(executor)
+            if self.dynamics is not None:
+                self.dynamics.job_failed(executor)
             if not keep_warm and server_pool is None:
                 pool.teardown_all()
             raise
-        if dynamics is not None:
-            dynamics.job_finished(executor)
-        finished_at = executor.finished_at if executor.finished_at is not None else self.engine.now
-
-        result = self._build_result(
-            job=job,
-            orchestration=orchestration,
-            results=results,
-            trace=trace,
-            pool=pool,
-            started_at=submit_time,
-            finished_at=finished_at,
-            transfers=executor.transfer_summary(),
-        )
+        result = self.result_of(job, orchestration, executor, pool)
         if not keep_warm and server_pool is None:
             pool.teardown_all()
         return result
@@ -296,17 +307,27 @@ class MurakkabRuntime:
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
-    def _build_result(
+    def result_of(
         self,
         job: Job,
         orchestration: OrchestrationResult,
-        results: Dict[str, AgentResult],
-        trace: ExecutionTrace,
+        executor: WorkflowExecutor,
         pool: ServerPool,
-        started_at: float,
-        finished_at: float,
-        transfers: Optional[Dict[str, float]] = None,
     ) -> JobResult:
+        """Account a finished executor's job against ``pool`` as it is now.
+
+        Releases the executor from any attached dynamics schedule (folding
+        its disruption counters into the log) and measures the job from its
+        orchestration interval to its last completion.
+        """
+        if self.dynamics is not None:
+            self.dynamics.job_finished(executor)
+        trace = executor.trace
+        results = executor.results
+        started_at = trace.start_time()
+        finished_at = (
+            executor.finished_at if executor.finished_at is not None else self.engine.now
+        )
         provisioned_gpus = pool.total_gpus()
         accountant = EnergyAccountant(
             gpu_power=self.cluster.nodes[0].gpu_spec.power,
@@ -318,7 +339,6 @@ class MurakkabRuntime:
         cost = self._estimate_cost(trace, pool, finished_at - started_at)
         output = self._collect_output(orchestration, results)
         quality = self._estimate_quality(job, orchestration, output)
-        transfer = transfers or {}
 
         return JobResult(
             job_id=job.job_id,
@@ -335,11 +355,11 @@ class MurakkabRuntime:
             graph=orchestration.graph,
             react_trace=orchestration.react_trace,
             provisioned_gpus=provisioned_gpus,
-            transfer_s=float(transfer.get("transfer_s", 0.0)),
-            transferred_bytes=int(transfer.get("transferred_bytes", 0)),
-            cross_rack_bytes=int(transfer.get("cross_rack_bytes", 0)),
-            transfer_wh=float(transfer.get("transfer_wh", 0.0)),
-            transfer_events=int(transfer.get("transfer_events", 0)),
+            transfer_s=executor.transfer_seconds,
+            transferred_bytes=executor.transferred_bytes,
+            cross_rack_bytes=executor.cross_rack_bytes,
+            transfer_wh=executor.transfer_wh,
+            transfer_events=executor.transfer_events,
         )
 
     def _estimate_cost(self, trace: ExecutionTrace, pool: ServerPool, duration_s: float) -> float:

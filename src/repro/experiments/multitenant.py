@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.constraints import MIN_COST
-from repro.core.multitenant import MultiTenantRuntime, TenantSubmission
+from repro.core.multitenant import TenantSubmission, run_submissions
 from repro.core.runtime import MurakkabRuntime
 from repro.experiments.configs import paper_quality_target
 from repro.telemetry.metrics import average_utilization
@@ -87,8 +87,9 @@ def run_multitenant(
 
     # Multiplexed: both tenants share one cluster and serving-instance pool.
     video_job, feed_job = _jobs(videos, "shared")
-    runtime = MultiTenantRuntime()
-    report = runtime.run_all(
+    runtime = MurakkabRuntime()
+    report = run_submissions(
+        runtime,
         [
             TenantSubmission(arrival_time=0.0, job=video_job),
             TenantSubmission(arrival_time=newsfeed_arrival_s, job=feed_job),

@@ -269,7 +269,8 @@ class AIWorkflowService:
         With a cache hit the profile store is rebuilt from the recorded
         sweep (same profiles, same insertion order — so planner behaviour is
         byte-identical) and the profiling sweep never runs.  Any miss or
-        malformed payload falls back to the cold construction path.
+        malformed payload falls back to the cold construction path; a
+        malformed one is counted invalid, not a hit.
         """
         if cache is None:
             return MurakkabRuntime()
@@ -284,14 +285,12 @@ class AIWorkflowService:
                 for profile in profiles:
                     master.add(profile)
             except Exception:
-                pass  # malformed payload: profile below stays None-equivalent
-            else:
-                if len(master):
-                    # ``copy()`` starts the mutation version at 0, exactly
-                    # like the cold ``default_profile_store`` path.
-                    return MurakkabRuntime(
-                        library=library, profile_store=master.copy()
-                    )
+                master = ProfileStore()
+            if len(master):
+                # ``copy()`` starts the mutation version at 0, exactly like
+                # the cold ``default_profile_store`` path.
+                return MurakkabRuntime(library=library, profile_store=master.copy())
+            cache.reject()
         runtime = MurakkabRuntime(library=library)
         cache.save_profiles(library, runtime.profile_store.all_profiles())
         return runtime
@@ -303,7 +302,8 @@ class AIWorkflowService:
         cluster-stats digest, and spec digest it was decided under), so a
         restored entry can only ever be served for an identical decision.
         The payload is rejected wholesale when it was saved against a
-        different profile-store version.
+        different profile-store version, and counted invalid when its
+        entries are malformed.
         """
         payload = self.warm_cache.load_plan_cache(self.runtime.library)
         if payload is None:
@@ -315,6 +315,7 @@ class AIWorkflowService:
             planner.import_plan_cache(payload.get("entries", []))
         except Exception:
             planner.invalidate_cache()
+            self.warm_cache.reject()
 
     def save_warm_state(self) -> None:
         """Persist planner decisions to the warm cache (no-op without one).

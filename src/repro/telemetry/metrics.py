@@ -14,12 +14,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence
 
-from repro.sim.trace import ExecutionTrace
+import numpy as _np
 
-try:  # numpy accelerates batched accounting; the pure-Python path is exact too.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+from repro.sim.trace import ExecutionTrace
 
 #: Below this many values the numpy call overhead exceeds the loop cost.
 _NUMPY_MIN_BATCH = 32
@@ -62,10 +59,10 @@ def sequential_sum(start: float, values: Sequence[float]) -> float:
     batched trace accounting must land on the byte-identical total a
     one-value-at-a-time loop produces, so the accumulation order is pinned.
     ``numpy.cumsum`` performs the same left-to-right accumulation in C and
-    is used when available for large batches.
+    is used for large batches.
     """
     n = len(values)
-    if _np is not None and n >= _NUMPY_MIN_BATCH:
+    if n >= _NUMPY_MIN_BATCH:
         chain = _np.empty(n + 1, dtype=_np.float64)
         chain[0] = start
         chain[1:] = values
@@ -85,7 +82,7 @@ def repeated_sum(start: float, value: float, count: int) -> float:
     """
     if count <= 0:
         return start
-    if _np is not None and count >= _NUMPY_MIN_BATCH:
+    if count >= _NUMPY_MIN_BATCH:
         chain = _np.empty(count + 1, dtype=_np.float64)
         chain[0] = start
         chain[1:] = value
@@ -216,10 +213,10 @@ class StreamingAggregate:
             return
         self.count += n
         self.total = sequential_sum(self.total, values)
-        lo = values.min() if _np is not None and isinstance(values, _np.ndarray) else min(values)
-        hi = values.max() if _np is not None and isinstance(values, _np.ndarray) else max(values)
-        lo = float(lo)
-        hi = float(hi)
+        if isinstance(values, _np.ndarray):
+            lo, hi = float(values.min()), float(values.max())
+        else:
+            lo, hi = float(min(values)), float(max(values))
         if lo < self.min:
             self.min = lo
         if hi > self.max:

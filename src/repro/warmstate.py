@@ -204,6 +204,17 @@ class WarmStateCache:
         self.hits += 1
         return envelope["payload"]
 
+    def reject(self) -> None:
+        """Recount the last hit: its payload loaded but was unusable.
+
+        Callers that find a loaded payload malformed call this, so it counts
+        exactly as a corrupt envelope does in :meth:`load` (invalid plus
+        miss), never as a hit.
+        """
+        self.hits -= 1
+        self.invalid += 1
+        self.misses += 1
+
     def store(self, kind: str, key: tuple, payload) -> bool:
         """Persist ``payload`` under ``(kind, key)`` atomically.
 
@@ -246,7 +257,10 @@ class WarmStateCache:
     def load_plan_cache(self, library) -> Optional[dict]:
         """``{"store_version": int, "entries": [(key, assignment), ...]}``."""
         payload = self.load("plans", self._library_key(library))
+        if payload is None:
+            return None
         if not isinstance(payload, dict) or "entries" not in payload:
+            self.reject()
             return None
         return payload
 
@@ -256,7 +270,10 @@ class WarmStateCache:
 
     def load_trace_recording(self, key: tuple) -> Optional[TraceRecording]:
         payload = self.load("trace", key)
-        return payload if isinstance(payload, TraceRecording) else None
+        if payload is None or isinstance(payload, TraceRecording):
+            return payload
+        self.reject()
+        return None
 
     def save_trace_recording(self, key: tuple, recording: TraceRecording) -> bool:
         return self.store("trace", key, recording)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import MultiTenantRuntime, TenantSubmission
+from repro import MurakkabRuntime, TenantSubmission, run_submissions
 from repro.workflows.newsfeed import newsfeed_job
 from repro.workflows.video_understanding import video_understanding_job
 
@@ -11,12 +11,13 @@ def test_submission_validation(videos):
     with pytest.raises(ValueError):
         TenantSubmission(arrival_time=-1.0, job=video_understanding_job(videos=videos))
     with pytest.raises(ValueError):
-        MultiTenantRuntime().run_all([])
+        run_submissions(MurakkabRuntime(), [])
 
 
 def test_two_tenants_share_the_cluster(videos):
-    runtime = MultiTenantRuntime()
-    report = runtime.run_all(
+    runtime = MurakkabRuntime()
+    report = run_submissions(
+        runtime,
         [
             TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-video")),
             TenantSubmission(2.0, newsfeed_job(job_id="mt-feed")),
@@ -31,8 +32,9 @@ def test_two_tenants_share_the_cluster(videos):
 
 
 def test_multiplexing_is_no_slower_than_running_serially(videos):
-    runtime = MultiTenantRuntime()
-    report = runtime.run_all(
+    runtime = MurakkabRuntime()
+    report = run_submissions(
+        runtime,
         [
             TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-a")),
             TenantSubmission(1.0, newsfeed_job(job_id="mt-b")),
@@ -43,8 +45,9 @@ def test_multiplexing_is_no_slower_than_running_serially(videos):
 
 
 def test_cluster_fully_released_after_batch(videos):
-    runtime = MultiTenantRuntime()
-    runtime.run_all(
+    runtime = MurakkabRuntime()
+    run_submissions(
+        runtime,
         [
             TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-rel-a")),
             TenantSubmission(0.0, newsfeed_job(job_id="mt-rel-b")),
@@ -55,8 +58,9 @@ def test_cluster_fully_released_after_batch(videos):
 
 
 def test_identical_video_tenants_share_serving_instances(videos):
-    runtime = MultiTenantRuntime()
-    report = runtime.run_all(
+    runtime = MurakkabRuntime()
+    report = run_submissions(
+        runtime,
         [
             TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-share-a")),
             TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-share-b")),
@@ -70,8 +74,9 @@ def test_identical_video_tenants_share_serving_instances(videos):
 
 
 def test_later_arrival_starts_later(videos):
-    runtime = MultiTenantRuntime()
-    report = runtime.run_all(
+    runtime = MurakkabRuntime()
+    report = run_submissions(
+        runtime,
         [
             TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-t0")),
             TenantSubmission(30.0, newsfeed_job(job_id="mt-t30")),
@@ -82,14 +87,14 @@ def test_later_arrival_starts_later(videos):
 
 def test_many_tenants_share_one_engine_run(videos):
     """The coordinator generalises beyond two tenants (batched admission)."""
-    runtime = MultiTenantRuntime()
+    runtime = MurakkabRuntime()
     submissions = [
         TenantSubmission(float(i) * 3.0, newsfeed_job(job_id=f"mt-n{i}")) for i in range(5)
     ]
     submissions.append(
         TenantSubmission(1.0, video_understanding_job(videos=videos, job_id="mt-video-n"))
     )
-    report = runtime.run_all(submissions)
+    report = run_submissions(runtime, submissions)
     assert len(report.job_results) == 6
     assert report.completed_jobs == 6
     assert all(result.makespan_s > 0 for result in report.job_results.values())
@@ -101,9 +106,10 @@ def test_many_tenants_share_one_engine_run(videos):
 
 def test_streaming_mode_bounds_retained_state(videos):
     """collect_traces=False streams per-job results and keeps only summaries."""
-    runtime = MultiTenantRuntime()
+    runtime = MurakkabRuntime()
     streamed = []
-    report = runtime.run_all(
+    report = run_submissions(
+        runtime,
         [
             TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-s0")),
             TenantSubmission(2.0, newsfeed_job(job_id="mt-s1")),
@@ -130,8 +136,8 @@ def test_streaming_energy_matches_full_accounting(videos):
         TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-e0")),
         TenantSubmission(3.0, newsfeed_job(job_id="mt-e1")),
     ]
-    full = MultiTenantRuntime().run_all(jobs())
-    streaming = MultiTenantRuntime().run_all(jobs(), collect_traces=False)
+    full = run_submissions(MurakkabRuntime(), jobs())
+    streaming = run_submissions(MurakkabRuntime(), jobs(), collect_traces=False)
     assert streaming.total_energy_wh == pytest.approx(full.total_energy_wh, rel=1e-9)
     assert streaming.batch_makespan_s == pytest.approx(full.batch_makespan_s)
     assert streaming.provisioned_gpus == full.provisioned_gpus
@@ -142,8 +148,9 @@ def test_three_gpu_bound_tenants_do_not_stall():
     another workflow's completion (server-slot release notification)."""
     from repro.workflows.chain_of_thought import chain_of_thought_job
 
-    runtime = MultiTenantRuntime()
-    report = runtime.run_all(
+    runtime = MurakkabRuntime()
+    report = run_submissions(
+        runtime,
         [
             TenantSubmission(0.0, chain_of_thought_job(job_id=f"mt-cot{i}"))
             for i in range(3)

@@ -15,16 +15,21 @@ from repro.agents.base import AgentInterface, ExecutionMode, HardwareConfig
 from repro.agents.library import AgentLibrary, default_library
 from repro.agents.profiles import ExecutionProfile, ProfileKey
 from repro.agents.sentiment import DistilBertSentiment
-from repro.baselines.unoptimized import unoptimized_runtime
+from test_decomposer_templates import _result_view
+
+from repro.baselines.unoptimized import RescanWorkflowExecutor, unoptimized_runtime
 from repro.cluster.allocator import Allocator, ResourceRequest
 from repro.cluster.cluster import Cluster
 from repro.cluster.hardware import GpuGeneration
 from repro.cluster.node import Node
 from repro.core.constraints import MIN_COST, ConstraintSet
+from repro.core.execution import ExecutionError, WorkflowExecutor
+from repro.core.multitenant import TenantSubmission, run_submissions
 from repro.core.planner import ConfigurationPlanner
 from repro.core.runtime import MurakkabRuntime
 from repro.core.task import Task
 from repro.core.dag import TaskGraph
+from repro.loadgen import default_registry
 from repro.profiling.profiler import (
     Profiler,
     clear_default_profile_store_cache,
@@ -545,6 +550,84 @@ def test_optimized_path_is_byte_identical_to_unoptimized():
     assert optimized.cost == pytest.approx(reference.cost)
     assert _trace_tuples(optimized) == _trace_tuples(reference)
     assert optimized.output == reference.output
+
+
+#: Five overlapping arrivals over every registered workload: the jobs share
+#: serving instances and CPU lanes, so dispatch order matters throughout.
+_OVERLAPPING = (
+    (0.0, "video-understanding"),
+    (0.5, "newsfeed"),
+    (1.0, "chain-of-thought"),
+    (1.5, "document-qa"),
+    (2.0, "newsfeed"),
+)
+
+
+def _overlapping_submissions():
+    registry = default_registry()
+    return [
+        TenantSubmission(at, registry.build(workload, f"multi-{index}-{workload}"))
+        for index, (at, workload) in enumerate(_OVERLAPPING)
+    ]
+
+
+@pytest.mark.parametrize("collect_traces", [False, True], ids=["streaming", "traces"])
+def test_multi_job_serving_is_byte_identical_to_unoptimized(collect_traces):
+    """The reference oracle drives the multi-job coordinator too: every job
+    launched by run_submissions goes through the runtime's executor class."""
+    runs = []
+    for runtime in (MurakkabRuntime(), unoptimized_runtime()):
+        streamed = []
+        report = run_submissions(
+            runtime,
+            _overlapping_submissions(),
+            collect_traces=collect_traces,
+            on_result=streamed.append,
+        )
+        assert report.completed_jobs == len(_OVERLAPPING)
+        if collect_traces:
+            assert [r.job_id for r in streamed] == list(report.job_results)
+        runs.append(({r.job_id: _result_view(r) for r in streamed}, report))
+    (optimized, optimized_report), (reference, reference_report) = runs
+    assert optimized == reference
+    assert optimized_report.job_summaries == reference_report.job_summaries
+    assert optimized_report.total_energy == reference_report.total_energy
+    assert optimized_report.batch_makespan_s == reference_report.batch_makespan_s
+
+
+@pytest.mark.parametrize("executor_class", [WorkflowExecutor, RescanWorkflowExecutor])
+def test_cancelled_predecessor_deadlocks(executor_class):
+    from repro.agents.base import WorkUnit
+    from repro.cluster.cluster import paper_testbed
+    from repro.cluster.manager import ClusterManager
+    from repro.core.task import TaskState
+
+    library = default_library()
+    planner = ConfigurationPlanner(Profiler().profile_library(library), library)
+    graph = TaskGraph(workflow_id="stuck")
+    for task_id in ("t0", "t1"):
+        graph.add_task(
+            Task(
+                task_id=task_id,
+                interface=AgentInterface.SENTIMENT_ANALYSIS,
+                description=task_id,
+                work=WorkUnit(kind="item", payload={"texts": ["fine"]}),
+            )
+        )
+    graph.add_dependency("t0", "t1")
+    graph.task("t0").mark(TaskState.CANCELLED)
+
+    engine = SimulationEngine()
+    executor = executor_class(
+        engine=engine,
+        cluster_manager=ClusterManager(paper_testbed(), time_source=lambda: engine.now),
+        library=library,
+        plan=planner.plan(graph, ConstraintSet((MIN_COST,), quality_floor=0.0)),
+        workflow_id="stuck",
+    )
+    with pytest.raises(ExecutionError, match="deadlocked") as caught:
+        executor.execute(graph)
+    assert caught.value.executor is executor
 
 
 def test_repeated_submission_speedup_at_least_5x():

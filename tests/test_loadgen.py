@@ -11,6 +11,7 @@ Covers the acceptance bar for the batched-admission layer:
 * service-level accounting stays bounded.
 """
 
+import sys
 import time
 
 import pytest
@@ -371,7 +372,8 @@ def _differential_reports(
     if not numpy_enabled:
         import repro.telemetry.metrics as metrics
 
-        monkeypatch.setattr(metrics, "_np", None)
+        # Every batch takes the loop branch of the sequential sums.
+        monkeypatch.setattr(metrics, "_NUMPY_MIN_BATCH", sys.maxsize)
     arrivals = poisson_arrivals(
         rate_per_s=1.0,
         horizon_s=120.0,

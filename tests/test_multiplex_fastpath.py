@@ -9,6 +9,8 @@ accounting alike, while ``multiplex_window=0`` preserves the exact
 pre-detector per-event serving behaviour.
 """
 
+import sys
+
 import pytest
 
 from test_loadgen import DIFFERENTIAL_CASES, DIFFERENTIAL_PARAMS, _accounting_snapshot
@@ -129,7 +131,8 @@ def test_multiplex_fast_path_is_byte_identical(
     if not numpy_enabled:
         import repro.telemetry.metrics as metrics
 
-        monkeypatch.setattr(metrics, "_np", None)
+        # Every batch takes the loop branch of the sequential sums.
+        monkeypatch.setattr(metrics, "_NUMPY_MIN_BATCH", sys.maxsize)
     service_options, options = DIFFERENTIAL_CASES[case]
     ref_records, vec_records = [], []
     ref_service, reference = _serve(

@@ -44,7 +44,7 @@ from repro.workflows.newsfeed import newsfeed_job
 from repro.workloads.arrival import uniform_arrivals
 from repro.workloads.posts import generate_posts
 
-from repro.loadgen import ServiceLoadGenerator, WorkloadRegistry
+from repro.loadgen import ServiceLoadGenerator, WorkloadRegistry, default_registry
 
 REQUIRED_BUNDLES = ("default", "latency_first", "energy_first", "spot_aware")
 
@@ -114,6 +114,28 @@ def test_pinned_bundle_changes_fingerprint_and_keeps_base_policies():
     assert pinned.fingerprint() != default.fingerprint()
     assert type(pinned.scheduling) is type(default.scheduling)
     assert pinned.overrides == override
+
+
+def test_pinned_bundle_overrides_reach_every_serving_mode():
+    """Regression: a bundle-pinned agent is deployed whichever way a trace
+    is served, multiplex as well as grouped, with identical results on
+    arrivals far enough apart never to overlap."""
+    bundle = pinned_bundle(
+        "pin",
+        {AgentInterface.TEXT_GENERATION: PlannerOverride(agent_name="llama-textgen")},
+    )
+    arrivals = uniform_arrivals(3, interval_s=10.0, workloads=("newsfeed",))
+    reports = {}
+    for mode in ("grouped", "multiplex"):
+        service = AIWorkflowService(policy=bundle)
+        reports[mode] = service.submit_trace(
+            arrivals, registry=default_registry(), mode=mode
+        )
+        assert service._pool.signature() == (("llama-textgen", "1xA100"),), mode
+    grouped, multiplex = reports["grouped"], reports["multiplex"]
+    assert multiplex.jobs == grouped.jobs == 3
+    assert multiplex.energy_wh.total == pytest.approx(grouped.energy_wh.total)
+    assert multiplex.makespan_s.mean == pytest.approx(grouped.makespan_s.mean)
 
 
 # --------------------------------------------------------------------- #

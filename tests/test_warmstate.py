@@ -133,6 +133,18 @@ def test_kind_collision_is_rejected(tmp_path):
     assert cache.invalid == 1
 
 
+def test_wrong_shape_payloads_are_invalid_not_hits(tmp_path):
+    from repro.agents.library import default_library
+
+    library = default_library()
+    cache = WarmStateCache(tmp_path)
+    cache.store("plans", cache._library_key(library), ["not", "a", "dict"])
+    cache.store("trace", ("recording",), {"not": "a recording"})
+    assert cache.load_plan_cache(library) is None
+    assert cache.load_trace_recording(("recording",)) is None
+    assert (cache.hits, cache.misses, cache.invalid) == (0, 2, 2)
+
+
 def test_clear_and_entries(tmp_path):
     cache = WarmStateCache(tmp_path)
     cache.store("alpha", ("a",), 1)
@@ -249,6 +261,25 @@ def test_schema_bump_falls_back_to_cold_run(tmp_path, registry, monkeypatch):
     service = AIWorkflowService(warm_cache=tmp_path)
     report = _serve(service, registry)
     assert profiling_sweep_count() == sweeps_before + 1
+    assert report.warm_trace is False
+    assert _snapshot(service, report) == cold_snapshot
+
+
+def test_malformed_warm_payloads_fall_back_cold_and_count_invalid(tmp_path, registry):
+    from repro.agents.library import default_library
+
+    library = default_library()
+    seeded = WarmStateCache(tmp_path)
+    seeded.save_profiles(library, ["not-a-profile"])
+    seeded.save_plan_cache(library, 0, [("garbage",)])
+
+    cold_snapshot, _ = _cold_reference(registry)
+    service = AIWorkflowService(warm_cache=tmp_path)
+    # Each envelope is sound but its payload unusable: counted exactly like
+    # a corrupt envelope (invalid plus miss), never as a hit.
+    counters = service.warm_cache.counters()
+    assert (counters["hits"], counters["misses"], counters["invalid"]) == (0, 2, 2)
+    report = _serve(service, registry)
     assert report.warm_trace is False
     assert _snapshot(service, report) == cold_snapshot
 
