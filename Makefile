@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-record bench-smoke perfbench-smoke examples-smoke overload-smoke lint ci
+.PHONY: test bench bench-record bench-smoke perfbench-smoke examples-smoke overload-smoke warm-smoke lint ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -55,5 +55,12 @@ perfbench-smoke:
 overload-smoke:
 	$(PYTHON) scripts/overload_gauntlet.py
 
+## Cold -> warm identity through the CLI: `repro loadtest --report-json`
+## twice on a fresh temporary --warm-cache directory, single-engine and with
+## --shards 2; fails unless the rerun replayed its recording (warm_trace) and
+## matches the cold report in aggregates, latency samples and job summaries.
+warm-smoke:
+	$(PYTHON) scripts/warm_smoke.py
+
 ## The exact entrypoint .github/workflows/ci.yml calls — reproducible locally.
-ci: lint test examples-smoke bench-smoke perfbench-smoke overload-smoke
+ci: lint test examples-smoke bench-smoke perfbench-smoke overload-smoke warm-smoke

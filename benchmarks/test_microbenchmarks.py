@@ -145,8 +145,10 @@ def test_trace_throughput_1k_jobs(benchmark, tmp_path):
     The first (untimed) generation runs cold: grouped steady-state
     convergence with vectorized accounting, persisting profiles, plans, and
     the trace recording to the warm cache.  Every timed generation is a
-    restarted service replaying the recording — O(bins) accounting with zero
-    profiling sweeps and zero convergence probes.  The regression gate in
+    restarted service replaying the recording, with zero profiling sweeps and
+    zero convergence probes: one Python loop per job writes its start/finish
+    recurrence and ``job_ids`` call into column batches, and the batch's
+    accounting is numpy work over those columns.  The regression gate in
     ``scripts/bench.py`` watches this number (min time to serve the trace;
     ``jobs_per_second`` is recorded alongside).
     """

@@ -31,6 +31,7 @@ batched completion deltas (the multiplex-mode fast path in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.agents.base import AgentInterface
@@ -245,9 +246,8 @@ def run_submissions(
         executor.start(orchestration.graph, delay=delay)
         launched[job.job_id] = (job, orchestration, executor)
 
-    ordered = sorted(
-        enumerate(submissions), key=lambda pair: (pair[1].arrival_time, pair[0])
-    )
+    # A stable sort on arrival time: ties keep submission order.
+    ordered = sorted(submissions, key=attrgetter("arrival_time"))
 
     def drain(until: Optional[float] = None) -> None:
         while True:
@@ -271,7 +271,7 @@ def run_submissions(
     if window is None:
         engine.schedule_at_batch(
             (max(submission.arrival_time, engine.now), admit, (submission,))
-            for _index, submission in ordered
+            for submission in ordered
         )
         drain()
     else:
@@ -280,10 +280,10 @@ def run_submissions(
 
         def schedule_window(start: int) -> float:
             """Inject one window's admissions; returns its first admit time."""
-            base = max(ordered[start][1].arrival_time, engine.now)
+            base = max(ordered[start].arrival_time, engine.now)
             engine.schedule_at_batch(
                 (max(submission.arrival_time, engine.now), admit, (submission,))
-                for _index, submission in ordered[start : start + period]
+                for submission in ordered[start : start + period]
             )
             return base
 
@@ -292,7 +292,7 @@ def run_submissions(
             if launched or engine.pending_events:
                 return None
             signature: List[object] = [pool.signature()]
-            for _index, submission in ordered[start : start + period]:
+            for submission in ordered[start : start + period]:
                 result = window_results.get(submission.job.job_id)
                 if result is None:
                     return None
@@ -309,7 +309,7 @@ def run_submissions(
             if next_start >= total:
                 drain()
                 break
-            drain(until=max(ordered[next_start][1].arrival_time, engine.now))
+            drain(until=max(ordered[next_start].arrival_time, engine.now))
             digest = window_digest(start, base)
             if digest is not None and digest == previous_digest:
                 # Two consecutive quiescent windows with identical results
@@ -322,7 +322,7 @@ def run_submissions(
                     base=base,
                     pattern=[
                         window_results[submission.job.job_id]
-                        for _index, submission in ordered[start:next_start]
+                        for submission in ordered[start:next_start]
                     ],
                 )
                 break

@@ -20,9 +20,9 @@ deadline-feasibility ladder of :mod:`repro.admission`, and one QoE record
 per arrival for the capture collector) and share one **confirm-then-replay
 core**: once a behaviour is confirmed — the same result twice under an
 unchanged serving context (warm pool, profile store, dynamics, policy) — it
-becomes a replay *slot*, and each later job it covers is one row ``(job_id,
-arrival_at, start, finish, slot)`` for a replay sink instead of a pipeline
-run.  Three pattern sources feed the core:
+becomes a replay *slot* in a sink's slot table, and the later jobs it covers
+reach the sink as columns (job ids; arrival, start and finish floats; slot
+indices) instead of pipeline runs.  Three pattern sources feed the core:
 
 * the **grouped memo**: one slot per group whose last two probes matched;
   any change of serving context makes the group re-converge;
@@ -33,7 +33,8 @@ run.  Three pattern sources feed the core:
   :class:`~repro.warmstate.ReplayRecord` slots of an identical earlier
   trace, replayed with zero probes.
 
-The default sink accounts contiguous rows at array level;
+The default sink accounts each batch of columns as numpy arrays; per row,
+only the FIFO start/finish recurrence and the ``job_ids`` call stay Python.
 ``vectorized=False`` schedules one engine completion event per row instead,
 the reference path the differential tests compare against.  Telemetry
 streams into bounded :class:`~repro.telemetry.metrics.StreamingAggregate`
@@ -46,20 +47,24 @@ from __future__ import annotations
 
 import math
 import time as _wall_time
+from collections import Counter
 from dataclasses import dataclass, field, replace as dataclass_replace
+from operator import attrgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.admission import AdmissionController, admission_of
 from repro.core.constraints import DEFAULT_PRIORITY
 from repro.core.execution import ExecutionError
 from repro.core.job import Job, JobResult
+from repro.core.multitenant import TenantSubmission
 from repro.core.planner import PlanningError
 from repro.sim.energy import EnergyBreakdown
 from repro.telemetry.metrics import (
     StreamingAggregate,
     ThroughputMeter,
     evict_oldest,
-    repeated_sum,
     result_digest,
     round_sig,
     sequential_sum,
@@ -71,6 +76,9 @@ from repro.workloads.arrival import JobArrival
 #: jobs plan differently, so they converge to their own steady state and
 #: never pollute the full-quality group's memo.
 DEGRADED_SUFFIX = "@degraded"
+
+#: The keys of :meth:`JobResult.compact_summary`, in a slot's value order.
+_SUMMARY_KEYS = ("makespan_s", "energy_wh", "cost", "quality")
 
 # --------------------------------------------------------------------- #
 # Workload registry
@@ -213,13 +221,12 @@ class _ReplaySlot(NamedTuple):
     fabric-free runs).  ``result`` is the confirmed
     :class:`~repro.core.job.JobResult` the reference sink stamps completions
     from; recording slots carry none (recordings replay only through the
-    vectorized sink) and may pin their exact finish time instead.
+    vectorized sink).
     """
 
     values: Tuple[float, float, float, float]
     transfer: Optional[Tuple[float, int, int, float, int]] = None
     result: Optional[JobResult] = None
-    pinned_finish: Optional[float] = None
 
     @classmethod
     def of(cls, result: JobResult) -> "_ReplaySlot":
@@ -236,11 +243,6 @@ class _ReplaySlot(NamedTuple):
         )
         values = (result.makespan_s, result.energy_wh, result.cost, result.quality)
         return cls(values, transfer, result)
-
-    @classmethod
-    def of_record(cls, record: ReplayRecord) -> "_ReplaySlot":
-        values = (record.makespan_s, record.energy_wh, record.cost, record.quality)
-        return cls(values, pinned_finish=record.pinned_finish)
 
     def stamp(self, job_id: str, started_at: float, finished_at: float) -> JobResult:
         """A replayed completion of this slot, as the reference sink accounts it."""
@@ -269,14 +271,16 @@ class _ReplaySlot(NamedTuple):
 
 
 class _ReplaySink:
-    """Where every pattern source sends its replayed completions.
+    """Where every pattern source sends its replayed completions, as columns.
 
-    ``add(job_id, arrival_at, start, finish, slot)`` buffers one row, in
-    completion order, as columns.  ``flush()`` accounts the buffered rows
-    before the engine moves on (a probe, a disruption): this sink at array
-    level (:meth:`ServiceLoadGenerator._account_run`), :class:`_EventSink`
-    as one engine event per row.  ``close(last_finish)`` flushes, drains the
-    engine, and leaves its clock at the last completion.
+    A source puts each confirmed slot into the sink's small slot table once
+    (:meth:`register`) and then appends its rows straight into
+    :attr:`columns`, in completion order, from its own loop.  ``flush()``
+    accounts the buffered rows before the engine moves on (a probe, a
+    disruption): this sink as numpy arrays
+    (:meth:`ServiceLoadGenerator._account_run`), :class:`_EventSink` as one
+    engine event per row.  ``close(last_finish)`` flushes, drains the engine,
+    and leaves its clock at the last completion.
     """
 
     def __init__(
@@ -284,32 +288,24 @@ class _ReplaySink:
     ) -> None:
         self.generator = generator
         self.report = report
-        #: ids, arrival times, starts, finishes, slots.
+        #: The slot table the slot-index column points into.
+        self.slots: List[_ReplaySlot] = []
+        #: Job ids, arrival times, starts, finishes, slot indices.
         self.columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
 
-    def add(
-        self,
-        job_id: str,
-        arrival_at: float,
-        start: float,
-        finish: float,
-        slot: _ReplaySlot,
-    ) -> None:
-        ids, arrivals, starts, finishes, slots = self.columns
-        ids.append(job_id)
-        arrivals.append(arrival_at)
-        starts.append(start)
-        finishes.append(finish)
-        slots.append(slot)
+    def register(self, slots: Sequence[_ReplaySlot]) -> int:
+        """Append ``slots`` to the slot table; returns the first one's index."""
+        self.slots.extend(slots)
+        return len(self.slots) - len(slots)
 
     def flush(self) -> None:
         if self.columns[0]:
-            self._account(*self.columns)
+            self._account(self.columns)
             for column in self.columns:
                 column.clear()
 
-    def _account(self, ids, arrivals, starts, finishes, slots) -> None:
-        self.generator._account_run(self.report, ids, arrivals, starts, finishes, slots)
+    def _account(self, columns) -> None:
+        self.generator._account_run(self.report, self.slots, columns)
 
     def close(self, last_finish: float) -> None:
         self.flush()
@@ -325,12 +321,12 @@ class _ReplaySink:
 class _EventSink(_ReplaySink):
     """The ``vectorized=False`` reference: one engine event per replayed row."""
 
-    def _account(self, ids, arrivals, starts, finishes, slots) -> None:
-        complete = self._complete_replay
-        rows = zip(ids, arrivals, starts, finishes, slots)
+    def _account(self, columns) -> None:
+        slots, complete = self.slots, self._complete_replay
+        rows = zip(*columns)
         self.generator.service.runtime.engine.schedule_at_batch(
-            (finish, complete, (slot.stamp(job_id, start, finish), arrived))
-            for job_id, arrived, start, finish, slot in rows
+            (finish, complete, (slots[row].stamp(job_id, start, finish), arrived))
+            for job_id, arrived, start, finish, row in rows
         )
 
     def _complete_replay(self, result: JobResult, arrival_at: float) -> None:
@@ -348,8 +344,9 @@ class GroupState:
     workload: str
     signature: Optional[tuple] = None
     #: The confirmed slot every further job of the group replays, valid only
-    #: under :attr:`steady_context`.
+    #: under :attr:`steady_context`, and its index in the sink's slot table.
     steady: Optional[_ReplaySlot] = None
+    steady_row: int = 0
     #: The serving context (:meth:`ServiceLoadGenerator._context`) the slot
     #: was confirmed under; any change forces the group to re-converge.
     steady_context: Optional[tuple] = None
@@ -779,6 +776,24 @@ class _Entry:
     qoe: Optional[int] = None
 
 
+class _Submission(TenantSubmission):
+    """A multiplex submission whose job is cloned from its admission group's
+    template on first use, which is when ``run_submissions`` admits it."""
+
+    def __init__(self, arrival_time: float, template: Job, job_id: str) -> None:
+        self.arrival_time = arrival_time
+        self.overrides = None
+        self._template = template
+        self._job_id = job_id
+        self._job: Optional[Job] = None
+
+    @property
+    def job(self) -> Job:
+        if self._job is None:
+            self._job = dataclass_replace(self._template, job_id=self._job_id)
+        return self._job
+
+
 def _qoe_record(
     entry: _Entry,
     outcome: str,
@@ -1080,10 +1095,12 @@ class ServiceLoadGenerator:
         grouped serving every steady-state completion is scheduled and
         accounted one engine event at a time; for multiplex serving every
         steady-window replay completion is.  The default vectorized path
-        accounts contiguous runs at array level; its :class:`TraceReport`
-        aggregates and the service's stats are byte-identical to the
-        reference path (asserted differentially in the test suite), it is
-        just O(runs) instead of O(jobs) in Python-level work.
+        streams replayed rows to its sink as columns and accounts each batch
+        as numpy arrays; its :class:`TraceReport` aggregates and the
+        service's stats are byte-identical to the reference path (asserted
+        differentially in the test suite).  Per replayed job only the FIFO
+        start/finish recurrence and the ``job_ids`` call run in Python; the
+        capped per-job details are built only for the rows their caps keep.
 
         ``admission`` serves the trace behind an admission controller (an
         :class:`~repro.admission.AdmissionConfig` or its dict form; the
@@ -1211,9 +1228,7 @@ class ServiceLoadGenerator:
         run = _TraceRun(report, registry, job_ids, engine.now, controller, collector)
         groups: Dict[str, GroupState] = {}
         context = self._context()
-        ordered = sorted(
-            enumerate(arrivals), key=lambda pair: (pair[1].arrival_time, pair[0])
-        )
+        order = _admission_order(arrivals)
 
         # Persistent warm state: when a cache is attached and the serving
         # context matches a recorded one exactly, the whole trace replays
@@ -1228,29 +1243,40 @@ class ServiceLoadGenerator:
             and controller is None
             and collector is None
         ):
+            workloads = [arrivals[index].workload for index in order]
             recording_key = self._trace_context_key(
-                registry, ordered, context, run.epoch
+                registry, workloads, context, run.epoch
             )
             if recording_key is not None:
-                cached = cache.load_trace_recording(recording_key)
-                if (
-                    cached is not None
-                    and len(cached.script) == len(ordered)
-                    and all(0 <= step < len(cached.records) for step in cached.script)
-                ):
-                    return self._replay_recording(cached, ordered, run)
+                cached = cache.load_trace_recording(recording_key, len(order))
+                if cached is not None:
+                    return self._replay_recording(
+                        cached, arrivals, order, workloads, run
+                    )
                 recording = TraceRecording(store_version=context[1], epoch=run.epoch)
 
         sink = self._sink(vectorized, report)
-        previous_finish = run.epoch
-        for index, arrival in ordered:
-            entry = run.admit(index, arrival, previous_finish, groups)
-            if entry is None:
-                continue
-            group = groups.get(entry.group)
+        ids, arrivals_at, starts, finishes, rows = sink.columns
+        tracks = run.tracks
+        epoch = previous_finish = run.epoch
+        for index in order:
+            arrival = arrivals[index]
+            if tracks:
+                entry = run.admit(index, arrival, previous_finish, groups)
+                if entry is None:
+                    continue
+                key, job_id = entry.group, entry.job_id
+                arrival_at, ready_at = entry.arrival_at, entry.ready_at
+            else:
+                # Nothing sheds, defers or records an untracked arrival: its
+                # workload, id and arrival time are all the loop needs.
+                key = arrival.workload
+                job_id = job_ids(index, key)
+                arrival_at = ready_at = epoch + arrival.arrival_time
+            group = groups.get(key)
             if group is None:
-                group = groups[entry.group] = GroupState(entry.group)
-            service_start = max(entry.ready_at, previous_finish)
+                group = groups[key] = GroupState(key)
+            service_start = previous_finish if previous_finish > ready_at else ready_at
             if dynamics is not None:
                 # A disruption is due before this job starts: let it fire so
                 # the steady-state check below sees the changed cluster (the
@@ -1266,11 +1292,15 @@ class ServiceLoadGenerator:
                 # Steady state: replay the confirmed slot instead of running
                 # the pipeline.
                 finish = service_start + slot.values[0]
-                if run.tracks:
+                if tracks:
                     run.complete(
                         entry, service_start, finish, slot.values[0], slot.values[3]
                     )
-                sink.add(entry.job_id, entry.arrival_at, service_start, finish, slot)
+                ids.append(job_id)
+                arrivals_at.append(arrival_at)
+                starts.append(service_start)
+                finishes.append(finish)
+                rows.append(group.steady_row)
                 if recording is not None:
                     if group.steady_record is None:
                         recording = None
@@ -1284,7 +1314,7 @@ class ServiceLoadGenerator:
             sink.flush()
             if service_start > engine.now:
                 engine.run(until=service_start)
-            job = run.build_job(entry)
+            job = run.build_job(entry) if tracks else registry.build(key, job_id)
             self._check_signature(group, job)
             try:
                 result = service.submit_job(job)
@@ -1303,12 +1333,12 @@ class ServiceLoadGenerator:
                 group.steady = None
                 continue
             self.last_probe_result = result
-            report.account(result, entry.arrival_at, simulated=True)
+            report.account(result, arrival_at, simulated=True)
             group.simulated += 1
             group.estimate = result.makespan_s
             previous_finish = result.finished_at
             context = self._context()
-            if run.tracks:
+            if tracks:
                 run.complete(
                     entry,
                     result.started_at,
@@ -1330,6 +1360,7 @@ class ServiceLoadGenerator:
             observation = (result_digest(result), context)
             if group.last_observation == observation:
                 group.steady = slot
+                group.steady_row = sink.register([slot])
                 group.steady_context = context
                 group.steady_record = None
                 if recording is not None:
@@ -1344,7 +1375,7 @@ class ServiceLoadGenerator:
             recording is not None
             and recording_key is not None
             and report.failed_jobs == 0
-            and len(recording.script) == len(ordered)
+            and len(recording.script) == len(order)
         ):
             cache.save_trace_recording(recording_key, recording)
         return report
@@ -1355,7 +1386,7 @@ class ServiceLoadGenerator:
     def _trace_context_key(
         self,
         registry: WorkloadRegistry,
-        ordered: List[tuple],
+        workloads: List[str],
         context: tuple,
         epoch: float,
     ) -> Optional[tuple]:
@@ -1374,7 +1405,7 @@ class ServiceLoadGenerator:
             # (A zero-cost fabric is byte-identical to no fabric at all —
             # proven differentially — so its recordings are safely shared.)
             return None
-        workload_sequence = tuple(arrival.workload for _, arrival in ordered)
+        workload_sequence = tuple(workloads)
         spec_digests = []
         for name in sorted(set(workload_sequence)):
             if name not in registry:
@@ -1406,7 +1437,12 @@ class ServiceLoadGenerator:
         )
 
     def _replay_recording(
-        self, recording: TraceRecording, ordered: List[tuple], run: _TraceRun
+        self,
+        recording: TraceRecording,
+        arrivals: Sequence[JobArrival],
+        order: List[int],
+        workloads: List[str],
+        run: _TraceRun,
     ) -> TraceReport:
         """Serve the whole trace from a persistent recording: zero probes.
 
@@ -1420,26 +1456,32 @@ class ServiceLoadGenerator:
         context.
         """
         report = run.report
-        slots = [_ReplaySlot.of_record(record) for record in recording.records]
+        records = recording.records
         sink = _ReplaySink(self, report)
-        replayed: Dict[str, int] = {}
-        previous_finish = run.epoch
-        for position, (index, arrival) in enumerate(ordered):
-            slot = slots[recording.script[position]]
-            arrival_at = run.epoch + arrival.arrival_time
+        values = [(r.makespan_s, r.energy_wh, r.cost, r.quality) for r in records]
+        sink.register([_ReplaySlot(slot_values) for slot_values in values])
+        makespans = [record.makespan_s for record in records]
+        pinned = [record.pinned_finish for record in records]
+        ids, arrivals_at, starts, finishes, rows = sink.columns
+        job_ids = run.job_ids
+        epoch = previous_finish = run.epoch
+        for index, workload, step in zip(order, workloads, recording.script):
+            arrival_at = epoch + arrivals[index].arrival_time
             start = arrival_at if arrival_at > previous_finish else previous_finish
-            finish = slot.pinned_finish
+            finish = pinned[step]
             if finish is None:
-                finish = start + slot.values[0]
-            job_id = run.job_ids(index, arrival.workload)
-            sink.add(job_id, arrival_at, start, finish, slot)
+                finish = start + makespans[step]
+            ids.append(job_ids(index, workload))
+            arrivals_at.append(arrival_at)
+            starts.append(start)
+            finishes.append(finish)
             previous_finish = finish
-            replayed[arrival.workload] = replayed.get(arrival.workload, 0) + 1
+        rows.extend(recording.script)
         sink.close(previous_finish)
         report.warm_trace = True
         report.groups = {
             name: {"simulated": 0, "replayed": count}
-            for name, count in replayed.items()
+            for name, count in Counter(workloads).items()
         }
         return report
 
@@ -1476,7 +1518,7 @@ class ServiceLoadGenerator:
         collector: Optional[Callable[[Dict[str, object]], None]] = None,
         window: Optional[int] = None,
     ) -> TraceReport:
-        from repro.core.multitenant import TenantSubmission, run_submissions
+        from repro.core.multitenant import run_submissions
 
         service = self.service
         report = TraceReport(mode="multiplex")
@@ -1491,10 +1533,8 @@ class ServiceLoadGenerator:
         #: priors, keeping every decision a pure function of the arrival
         #: sequence (the capture/replay property).
         backlog = run.epoch
-        for index, arrival in sorted(
-            enumerate(arrivals), key=lambda pair: (pair[1].arrival_time, pair[0])
-        ):
-            entry = run.admit(index, arrival, backlog)
+        for index in _admission_order(arrivals):
+            entry = run.admit(index, arrivals[index], backlog)
             if entry is None:
                 continue
             if controller is not None:
@@ -1517,38 +1557,32 @@ class ServiceLoadGenerator:
         # position), which after this sort is the identity — entry i of this
         # list is served as submission i, so the steady-window replay plan's
         # ``resume_at`` indexes straight into ``entries``.
-        entries.sort(key=lambda entry: entry.ready_at)
+        entries.sort(key=attrgetter("ready_at"))
 
-        # Template compilation: one Job per admission group, cloned per
-        # arrival with a fresh job_id.  Clones share the template's
-        # materialized inputs and spec digest, so the digest-keyed plan
-        # cache plans each group once no matter how many arrivals it has.
+        # Template compilation: one Job per admission group, cloned with a
+        # fresh job_id only when run_submissions admits the submission (the
+        # replayed tail never is).  Clones share the template's materialized
+        # inputs and spec digest, so the digest-keyed plan cache plans each
+        # group once no matter how many arrivals it has.
         templates: Dict[str, Job] = {}
-        by_job_id: Dict[str, _Entry] = {}
-        group_counts: Dict[str, Dict[str, int]] = {}
         submissions: List[TenantSubmission] = []
         for entry in entries:
             template = templates.get(entry.group)
             if template is None:
                 template = templates[entry.group] = run.build_job(entry)
-            by_job_id[entry.job_id] = entry
-            group_counts.setdefault(entry.group, {"simulated": 0, "replayed": 0})
-            submissions.append(
-                TenantSubmission(
-                    entry.ready_at, dataclass_replace(template, job_id=entry.job_id)
-                )
-            )
+            submissions.append(_Submission(entry.ready_at, template, entry.job_id))
+        by_job_id = {entry.job_id: entry for entry in entries}
+        group_counts = {group: {"simulated": 0, "replayed": 0} for group in templates}
 
         period: Optional[int] = None
         if window != 0 and self._dynamics is None:
-            period = (
-                window if window is not None else self._detect_multiplex_period(entries)
-            )
-            if period is not None and not self._pattern_holds(entries, period):
+            if window is None:
+                period = self._detect_multiplex_period(entries)
+            elif self._pattern_holds(entries, window):
                 # An explicit window that the arrival pattern does not
                 # actually repeat at (or a too-short trace) falls back to
                 # full per-event serving rather than mis-replaying.
-                period = None
+                period = window
 
         stats = service.stats
 
@@ -1604,13 +1638,18 @@ class ServiceLoadGenerator:
         span = round_sig(entries[period].ready_at - entries[0].ready_at)
         if span <= 0.0:
             return False
+        checked = None
         for i in range(period, n):
             previous = entries[i - period]
             current = entries[i]
             if current.group != previous.group:
                 return False
-            if round_sig(current.ready_at - previous.ready_at) != span:
-                return False
+            shift = current.ready_at - previous.ready_at
+            if shift != checked:
+                # Rounding is the slow part; a repeated shift rounds alike.
+                if round_sig(shift) != span:
+                    return False
+                checked = shift
         return True
 
     @classmethod
@@ -1643,203 +1682,160 @@ class ServiceLoadGenerator:
         is its own window's first ready time plus the slot's offset from the
         confirmed window's base (clamped to the entry's own ready time, as
         the engine would), and its finish adds the slot's exact makespan.
-        Rows reach the sink in (finish, position) order — the shared
-        engine's (time, sequence) order.
+        Rows reach the sink stably sorted by finish, which is the (finish,
+        position) order of the shared engine's (time, sequence) queue.
         """
         period = plan.period
-        slots = [_ReplaySlot.of(result) for result in plan.pattern]
-        offsets = [result.started_at - plan.base for result in plan.pattern]
-        rows = []
-        for position, entry in enumerate(remaining):
-            index = position % period
-            start = remaining[position - index].ready_at + offsets[index]
-            if start < entry.ready_at:
-                start = entry.ready_at
-            slot = slots[index]
-            rows.append((start + slot.values[0], position, entry, slot, start))
-        rows.sort(key=lambda row: (row[0], row[1]))
-        for finish, _position, entry, slot, start in rows:
-            group_counts[entry.group]["replayed"] += 1
-            if run.tracks:
-                run.complete(entry, start, finish, slot.values[0], slot.values[3])
-            sink.add(entry.job_id, entry.arrival_at, start, finish, slot)
-        sink.close(rows[-1][0])
+        pattern = plan.pattern
+        base_row = sink.register([_ReplaySlot.of(result) for result in pattern])
+        offsets = _np.array([result.started_at - plan.base for result in pattern])
+        makespans = _np.array([result.makespan_s for result in pattern])
+        ready = _np.array([entry.ready_at for entry in remaining])
+        positions = _np.arange(len(remaining))
+        slot_of = positions % period
+        starts = ready[positions - slot_of] + offsets[slot_of]
+        starts = _np.where(starts < ready, ready, starts)
+        finishes = starts + makespans[slot_of]
+        order = _np.argsort(finishes, kind="stable")
+        tail = [remaining[position] for position in order.tolist()]
+        ids, arrivals_at, start_col, finish_col, rows = sink.columns
+        ids.extend([entry.job_id for entry in tail])
+        arrivals_at.extend([entry.arrival_at for entry in tail])
+        start_col.extend(starts[order].tolist())
+        finish_col.extend(finishes[order].tolist())
+        rows.extend((slot_of[order] + base_row).tolist())
+        replayed = _np.bincount(slot_of, minlength=period).tolist()
+        for position, entry in enumerate(remaining[:period]):
+            group_counts[entry.group]["replayed"] += replayed[position]
+        if run.tracks:
+            for entry, start, finish, row in zip(tail, start_col, finish_col, rows):
+                values = sink.slots[row].values
+                run.complete(entry, start, finish, values[0], values[3])
+        sink.close(finish_col[-1])
 
     # ------------------------------------------------------------------ #
     # Vectorized replay accounting
     # ------------------------------------------------------------------ #
     def _account_run(
-        self,
-        report: TraceReport,
-        ids: List[str],
-        arrival_col: List[float],
-        starts: List[float],
-        finishes: List[float],
-        slots: List[_ReplaySlot],
+        self, report: TraceReport, slots: List[_ReplaySlot], columns: tuple
     ) -> None:
-        """Account one contiguous run of replayed rows at array level.
+        """Account one batch of a sink's columns (job ids; arrival, start and
+        finish floats; indices into ``slots``) as numpy arrays.
 
-        Byte-identical to firing one engine event per row through
+        Byte-identical to one engine event per row through
         :class:`_EventSink`: every streaming aggregate receives the same
-        value sequence in the same order (totals accumulate in sequential
-        IEEE-754 order — see :func:`~repro.telemetry.metrics.sequential_sum`),
-        and the bounded detail dicts end in the same state with the same
-        eviction counters.
+        values in the same order (totals accumulate in sequential IEEE-754
+        order, see :func:`~repro.telemetry.metrics.sequential_sum`), the
+        bounded detail dicts end in the same state with the same eviction
+        counters, and every value reaching a report, the stats or the engine
+        is a Python float.
         """
+        ids, arrival_col, start_col, finish_col, row_col = columns
         n = len(ids)
         stats = self.service.stats
         report.jobs += n
         report.replayed_jobs += n
         report.replay_runs += 1
-        first = slots[0]
-        if all(slot is first for slot in slots):
-            # Homogeneous run (one group in steady state): every job carries
-            # the same slot, so totals are repeated additions and min/max
-            # are single comparisons.
-            makespan, energy, cost, quality = first.values
-            report.makespan_s.add_repeated(makespan, n)
-            report.energy_wh.add_repeated(energy, n)
-            report.cost.add_repeated(cost, n)
-            report.quality.add_repeated(quality, n)
-            stats.makespan_s.add_repeated(makespan, n)
-            stats.energy_wh.add_repeated(energy, n)
-            stats.cost.add_repeated(cost, n)
-            stats.quality.add_repeated(quality, n)
-            stats.total_makespan_s = repeated_sum(stats.total_makespan_s, makespan, n)
-            stats.total_energy_wh = repeated_sum(stats.total_energy_wh, energy, n)
-            stats.total_cost = repeated_sum(stats.total_cost, cost, n)
-        else:
-            makespans = [slot.values[0] for slot in slots]
-            energies = [slot.values[1] for slot in slots]
-            costs = [slot.values[2] for slot in slots]
-            qualities = [slot.values[3] for slot in slots]
-            report.makespan_s.add_sequence(makespans)
-            report.energy_wh.add_sequence(energies)
-            report.cost.add_sequence(costs)
-            report.quality.add_sequence(qualities)
-            stats.makespan_s.add_sequence(makespans)
-            stats.energy_wh.add_sequence(energies)
-            stats.cost.add_sequence(costs)
-            stats.quality.add_sequence(qualities)
-            stats.total_makespan_s = sequential_sum(stats.total_makespan_s, makespans)
-            stats.total_energy_wh = sequential_sum(stats.total_energy_wh, energies)
-            stats.total_cost = sequential_sum(stats.total_cost, costs)
-        # Plain scalar accumulation in job order — exactly the += the
-        # reference path performs per result, so fabric-attached runs stay
-        # byte-identical across the two paths.  Slots that moved no costed
-        # bytes (every slot, on fabric-free runs) touch no accumulator.
-        for slot in slots:
-            transfer = slot.transfer
-            if transfer is None:
-                continue
-            t_s, t_bytes, t_cross, t_wh, t_events = transfer
-            report.transfer_s += t_s
-            report.transferred_bytes += t_bytes
-            report.cross_rack_bytes += t_cross
-            report.transfer_wh += t_wh
-            report.transfer_events += t_events
-            stats.transfer_s += t_s
-            stats.transferred_bytes += t_bytes
-            stats.cross_rack_bytes += t_cross
-            stats.transfer_wh += t_wh
-            stats.transfer_events += t_events
+        arrivals = _np.array(arrival_col, dtype=float)
+        starts = _np.array(start_col, dtype=float)
+        finishes = _np.array(finish_col, dtype=float)
+        rows = _np.array(row_col, dtype=_np.intp)
+        # Gathered per row from the slot table, so a steady run adds its one
+        # slot's values once per job, in job order, like the reference.
+        values = _np.array([slot.values for slot in slots])[rows]
+        makespans, energies, costs, qualities = values.T
+        for owner in (report, stats):
+            owner.makespan_s.add_sequence(makespans)
+            owner.energy_wh.add_sequence(energies)
+            owner.cost.add_sequence(costs)
+            owner.quality.add_sequence(qualities)
+        stats.total_makespan_s = sequential_sum(stats.total_makespan_s, makespans)
+        stats.total_energy_wh = sequential_sum(stats.total_energy_wh, energies)
+        stats.total_cost = sequential_sum(stats.total_cost, costs)
+        moving = [row for row, slot in enumerate(slots) if slot.transfer is not None]
+        if moving:
+            # The reference's per-result += in job order, over the rows whose
+            # slot moved costed bytes (no slot does, on fabric-free runs).
+            table = [slot.transfer or (0,) * 5 for slot in slots]
+            moved = _np.array(table, dtype=object)[rows[_np.isin(rows, moving)]]
+            for owner in (report, stats):
+                owner.transfer_s = sequential_sum(owner.transfer_s, moved[:, 0])
+                owner.transferred_bytes += sum(moved[:, 1].tolist())
+                owner.cross_rack_bytes += sum(moved[:, 2].tolist())
+                owner.transfer_wh = sequential_sum(owner.transfer_wh, moved[:, 3])
+                owner.transfer_events += sum(moved[:, 4].tolist())
         # Starts never precede arrivals on this path, so the delay is the
         # plain difference (the reference path's max(0.0, ...) is a no-op).
-        delays = [start - arrived for start, arrived in zip(starts, arrival_col)]
-        report.queue_delay_s.add_sequence(delays)
-        for finish, arrived in zip(finishes, arrival_col):
-            report.add_latency(finish - arrived)
+        report.queue_delay_s.add_sequence(starts - arrivals)
+        cap = report.max_latency_samples
+        room = n if cap is None else min(n, cap - len(report.latency_s))
+        if room > 0:
+            report.latency_s.extend((finishes[:room] - arrivals[:room]).tolist())
         throughput = report.throughput
         throughput.completed += n
-        low = min(starts)
-        high = max(finishes)
-        if low < throughput.first_start:
-            throughput.first_start = low
-        if high > throughput.last_finish:
-            throughput.last_finish = high
+        throughput.first_start = min(throughput.first_start, float(starts.min()))
+        throughput.last_finish = max(throughput.last_finish, float(finishes.max()))
         stats.jobs_completed += n
+        # Capped details are built only for the rows their caps keep.
+        distinct = len(set(ids)) == n
         engine = self.service.runtime.engine
-        self._bulk_mark(engine.watermarks, engine.WATERMARK_CAP, ids, finishes)
-        stats.per_job_evicted += self._bulk_insert(
-            stats.per_job,
-            stats.max_per_job_records,
+        _bulk_insert(
+            engine.watermarks,
+            engine.WATERMARK_CAP,
             ids,
-            [self._values_summary(slot.values) for slot in slots],
-        )
-        self._bulk_insert(
-            report.job_summaries,
-            report.max_job_summaries,
-            ids,
-            [self._values_summary(slot.values) for slot in slots],
+            distinct,
+            lambda start: finish_col[start:],
+            latest=True,
         )
 
-    @staticmethod
-    def _values_summary(values: tuple) -> Dict[str, float]:
-        """The :meth:`JobResult.compact_summary` dict for a slot's values."""
-        return {
-            "makespan_s": values[0],
-            "energy_wh": values[1],
-            "cost": values[2],
-            "quality": values[3],
-        }
+        def summaries(start: int) -> List[Dict[str, float]]:
+            # The JobResult.compact_summary dict of each kept row's slot.
+            kept = row_col[start:]
+            return [dict(zip(_SUMMARY_KEYS, slots[row].values)) for row in kept]
 
-    @staticmethod
-    def _bulk_insert(mapping: Dict, cap: Optional[int], keys, payloads) -> int:
-        """``mapping[key] = payload`` pairwise with insertion-oldest eviction
-        beyond ``cap`` — byte-identical (final contents, order, and eviction
-        count) to inserting one at a time, in O(n + evictions).
-
-        The arithmetic fast path requires every key to be fresh (no
-        duplicates in the batch, none already present): re-inserting an
-        existing key keeps its dict position, which arithmetic cannot model,
-        so such batches fall back to the sequential loop.
-        """
-        if not _fresh(mapping, keys):
-            evicted = 0
-            for key, payload in zip(keys, payloads):
-                mapping[key] = payload
-                evicted += evict_oldest(mapping, cap)
-            return evicted
-        return _insert_fresh(mapping, cap, keys, payloads)
-
-    @staticmethod
-    def _bulk_mark(watermarks: Dict[str, float], cap: int, keys, times) -> None:
-        """Batched :meth:`SimulationEngine.mark` at given completion times.
-
-        Matches marking each key as its completion event fires: same final
-        watermark contents, order, and cap behaviour.  Fresh keys take the
-        bulk-insert arithmetic; otherwise a re-marked key keeps its latest
-        time.
-        """
-        if _fresh(watermarks, keys):
-            _insert_fresh(watermarks, cap, keys, times)
-            return
-        for key, at in zip(keys, times):
-            existing = watermarks.get(key)
-            if existing is None or at > existing:
-                watermarks[key] = at
-            evict_oldest(watermarks, cap)
+        stats.per_job_evicted += _bulk_insert(
+            stats.per_job, stats.max_per_job_records, ids, distinct, summaries
+        )
+        _bulk_insert(
+            report.job_summaries, report.max_job_summaries, ids, distinct, summaries
+        )
 
 
-def _fresh(mapping: Dict, keys) -> bool:
-    """Whether no key repeats in ``keys`` or is already in ``mapping``."""
-    return len(set(keys)) == len(keys) and (
-        not mapping or not any(key in mapping for key in keys)
-    )
+def _admission_order(arrivals: Sequence[JobArrival]) -> List[int]:
+    """Trace indices by arrival time, ties in trace order: a stable sort on
+    arrival time, which is the (time, index) order."""
+    times = [arrival.arrival_time for arrival in arrivals]
+    return sorted(range(len(times)), key=times.__getitem__)
 
 
-def _insert_fresh(mapping: Dict, cap: Optional[int], keys, payloads) -> int:
-    """The arithmetic form of inserting fresh keys one at a time with
-    insertion-oldest eviction beyond ``cap``; returns the eviction count."""
-    n = len(keys)
-    overflow = 0 if cap is None else len(mapping) + n - cap
-    if overflow >= len(mapping) and overflow > 0:
-        # Everything pre-existing is evicted, plus the head of the batch.
-        mapping.clear()
-        keep_from = max(0, n - cap)
-        keys, payloads = keys[keep_from:], payloads[keep_from:]
-    elif overflow > 0:
-        evict_oldest(mapping, len(mapping) - overflow)
-    for key, payload in zip(keys, payloads):
-        mapping[key] = payload
-    return max(0, overflow)
+def _bulk_insert(
+    mapping: Dict, cap: Optional[int], keys, distinct: bool, payloads, latest=False
+) -> int:
+    """``mapping[key] = payload`` pairwise, evicting the insertion-oldest
+    beyond ``cap``: byte-identical (contents, order, eviction count) to one
+    insert at a time.  ``payloads(start)`` builds the payloads of
+    ``keys[start:]``; with ``latest`` a present key keeps the later value, as
+    :meth:`SimulationEngine.mark` does.  Fresh keys (``distinct``, none
+    present) take the arithmetic path and build only the payloads the cap
+    keeps; a re-inserted key keeps its dict position, which arithmetic cannot
+    model, so any other batch inserts one key at a time.
+    """
+    if distinct and mapping.keys().isdisjoint(keys):
+        n = len(keys)
+        overflow = 0 if cap is None else len(mapping) + n - cap
+        keep_from = 0
+        if overflow >= len(mapping) and overflow > 0:
+            # Everything pre-existing is evicted, plus the head of the batch.
+            mapping.clear()
+            keep_from = max(0, n - cap)
+        elif overflow > 0:
+            evict_oldest(mapping, len(mapping) - overflow)
+        mapping.update(zip(keys[keep_from:], payloads(keep_from)))
+        return max(0, overflow)
+    evicted = 0
+    for key, payload in zip(keys, payloads(0)):
+        existing = mapping.get(key) if latest else None
+        if existing is None or payload > existing:
+            mapping[key] = payload
+        evicted += evict_oldest(mapping, cap)
+    return evicted

@@ -59,7 +59,8 @@ def sequential_sum(start: float, values: Sequence[float]) -> float:
     batched trace accounting must land on the byte-identical total a
     one-value-at-a-time loop produces, so the accumulation order is pinned.
     ``numpy.cumsum`` performs the same left-to-right accumulation in C and
-    is used for large batches.
+    is used for large batches.  Either way the total is a Python float when
+    ``start`` is, also for array ``values``.
     """
     n = len(values)
     if n >= _NUMPY_MIN_BATCH:
@@ -67,28 +68,10 @@ def sequential_sum(start: float, values: Sequence[float]) -> float:
         chain[0] = start
         chain[1:] = values
         return float(_np.cumsum(chain)[-1])
+    if isinstance(values, _np.ndarray):
+        values = values.tolist()
     total = start
     for value in values:
-        total += value
-    return total
-
-
-def repeated_sum(start: float, value: float, count: int) -> float:
-    """``start + value`` applied ``count`` times, in sequential IEEE order.
-
-    Repeated addition of a constant does **not** equal ``start + value *
-    count`` in floating point; steady-state replay runs add one memoized
-    value per job, so the byte-identical batched form repeats the addition.
-    """
-    if count <= 0:
-        return start
-    if count >= _NUMPY_MIN_BATCH:
-        chain = _np.empty(count + 1, dtype=_np.float64)
-        chain[0] = start
-        chain[1:] = value
-        return float(_np.cumsum(chain)[-1])
-    total = start
-    for _ in range(count):
         total += value
     return total
 
@@ -185,22 +168,6 @@ class StreamingAggregate:
     def add(self, value: float) -> None:
         self.count += 1
         self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def add_repeated(self, value: float, count: int) -> None:
-        """Byte-identical to calling :meth:`add` ``count`` times with ``value``.
-
-        The batched form of steady-state replay accounting: the total is
-        accumulated in sequential IEEE order (see :func:`repeated_sum`), and
-        min/max are order-independent.
-        """
-        if count <= 0:
-            return
-        self.count += count
-        self.total = repeated_sum(self.total, value, count)
         if value < self.min:
             self.min = value
         if value > self.max:

@@ -103,6 +103,20 @@ class TraceRecording:
     #: Engine epoch the trace was rebased onto (0.0 for a fresh service).
     epoch: float = 0.0
 
+    def fits(self, length: int) -> bool:
+        """Whether this recording can replay a trace of ``length`` arrivals:
+        one script step per arrival, each an ``int`` indexing a record, and
+        every record a :class:`ReplayRecord`."""
+        records, script = self.records, self.script
+        if not isinstance(records, list) or not isinstance(script, list):
+            return False
+        return (
+            len(script) == length
+            and set(map(type, script)) <= {int}
+            and (not script or (min(script) >= 0 and max(script) < len(records)))
+            and all(isinstance(record, ReplayRecord) for record in records)
+        )
+
 
 def trace_context_key(
     library_fingerprint: object,
@@ -268,9 +282,14 @@ class WarmStateCache:
         payload = {"store_version": store_version, "entries": list(entries)}
         return self.store("plans", self._library_key(library), payload)
 
-    def load_trace_recording(self, key: tuple) -> Optional[TraceRecording]:
+    def load_trace_recording(self, key: tuple, length: int) -> Optional[TraceRecording]:
+        """The recording under ``key`` if it :meth:`~TraceRecording.fits` a
+        trace of ``length`` arrivals; an unusable one is rejected (invalid
+        plus miss, never a hit) and the caller serves cold."""
         payload = self.load("trace", key)
-        if payload is None or isinstance(payload, TraceRecording):
+        if payload is None or (
+            isinstance(payload, TraceRecording) and payload.fits(length)
+        ):
             return payload
         self.reject()
         return None

@@ -13,11 +13,19 @@ Covers the acceptance bar for the batched-admission layer:
 
 import sys
 import time
+from dataclasses import dataclass
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from repro.admission import AdmissionConfig
-from repro.loadgen import ServiceLoadGenerator, WorkloadRegistry, default_registry
+from repro.loadgen import (
+    ServiceLoadGenerator,
+    TraceReport,
+    WorkloadRegistry,
+    default_registry,
+)
 from repro.service import AIWorkflowService
 from repro.workflows.newsfeed import newsfeed_job
 from repro.workloads.arrival import JobArrival, poisson_arrivals, uniform_arrivals
@@ -456,3 +464,141 @@ def test_vectorized_accounting_with_duplicate_job_ids(registry):
     assert _accounting_snapshot(vec_service, vectorized) == _accounting_snapshot(
         ref_service, reference
     )
+
+
+# --------------------------------------------------------------------- #
+# Caps crossed inside one replayed batch
+# --------------------------------------------------------------------- #
+
+
+#: Small stand-ins for the four caps column accounting builds tails for:
+#: latency samples, engine watermarks, service per-job records and report
+#: job summaries.  Each is above what the probes fill and below what the
+#: first replayed batch adds.
+CAPS = {"latency": 11, "watermarks": 17, "per_job": 13, "summaries": 9}
+
+
+def _assert_plain_numbers(value):
+    """No numpy scalar anywhere: every float is exactly a Python float."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _assert_plain_numbers(key)
+            _assert_plain_numbers(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _assert_plain_numbers(item)
+    else:
+        assert not isinstance(value, np.generic), f"numpy scalar {value!r}"
+        if isinstance(value, float):
+            assert type(value) is float
+
+
+@pytest.fixture
+def small_caps(monkeypatch):
+    """Shrinks the four caps and records, per vectorized batch, whether each
+    was crossed inside it (below before the batch, at the cap after)."""
+    import repro.loadgen as loadgen
+    from repro.sim.engine import SimulationEngine
+
+    @dataclass
+    class SmallCapReport(TraceReport):
+        max_job_summaries: Optional[int] = CAPS["summaries"]
+        max_latency_samples: Optional[int] = CAPS["latency"]
+
+    monkeypatch.setattr(loadgen, "TraceReport", SmallCapReport)
+    monkeypatch.setattr(SimulationEngine, "WATERMARK_CAP", CAPS["watermarks"])
+    crossed = set()
+    account_run = ServiceLoadGenerator._account_run
+
+    def spy(generator, report, slots, columns):
+        def sizes():
+            return {
+                "latency": len(report.latency_s),
+                "watermarks": len(generator.service.runtime.engine.watermarks),
+                "per_job": len(generator.service.stats.per_job),
+                "summaries": len(report.job_summaries),
+            }
+
+        before = sizes()
+        account_run(generator, report, slots, columns)
+        after = sizes()
+        rows = len(columns[0])
+        crossed.update(
+            name
+            for name, cap in CAPS.items()
+            if before[name] < cap == after[name] and before[name] + rows > cap
+        )
+
+    monkeypatch.setattr(ServiceLoadGenerator, "_account_run", spy)
+    return crossed
+
+
+def _serve_capped(registry, arrivals, mode, **options):
+    service = AIWorkflowService(**options.pop("service_options", {}))
+    report = service.submit_trace(
+        arrivals,
+        registry=registry,
+        mode=mode,
+        max_per_job_records=CAPS["per_job"],
+        **options,
+    )
+    snapshot = _accounting_snapshot(service, report)
+    _assert_plain_numbers(snapshot)
+    _assert_plain_numbers(report.latency_s)
+    service.shutdown()
+    return report, snapshot
+
+
+def _capped_arrivals(mode):
+    if mode == "multiplex":
+        from test_multiplex_fastpath import _burst_arrivals
+
+        return _burst_arrivals()
+    return poisson_arrivals(
+        rate_per_s=1.0,
+        horizon_s=120.0,
+        workloads=("newsfeed", "chain-of-thought"),
+        seed=5,
+    )
+
+
+@pytest.mark.parametrize("numpy_enabled", [True, False], ids=["numpy", "pure-python"])
+@pytest.mark.parametrize("mode", ["grouped", "multiplex"])
+def test_caps_crossed_inside_one_batch_are_byte_identical(
+    registry, monkeypatch, small_caps, mode, numpy_enabled
+):
+    if not numpy_enabled:
+        import repro.telemetry.metrics as metrics
+
+        monkeypatch.setattr(metrics, "_NUMPY_MIN_BATCH", sys.maxsize)
+    arrivals = _capped_arrivals(mode)
+    reference, ref_snapshot = _serve_capped(registry, arrivals, mode, vectorized=False)
+    assert not small_caps, "the reference path never batches"
+    vectorized, vec_snapshot = _serve_capped(registry, arrivals, mode)
+    assert small_caps == set(CAPS)
+    assert vectorized.replay_runs >= 1 and reference.replay_runs == 0
+    assert vec_snapshot == ref_snapshot
+
+
+@pytest.mark.parametrize("numpy_enabled", [True, False], ids=["numpy", "pure-python"])
+def test_caps_crossed_inside_a_warm_recording_match_the_cold_run(
+    registry, monkeypatch, small_caps, tmp_path, numpy_enabled
+):
+    if not numpy_enabled:
+        import repro.telemetry.metrics as metrics
+
+        monkeypatch.setattr(metrics, "_NUMPY_MIN_BATCH", sys.maxsize)
+    arrivals = _capped_arrivals("grouped")
+    cold, cold_snapshot = _serve_capped(
+        registry, arrivals, "grouped", service_options={"warm_cache": tmp_path}
+    )
+    small_caps.clear()
+    warm, warm_snapshot = _serve_capped(
+        registry, arrivals, "grouped", service_options={"warm_cache": tmp_path}
+    )
+    assert not cold.warm_trace and warm.warm_trace and warm.simulated_jobs == 0
+    assert small_caps == set(CAPS)
+    # Only the simulated/replayed split differs between the generations.
+    for snapshot in (cold_snapshot, warm_snapshot):
+        del snapshot["jobs"], snapshot["groups"]
+    assert warm_snapshot == cold_snapshot

@@ -10,6 +10,7 @@ pre-detector per-event serving behaviour.
 """
 
 import sys
+from dataclasses import replace as dataclass_replace
 
 import pytest
 
@@ -112,6 +113,33 @@ def test_multiplex_window_validation(registry):
         generator.run(arrivals, mode="grouped", multiplex_window=2)
     with pytest.raises(ValueError):
         generator.run(arrivals, mode="multiplex", multiplex_window=-1)
+
+
+def test_replayed_windows_never_clone_their_jobs(registry, monkeypatch):
+    """Only submissions run_submissions admits get a Job clone: the count
+    stays at the simulated jobs, however many windows the burst replays."""
+    import repro.loadgen as loadgen
+
+    clones = []
+
+    def counting_replace(job, **changes):
+        clones.append(changes["job_id"])
+        return dataclass_replace(job, **changes)
+
+    monkeypatch.setattr(loadgen, "dataclass_replace", counting_replace)
+    counts = {}
+    for windows in (12, 60):
+        clones.clear()
+        service = AIWorkflowService()
+        report = service.submit_trace(
+            _burst_arrivals(windows), registry=registry, mode="multiplex"
+        )
+        service.shutdown()
+        assert report.replayed_jobs == 3 * windows - report.simulated_jobs
+        templates = len(report.groups)
+        assert len(clones) <= report.simulated_jobs + templates
+        counts[windows] = len(clones)
+    assert counts[12] == counts[60]
 
 
 # --------------------------------------------------------------------- #

@@ -12,6 +12,8 @@ Covers the acceptance bar for zero-cost restarts:
   byte-identical to a never-cached service.
 """
 
+import pickle
+
 import pytest
 
 import repro.warmstate as warmstate
@@ -141,7 +143,7 @@ def test_wrong_shape_payloads_are_invalid_not_hits(tmp_path):
     cache.store("plans", cache._library_key(library), ["not", "a", "dict"])
     cache.store("trace", ("recording",), {"not": "a recording"})
     assert cache.load_plan_cache(library) is None
-    assert cache.load_trace_recording(("recording",)) is None
+    assert cache.load_trace_recording(("recording",), 0) is None
     assert (cache.hits, cache.misses, cache.invalid) == (0, 2, 2)
 
 
@@ -334,3 +336,50 @@ def test_broken_cache_directory_never_breaks_serving(tmp_path, registry):
     report = _serve(service, registry)
     assert report.jobs == 8
     assert service.warm_cache.stores == 0
+
+
+def _tamper_trace_recording(cache_dir, tamper):
+    """Rewrite the stored trace recording under its own key, through a sound
+    envelope: only the payload is unusable."""
+    cache = WarmStateCache(cache_dir)
+    [entry] = [entry for entry in cache.entries() if entry.kind == "trace"]
+    envelope = pickle.loads(entry.path.read_bytes()[len(warmstate._MAGIC) + 32 :])
+    recording = envelope["payload"]
+    tamper(recording)
+    assert cache.store("trace", envelope["key"], recording)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda recording: recording.script.pop(),
+        lambda recording: recording.records.__setitem__(
+            slice(None), ["not-a-record"] * len(recording.records)
+        ),
+        lambda recording: recording.script.__setitem__(0, len(recording.records)),
+        lambda recording: recording.script.__setitem__(0, float(recording.script[0])),
+    ],
+    ids=[
+        "script-one-step-short",
+        "records-not-replay-records",
+        "step-out-of-range",
+        "float-step",
+    ],
+)
+def test_unusable_trace_recording_is_invalid_and_serves_cold(
+    tmp_path, registry, tamper
+):
+    cold_snapshot, _ = _cold_reference(registry)
+    _serve(AIWorkflowService(warm_cache=tmp_path), registry)
+    _tamper_trace_recording(tmp_path, tamper)
+
+    clear_default_profile_store_cache()
+    service = AIWorkflowService(warm_cache=tmp_path)
+    report = _serve(service, registry)
+    assert report.warm_trace is False
+    assert report.simulated_jobs > 0
+    assert _snapshot(service, report) == cold_snapshot
+    # Profiles and plans hit; the recording loaded but could not serve the
+    # trace, so it counts as invalid (and a miss), never as a hit.
+    counters = service.warm_cache.counters()
+    assert (counters["hits"], counters["misses"], counters["invalid"]) == (2, 1, 1)
