@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-record bench-smoke perfbench-smoke examples-smoke overload-smoke warm-smoke lint ci
+.PHONY: test bench bench-record bench-smoke perfbench-smoke perfbench-ab examples-smoke overload-smoke warm-smoke lint ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -54,6 +54,16 @@ perfbench-smoke:
 ## admitted jobs, and the captured trace must replay byte-identically.
 overload-smoke:
 	$(PYTHON) scripts/overload_gauntlet.py
+
+## A/B one perfbench metric between a parent revision (git worktree in a
+## temporary directory) and the working tree: alternating pairs, one seed per
+## pair, no bytecode cache; prints medians, quartiles, wins and the verdict,
+## and fails if a sim_* metric or served_frac differs within a seed.  Slow
+## (two full perfbench runs per pair), so not part of ci.  Override AB_ARGS,
+## e.g. make perfbench-ab AB_ARGS="--workload interactive --parent HEAD~1".
+AB_ARGS ?= --workload fidelity --pairs 10 --seconds 25
+perfbench-ab:
+	$(PYTHON) scripts/perfbench_ab.py $(AB_ARGS)
 
 ## Cold -> warm identity through the CLI: `repro loadtest --report-json`
 ## twice on a fresh temporary --warm-cache directory, single-engine and with

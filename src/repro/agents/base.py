@@ -42,6 +42,12 @@ class AgentInterface(enum.Enum):
     CALCULATION = "calculation"
     TEXT_GENERATION = "text_generation"
 
+    # Members compare by identity, so the identity hash is consistent with
+    # equality and skips ``Enum.__hash__`` (a Python-level call) on the
+    # per-task dict lookups keyed by interface.  No output depends on hash
+    # values: string hashing already differs per process.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

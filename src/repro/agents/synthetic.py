@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,15 +19,28 @@ def stable_hash(*parts: object) -> int:
     """A deterministic 64-bit hash of the string rendering of ``parts``.
 
     Python's built-in ``hash`` is randomised per process for strings, so we
-    use blake2b to keep synthetic outputs reproducible across runs.
+    use blake2b to keep synthetic outputs reproducible across runs.  The
+    digest depends only on ``"|".join(str(p) for p in parts)``, so that
+    rendered string is also the memo key (see :func:`_digest`).
     """
-    digest = hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=8)
+    return _digest("|".join(str(p) for p in parts))
+
+
+@lru_cache(maxsize=65536)
+def _digest(rendered: str) -> int:
+    """blake2b of a rendered key, memoized: multiplexed clones of one job
+    hash the same transcripts and object lists on every task."""
+    digest = hashlib.blake2b(rendered.encode(), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 
 
 def stable_fraction(*parts: object) -> float:
     """A deterministic float in [0, 1) derived from ``parts``."""
-    return (stable_hash(*parts) % 10_000_000) / 10_000_000.0
+    return _fraction("|".join(str(p) for p in parts))
+
+
+def _fraction(rendered: str) -> float:
+    return (_digest(rendered) % 10_000_000) / 10_000_000.0
 
 
 def stable_subset(items: Sequence[str], keep_fraction: float, *seed_parts: object) -> List[str]:
@@ -36,15 +49,29 @@ def stable_subset(items: Sequence[str], keep_fraction: float, *seed_parts: objec
     Used to model lossy agents: an object detector with quality 0.9 recovers
     ~90% of the ground-truth objects, and always the *same* 90% for the same
     input.
+
+    Item ``i`` is kept when ``stable_fraction(items[i], i, *seed_parts) <
+    keep_fraction``.  Which indices are kept is memoized, keyed on the
+    *rendered* items and seed parts, never on the raw arguments: ``1``,
+    ``1.0`` and ``True`` are equal as keys but render as different strings
+    and so keep different subsets.  Every call returns a fresh list of the
+    caller's own items, so mutating it never changes a later result.
     """
     if not 0.0 <= keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must be in [0, 1]: {keep_fraction}")
-    kept = [
-        item
-        for index, item in enumerate(items)
-        if stable_fraction(item, index, *seed_parts) < keep_fraction
-    ]
-    return kept
+    items = list(items)
+    suffix = "".join("|" + str(part) for part in seed_parts)
+    kept = _kept_indices(tuple(map(str, items)), keep_fraction, suffix)
+    return [items[index] for index in kept]
+
+
+@lru_cache(maxsize=4096)
+def _kept_indices(rendered_items: Tuple[str, ...], keep_fraction: float, suffix: str) -> Tuple[int, ...]:
+    return tuple(
+        index
+        for index, item in enumerate(rendered_items)
+        if _fraction(f"{item}|{index}{suffix}") < keep_fraction
+    )
 
 
 @lru_cache(maxsize=8192)

@@ -120,6 +120,9 @@ class RescanWorkflowExecutor(WorkflowExecutor):
     def _progress(self) -> Tuple[Dict[AgentInterface, int], int]:
         return self._graph.pending_counts_by_interface(), len(self._graph.completed())
 
+    def _announce_completion(self, task: Task, now: float) -> None:
+        self._announce()
+
 
 def _stepwise_run(engine, until: Optional[float] = None, max_events: Optional[int] = None):
     """The original engine loop: peek/step method calls per event."""

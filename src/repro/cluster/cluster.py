@@ -19,6 +19,9 @@ class Cluster:
             raise ValueError(f"duplicate node ids in cluster: {ids}")
         self._by_id: Dict[str, Node] = {node.node_id: node for node in self._nodes}
         self._topology_version = 0
+        #: Memoized :attr:`total_cpu_cores`; node shapes are fixed, so only
+        #: adding or removing a node changes it.
+        self._total_cpu_cores: Optional[int] = None
 
     @property
     def topology_version(self) -> int:
@@ -47,6 +50,7 @@ class Cluster:
         self._nodes.append(node)
         self._by_id[node.node_id] = node
         self._topology_version += 1
+        self._total_cpu_cores = None
 
     def remove_node(self, node_id: str) -> Node:
         """Remove a node (scale-in / spot preemption).  It must be empty."""
@@ -56,6 +60,7 @@ class Cluster:
         self._nodes.remove(node)
         del self._by_id[node_id]
         self._topology_version += 1
+        self._total_cpu_cores = None
         return node
 
     def __len__(self) -> int:
@@ -77,7 +82,9 @@ class Cluster:
 
     @property
     def total_cpu_cores(self) -> int:
-        return sum(node.total_cpu_cores for node in self._nodes)
+        if self._total_cpu_cores is None:
+            self._total_cpu_cores = sum(node.total_cpu_cores for node in self._nodes)
+        return self._total_cpu_cores
 
     @property
     def free_cpu_cores(self) -> int:

@@ -9,8 +9,9 @@ expected, the paper's own example in §3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.allocator import (
     Allocation,
@@ -64,6 +65,11 @@ class AllocationEvent:
 class ClusterManager:
     """Owns the cluster, serves allocations, and plans scaling decisions."""
 
+    #: Allocation events retained by :attr:`allocation_events` (oldest
+    #: evicted beyond this), so a long-lived service does not keep one record
+    #: per allocate and release forever.
+    EVENT_LOG_CAP = 4096
+
     def __init__(
         self,
         cluster: Cluster,
@@ -77,7 +83,11 @@ class ClusterManager:
         self.spot_model = spot_model
         self._instances: Dict[str, List[ModelInstance]] = {}
         self._announcements: Dict[str, WorkflowAnnouncement] = {}
-        self._events: List[AllocationEvent] = []
+        #: ``(time, kind, allocation)`` tuples; :attr:`allocation_events`
+        #: builds the :class:`AllocationEvent` records on demand.
+        self._events: Deque[Tuple[float, str, Allocation]] = deque(
+            maxlen=self.EVENT_LOG_CAP
+        )
 
     # ------------------------------------------------------------------ #
     # Time
@@ -92,19 +102,21 @@ class ClusterManager:
     def allocate(self, request: ResourceRequest) -> Optional[Allocation]:
         allocation = self.allocator.allocate(request)
         if allocation is not None:
-            self._events.append(AllocationEvent(self.now, "allocate", allocation))
+            self._events.append((self.now, "allocate", allocation))
         return allocation
 
     def release(self, allocation: Allocation) -> None:
         self.allocator.release(allocation)
-        self._events.append(AllocationEvent(self.now, "release", allocation))
+        self._events.append((self.now, "release", allocation))
 
     def can_satisfy(self, request: ResourceRequest) -> bool:
         return self.allocator.can_satisfy(request)
 
     @property
     def allocation_events(self) -> List[AllocationEvent]:
-        return list(self._events)
+        """The last :attr:`EVENT_LOG_CAP` allocate/release/reclaim events,
+        oldest first."""
+        return [AllocationEvent(*event) for event in self._events]
 
     # ------------------------------------------------------------------ #
     # Model/tool serving instances (long-lived deployments)
@@ -186,7 +198,7 @@ class ClusterManager:
         reclaimed = self.allocator.reclaim_node(node_id)
         now = self.now
         for allocation in reclaimed:
-            self._events.append(AllocationEvent(now, "reclaim", allocation))
+            self._events.append((now, "reclaim", allocation))
         self.cluster.remove_node(node_id)
         return reclaimed, lost_instances
 

@@ -81,7 +81,7 @@ class ScalingCommand:
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass
 class WorkflowAnnouncement:
     """Orchestrator -> cluster manager: DAG visibility for one workflow.
 
@@ -90,6 +90,13 @@ class WorkflowAnnouncement:
     the manager can anticipate when demand for an agent ends (the paper's
     example: reclaim Whisper's GPU for Llama once no Speech-to-Text work is
     expected).
+
+    The record is mutable: :class:`~repro.core.execution.WorkflowExecutor`
+    announces one record when it starts and then updates it in place on
+    every task completion (``timestamp`` and ``completed_tasks`` are
+    overwritten, and an ``upcoming_demand`` entry is decremented and
+    removed when it reaches zero, so the remaining keys keep their order).
+    A reader that needs a snapshot must copy it.
     """
 
     workflow_id: str

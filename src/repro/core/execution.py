@@ -40,7 +40,7 @@ from repro.core.dag import TaskGraph
 from repro.core.planner import ExecutionPlan, PlanAssignment, PlanningError
 from repro.core.task import Task, TaskState
 from repro.sim.engine import SimulationEngine
-from repro.sim.trace import ExecutionTrace
+from repro.sim.trace import ExecutionTrace, TraceInterval
 
 #: Display categories used for Figure-3-style timelines.
 DISPLAY_CATEGORIES: Dict[AgentInterface, str] = {
@@ -60,7 +60,10 @@ DISPLAY_CATEGORIES: Dict[AgentInterface, str] = {
 
 def display_category(interface: AgentInterface) -> str:
     """Human-readable timeline category for an interface."""
-    return DISPLAY_CATEGORIES.get(interface, interface.value.replace("_", " ").title())
+    category = DISPLAY_CATEGORIES.get(interface)
+    if category is None:
+        category = interface.value.replace("_", " ").title()
+    return category
 
 
 class ExecutionError(RuntimeError):
@@ -276,6 +279,11 @@ class WorkflowExecutor:
         self.results: Dict[str, AgentResult] = {}
         self._graph: Optional[TaskGraph] = None
         self._lanes: Dict[AgentInterface, List[_Lane]] = {}
+        #: Every lane of ``_lanes``, flattened in the same order.
+        self._all_lanes: List[_Lane] = []
+        #: The record announced to the cluster manager at start and updated
+        #: in place on every completion (see :meth:`_announce_completion`).
+        self._announcement: Optional[WorkflowAnnouncement] = None
         self._order_index: Dict[str, int] = {}
         self._global_active = 0
         self._retry_scheduled = False
@@ -405,6 +413,7 @@ class WorkflowExecutor:
                     _Lane(assignment=assignment, implementation=implementation, server=server)
                 )
             self._lanes[interface] = lanes
+        self._all_lanes = [lane for lanes in self._lanes.values() for lane in lanes]
 
     def _begin(self) -> None:
         self.started_at = self.engine.now
@@ -455,22 +464,25 @@ class WorkflowExecutor:
             return
         assert self._graph is not None
         ready = self._take_ready()
-        ready.sort(key=lambda task: self._order_index[task.task_id])
+        if len(ready) > 1:
+            order_index = self._order_index
+            ready.sort(key=lambda task: order_index[task.task_id])
         for task in ready:
             lanes = self._lanes[task.interface]
-            lane = min(lanes, key=lambda l: l.backlog())
-            lane.queue.append(task)
-            lane.queue.sort(key=lambda t: self._order_index[t.task_id])
+            lane = lanes[0] if len(lanes) == 1 else min(lanes, key=_Lane.backlog)
+            self._enqueue(lane, task)
             task.mark(TaskState.READY)
+        # Pumping a lane with an empty queue is a no-op, so only lanes with
+        # queued work are visited.
         made_progress = False
-        for lanes in self._lanes.values():
-            for lane in lanes:
+        for lane in self._all_lanes:
+            if lane.queue:
                 made_progress |= self._pump(lane)
         if (
             not made_progress
             and self._global_active == 0
             and not self._is_complete()
-            and not any(lane.queue for lanes in self._lanes.values() for lane in lanes)
+            and not any(lane.queue for lane in self._all_lanes)
         ):
             # Nothing queued, nothing running, graph unfinished: every ready
             # task was just queued and none can become ready without a
@@ -478,6 +490,16 @@ class WorkflowExecutor:
             raise self._execution_error(
                 f"workflow {self.workflow_id!r} deadlocked: no runnable tasks remain"
             )
+
+    def _enqueue(self, lane: _Lane, task: Task) -> None:
+        """Queue ``task`` on ``lane``, keeping the queue in topological order."""
+        queue = lane.queue
+        queue.append(task)
+        order_index = self._order_index
+        # Tasks mostly become ready in topological order: re-sort only when
+        # the new task does not sort after the previous tail.
+        if len(queue) > 1 and order_index[queue[-2].task_id] > order_index[task.task_id]:
+            queue.sort(key=lambda t: order_index[t.task_id])
 
     def _execution_error(self, message: str) -> ExecutionError:
         error = ExecutionError(message)
@@ -501,10 +523,11 @@ class WorkflowExecutor:
     def _pump(self, lane: _Lane) -> bool:
         """Start as many queued tasks on ``lane`` as capacity allows."""
         started = False
-        while lane.queue and lane.has_capacity():
-            if self.sequential and self._global_active > 0:
-                break
-            if self.sequential and not self._is_next_in_order(lane.queue[0]):
+        queue = lane.queue
+        while queue and lane.has_capacity():
+            if self.sequential and (
+                self._global_active > 0 or not self._is_next_in_order(queue[0])
+            ):
                 break
             if lane.server is not None and lane.server.dead:
                 # The instance behind this handle is gone (node loss, or
@@ -518,7 +541,7 @@ class WorkflowExecutor:
                         self._retry_scheduled = True
                         self.engine.schedule(self.ALLOCATION_RETRY_S, self._retry_dispatch)
                     break
-            task = lane.queue[0]
+            task = queue[0]
             allocation: Optional[Allocation] = None
             if lane.server is None:
                 cpu_cores = lane.assignment.config.cpu_cores
@@ -541,16 +564,17 @@ class WorkflowExecutor:
                         self._retry_scheduled = True
                         self.engine.schedule(self.ALLOCATION_RETRY_S, self._retry_dispatch)
                     break
-            lane.queue.pop(0)
+            queue.pop(0)
             self._start_task(task, lane, allocation)
             started = True
+        server = lane.server
         if (
-            lane.queue
-            and lane.server is not None
-            and not lane.server.has_capacity()
-            and self not in lane.server.waiters
+            queue
+            and server is not None
+            and not server.has_capacity()
+            and self not in server.waiters
         ):
-            lane.server.waiters.append(self)
+            server.waiters.append(self)
         return started
 
     #: Upper bound on consecutive allocation retries before declaring the
@@ -625,8 +649,7 @@ class WorkflowExecutor:
             # node's reclaim already revoked it.
             task.requeue()
             task.mark(TaskState.READY)
-            lane.queue.append(task)
-            lane.queue.sort(key=lambda t: self._order_index[t.task_id])
+            self._enqueue(lane, task)
             self.requeued_tasks += 1
             affected = True
         for lanes in self._lanes.values():
@@ -714,15 +737,17 @@ class WorkflowExecutor:
     def _start_task(self, task: Task, lane: _Lane, allocation: Optional[Allocation]) -> None:
         assignment = lane.assignment
         estimate = lane.implementation.estimate(task.work, assignment.config, assignment.mode)
+        now = self.engine.now
         transfer_s = 0.0
         if self.fabric is not None:
-            transfer_s = self._absorb_transfers(task, lane, allocation)
+            transfer_s = self._absorb_transfers(task, lane, allocation, now)
         task.mark(TaskState.RUNNING)
-        task.started_at = self.engine.now + transfer_s
+        task.started_at = now + transfer_s
         self._retry_count = 0
         lane.active += 1
-        if lane.server is not None:
-            lane.server.active += 1
+        server = lane.server
+        if server is not None:
+            server.active += 1
         self._global_active += 1
         # The residual transfer wait folds into the task's single completion
         # event, so attaching a fabric adds no engine events at all.
@@ -732,7 +757,7 @@ class WorkflowExecutor:
         self._inflight[task.task_id] = (event, task, lane, allocation)
 
     def _absorb_transfers(
-        self, task: Task, lane: _Lane, allocation: Optional[Allocation]
+        self, task: Task, lane: _Lane, allocation: Optional[Allocation], now: float
     ) -> float:
         """Account ``task``'s costed input transfers; return the residual wait.
 
@@ -753,10 +778,10 @@ class WorkflowExecutor:
             dest = ""
         if not dest:
             return 0.0
-        now = self.engine.now
         ready_at = now
+        output_sites = self._output_sites
         for pred in self._graph.predecessors(task.task_id):
-            site = self._output_sites.get(pred.task_id)
+            site = output_sites.get(pred.task_id)
             if site is None:
                 continue
             src_node, payload_bytes, available_at = site
@@ -797,11 +822,13 @@ class WorkflowExecutor:
     ) -> None:
         assert self._graph is not None
         self._inflight.pop(task.task_id, None)
-        task.finished_at = self.engine.now
-        self._record_trace(task, lane, allocation, estimate)
+        now = self.engine.now
+        task.finished_at = now
+        server = lane.server
+        self._record_trace(task, lane, allocation, estimate, now)
         if self.fabric is not None:
-            if lane.server is not None:
-                site_node = lane.server.node_id
+            if server is not None:
+                site_node = server.node_id
             elif allocation is not None:
                 site_node = allocation.node_id
             else:
@@ -810,19 +837,20 @@ class WorkflowExecutor:
                 self._output_sites[task.task_id] = (
                     site_node,
                     lane.implementation.output_payload_bytes,
-                    self.engine.now,
+                    now,
                 )
 
         merged_work = self._compose_work(task)
-        result = lane.implementation.execute(merged_work, lane.assignment.config, lane.assignment.mode)
+        assignment = lane.assignment
+        result = lane.implementation.execute(merged_work, assignment.config, assignment.mode)
         self.results[task.task_id] = result
         task.mark(TaskState.COMPLETED)
 
         lane.active -= 1
-        if lane.server is not None:
-            lane.server.active -= 1
-            if lane.server.waiters:
-                self._notify_server_waiters(lane.server)
+        if server is not None:
+            server.active -= 1
+            if server.waiters:
+                self._notify_server_waiters(server)
         self._global_active -= 1
         if allocation is not None:
             self.cluster_manager.release(allocation)
@@ -837,9 +865,9 @@ class WorkflowExecutor:
                 self._ready_pool.append(successor)
 
         if self.announce:
-            self._announce()
+            self._announce_completion(task, now)
         if self._is_complete():
-            self.finished_at = self.engine.now
+            self.finished_at = now
             if self.announce:
                 self.cluster_manager.retract_workflow(self.workflow_id)
             self.engine.mark(self.workflow_id)
@@ -857,37 +885,46 @@ class WorkflowExecutor:
         lane: _Lane,
         allocation: Optional[Allocation],
         estimate: ExecutionEstimate,
+        now: float,
     ) -> None:
         if lane.server is not None:
-            gpu_ids = lane.server.gpu_ids
-            node_id = lane.server.node_id
+            held = lane.server.instance.allocation
+            gpu_ids = held.gpu_ids
+            node_id = held.node_id
             cpu_cores = lane.assignment.config.cpu_cores
+        elif allocation is not None:
+            gpu_ids = allocation.gpu_ids
+            node_id = allocation.node_id
+            cpu_cores = allocation.cpu_cores
         else:
-            gpu_ids = allocation.gpu_ids if allocation else ()
-            node_id = allocation.node_id if allocation else ""
-            cpu_cores = allocation.cpu_cores if allocation else lane.assignment.config.cpu_cores
-        self.trace.add(
-            task_id=task.task_id,
-            task_name=task.description,
-            category=display_category(task.interface),
-            start=task.started_at if task.started_at is not None else self.engine.now,
-            end=self.engine.now,
-            node_id=node_id,
-            gpu_ids=tuple(gpu_ids),
-            cpu_cores=cpu_cores,
-            gpu_utilization=estimate.gpu_utilization,
-            cpu_utilization=estimate.cpu_utilization,
-            metadata={
-                "agent": lane.assignment.agent_name,
-                "stage": task.stage,
-                "workflow": self.workflow_id,
-            },
+            gpu_ids = ()
+            node_id = ""
+            cpu_cores = lane.assignment.config.cpu_cores
+        self.trace.record(
+            TraceInterval(
+                task_id=task.task_id,
+                task_name=task.description,
+                category=display_category(task.interface),
+                start=task.started_at if task.started_at is not None else now,
+                end=now,
+                node_id=node_id,
+                gpu_ids=tuple(gpu_ids),
+                cpu_cores=cpu_cores,
+                gpu_utilization=estimate.gpu_utilization,
+                cpu_utilization=estimate.cpu_utilization,
+                metadata={
+                    "agent": lane.assignment.agent_name,
+                    "stage": task.stage,
+                    "workflow": self.workflow_id,
+                },
+            )
         )
 
     def _announce(self) -> None:
+        """Announce a fresh record of this workflow's DAG and progress."""
         assert self._graph is not None
         pending, completed = self._progress()
-        announcement = WorkflowAnnouncement(
+        self._announcement = WorkflowAnnouncement(
             workflow_id=self.workflow_id,
             timestamp=self.engine.now,
             upcoming_demand={
@@ -897,7 +934,27 @@ class WorkflowExecutor:
             total_tasks=len(self._graph),
             critical_path=tuple(self._graph.stage_order()),
         )
-        self.cluster_manager.announce_workflow(announcement)
+        self.cluster_manager.announce_workflow(self._announcement)
+
+    def _announce_completion(self, task: Task, now: float) -> None:
+        """Bring the announced record up to date after ``task`` completed.
+
+        Updates the record in place instead of building a new one: the
+        timestamp and completed count are overwritten, and the task's demand
+        entry is decremented, or removed when it reaches zero.  Pending
+        counts only fall, so the remaining keys keep the order a fresh
+        :meth:`_announce` would give them.  The record is re-registered, so
+        the last announcer of a workflow id wins, as with a fresh record.
+        """
+        record = self._announcement
+        record.timestamp = now
+        record.completed_tasks = self._completed_count
+        remaining = self._pending_by_interface[task.interface]
+        if remaining > 0:
+            record.upcoming_demand[task.interface.value] = remaining
+        else:
+            record.upcoming_demand.pop(task.interface.value, None)
+        self.cluster_manager.announce_workflow(record)
 
     # ------------------------------------------------------------------ #
     # Dataflow composition

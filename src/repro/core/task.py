@@ -19,9 +19,25 @@ class TaskState(enum.Enum):
     FAILED = "failed"
     CANCELLED = "cancelled"
 
+    # Members compare by identity, so the identity hash is consistent with
+    # equality and skips ``Enum.__hash__`` (a Python-level call) on the hot
+    # dict and set lookups that key on task states.
+    __hash__ = object.__hash__
+
     @property
     def is_terminal(self) -> bool:
         return self in (TaskState.COMPLETED, TaskState.FAILED, TaskState.CANCELLED)
+
+
+#: Rank of each forward lifecycle state; a task never moves to a lower rank.
+#: FAILED and CANCELLED are unranked: a task may enter them from any state,
+#: and may leave them for any state.
+_FORWARD_RANK = {
+    TaskState.PENDING: 0,
+    TaskState.READY: 1,
+    TaskState.RUNNING: 2,
+    TaskState.COMPLETED: 3,
+}
 
 
 @dataclass
@@ -75,16 +91,8 @@ class Task:
 
     def mark(self, state: TaskState) -> None:
         """Advance the task's state (no backwards transitions)."""
-        order = [
-            TaskState.PENDING,
-            TaskState.READY,
-            TaskState.RUNNING,
-            TaskState.COMPLETED,
-        ]
-        if state in (TaskState.FAILED, TaskState.CANCELLED):
-            self.state = state
-            return
-        if self.state in order and order.index(state) < order.index(self.state):
+        current = _FORWARD_RANK.get(self.state)
+        if current is not None and _FORWARD_RANK.get(state, current) < current:
             raise ValueError(
                 f"cannot move task {self.task_id} from {self.state} back to {state}"
             )

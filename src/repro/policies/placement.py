@@ -83,6 +83,9 @@ class WorkflowAwarePolicy(PlacementPolicy):
     ) -> Optional[Node]:
         if not candidates:
             return None
+        if len(candidates) == 1:
+            # Colocated or not, best-fit over one candidate picks it.
+            return candidates[0]
         owner_nodes = {a.node_id for a in active if a.owner == request.owner}
         colocated: List[Node] = [n for n in candidates if n.node_id in owner_nodes]
         if colocated:

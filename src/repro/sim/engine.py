@@ -30,7 +30,7 @@ class SimulationEngine:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._clock.now
+        return self._clock._now
 
     @property
     def events_fired(self) -> int:

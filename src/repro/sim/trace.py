@@ -13,9 +13,16 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceInterval:
-    """One task execution interval on a set of resources."""
+    """One task execution interval on a set of resources.
+
+    Treat an interval as a value: traces share interval objects (a merged
+    trace holds its executors' intervals), so nothing may mutate one after
+    it is recorded.  It is not ``frozen`` because a frozen ``__init__`` sets
+    every field through ``object.__setattr__``, about three times the cost
+    of this one, and every executed task records an interval.
+    """
 
     task_id: str
     task_name: str

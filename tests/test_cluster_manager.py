@@ -134,3 +134,44 @@ def test_announcement_progress_property():
     announcement = WorkflowAnnouncement("wf", 0.0, completed_tasks=5, total_tasks=10)
     assert announcement.progress == 0.5
     assert WorkflowAnnouncement("wf", 0.0).progress == 0.0
+
+
+def _served_allocation_events(cap):
+    """Serve a short multiplex newsfeed trace with the event log capped at
+    ``cap`` (``None``: unbounded) and return the retained log."""
+    from unittest import mock
+
+    from repro.service import AIWorkflowService
+    from repro.workloads.arrival import uniform_arrivals
+
+    with mock.patch.object(ClusterManager, "EVENT_LOG_CAP", cap):
+        service = AIWorkflowService()
+        try:
+            service.submit_trace(
+                uniform_arrivals(count=6, interval_s=0.5, workloads=("newsfeed",)),
+                mode="multiplex",
+            )
+        finally:
+            service.shutdown()
+    return service.runtime.cluster_manager.allocation_events
+
+
+def test_allocation_event_log_keeps_exactly_the_tail_of_an_unbounded_log():
+    unbounded = _served_allocation_events(None)
+    bounded = _served_allocation_events(16)
+    assert len(unbounded) > 16
+    assert bounded == unbounded[-16:]
+    assert {event.kind for event in unbounded} >= {"allocate", "release"}
+
+
+def test_allocation_event_log_is_bounded_by_default():
+    manager, current = _manager()
+    request = ResourceRequest(owner="w", cpu_cores=1)
+    for step in range(ClusterManager.EVENT_LOG_CAP):
+        current["now"] = float(step)
+        manager.release(manager.allocate(request))
+    events = manager.allocation_events
+    assert isinstance(events, list)
+    assert len(events) == ClusterManager.EVENT_LOG_CAP
+    assert (events[0].time, events[0].kind) == (ClusterManager.EVENT_LOG_CAP / 2, "allocate")
+    assert (events[-1].time, events[-1].kind) == (ClusterManager.EVENT_LOG_CAP - 1.0, "release")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import string
 
 import numpy as np
@@ -13,7 +14,12 @@ from repro.agents.base import AgentInterface, ExecutionMode, HardwareConfig, Wor
 from repro.agents.calculator import evaluate_expression
 from repro.agents.speech_to_text import WhisperSTT
 from repro.agents.summarizer import NvlmSummarizer
-from repro.agents.synthetic import stable_embedding, stable_fraction, stable_subset
+from repro.agents.synthetic import (
+    stable_embedding,
+    stable_fraction,
+    stable_hash,
+    stable_subset,
+)
 from repro.agents.vectordb import VectorCollection, VectorRecord
 from repro.core.constraints import Constraint, ConstraintSet
 from repro.core.dag import TaskGraph
@@ -199,6 +205,80 @@ def test_stable_subset_is_subset_and_deterministic(items, fraction):
     assert subset == stable_subset(items, fraction, "seed")
     assert stable_subset(items, 1.0, "seed") == list(items)
     assert stable_subset(items, 0.0, "seed") == []
+
+
+def _uncached_hash(*parts):
+    digest = hashlib.blake2b("|".join(str(p) for p in parts).encode(), digest_size=8)
+    return int.from_bytes(digest.digest(), "big")
+
+
+def _uncached_fraction(*parts):
+    return (_uncached_hash(*parts) % 10_000_000) / 10_000_000.0
+
+
+def _uncached_subset(items, keep_fraction, *seed_parts):
+    return [
+        item
+        for index, item in enumerate(items)
+        if _uncached_fraction(item, index, *seed_parts) < keep_fraction
+    ]
+
+
+#: Parts that are equal as dict keys but render differently (1, 1.0, True,
+#: ...), mixed with arbitrary values.
+_mixed_parts = st.lists(
+    st.one_of(
+        st.sampled_from([1, 1.0, True, 0, 0.0, False, "1", "1.0", "True", -0.0]),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.text(max_size=6),
+    ),
+    max_size=4,
+)
+_keep_fractions = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0, 1, True]))
+
+
+@given(_mixed_parts, st.lists(_mixed_parts, min_size=1, max_size=4), _keep_fractions)
+def test_memoized_synthetic_helpers_equal_an_uncached_reference(items, seeds, keep_fraction):
+    for seed in seeds + seeds[::-1]:
+        assert stable_hash(*seed) == _uncached_hash(*seed)
+        assert stable_fraction(*seed) == _uncached_fraction(*seed)
+        kept = stable_subset(items, keep_fraction, *seed)
+        assert kept == _uncached_subset(items, keep_fraction, *seed)
+        assert [type(item) for item in kept] == [
+            type(item) for item in _uncached_subset(items, keep_fraction, *seed)
+        ]
+
+
+@given(
+    st.permutations([1, 1.0, True]),
+    st.lists(st.sampled_from(["x", "y", "z", "w", 1, 1.0, True]), max_size=8),
+)
+def test_keys_that_compare_equal_but_render_differently_stay_apart(order, items):
+    for seed in order:
+        for other in (seed, "tail"):
+            assert stable_hash(seed, other) == _uncached_hash(seed, other)
+            assert stable_fraction(other, seed) == _uncached_fraction(other, seed)
+            assert stable_subset(items, 0.5, seed, other) == _uncached_subset(
+                items, 0.5, seed, other
+            )
+
+
+def test_stable_subset_keeps_one_and_one_point_zero_apart():
+    items = ["x", "y", "z", "w"]
+    assert stable_subset(items, 0.5, 1) == ["x", "y", "z"]
+    assert stable_subset(items, 0.5, 1.0) == ["x"]
+    assert stable_subset(items, 0.5, 1) == ["x", "y", "z"]
+
+
+@given(st.lists(_words, max_size=12), st.floats(min_value=0.0, max_value=1.0), _words)
+def test_mutating_a_returned_subset_never_changes_a_later_result(items, fraction, seed):
+    first = stable_subset(items, fraction, seed)
+    expected = list(first)
+    first.append("intruder")
+    first.reverse()
+    assert stable_subset(items, fraction, seed) == expected
+    assert stable_subset(items, fraction, seed) is not stable_subset(items, fraction, seed)
 
 
 @given(_words)
