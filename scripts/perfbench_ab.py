@@ -176,18 +176,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--metric", default="jobs_per_s")
     parser.add_argument(
-        "--better", choices=("higher", "lower"),
-        help="direction of --metric (default: as BENCHMARK.json declares it)",
+        "--metric", default="jobs_per_s",
+        help="an end-to-end metric of BENCHMARK.json; its direction comes from there",
     )
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    declared = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    better = args.better or declared.get(args.metric)
-    if better is None:
-        parser.error(f"{args.metric!r} is not in BENCHMARK.json; pass --better")
-    higher = better == "higher"
+    declared = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if args.metric not in declared:
+        parser.error(
+            f"{args.metric!r} is not an end-to-end metric of BENCHMARK.json "
+            f"(one of: {', '.join(sorted(declared))})"
+        )
+    higher = declared[args.metric] == "higher"
 
     # A terminated run still removes its worktree (the finally below).
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))

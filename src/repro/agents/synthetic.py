@@ -20,16 +20,12 @@ def stable_hash(*parts: object) -> int:
 
     Python's built-in ``hash`` is randomised per process for strings, so we
     use blake2b to keep synthetic outputs reproducible across runs.  The
-    digest depends only on ``"|".join(str(p) for p in parts)``, so that
-    rendered string is also the memo key (see :func:`_digest`).
+    digest depends only on ``"|".join(str(p) for p in parts)``.
     """
     return _digest("|".join(str(p) for p in parts))
 
 
-@lru_cache(maxsize=65536)
 def _digest(rendered: str) -> int:
-    """blake2b of a rendered key, memoized: multiplexed clones of one job
-    hash the same transcripts and object lists on every task."""
     digest = hashlib.blake2b(rendered.encode(), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 

@@ -94,12 +94,7 @@ class Node:
 
     def can_fit(self, gpus: int, cpu_cores: int) -> bool:
         """Whether a request for ``gpus`` GPUs and ``cpu_cores`` cores fits."""
-        # free_gpu_count and free_cpu_cores, inlined: every allocation
-        # attempt asks this of every candidate node.
-        return (
-            len(self._free_gpu_slots) >= gpus
-            and self.total_cpu_cores - self._allocated_cpu_total >= cpu_cores
-        )
+        return self.free_gpu_count >= gpus and self.free_cpu_cores >= cpu_cores
 
     # ------------------------------------------------------------------ #
     # Allocation bookkeeping (driven by the Allocator)

@@ -144,15 +144,12 @@ class EnergyAccountant:
             provisioned_gpus * self.gpu_power.idle_w * duration / JOULES_PER_WH
         )
         for interval in trace:
-            # Inlined TraceInterval.overlaps and .gpu_count (same arithmetic):
-            # this loop runs once per executed task.
-            overlap = max(0.0, min(interval.end, end) - max(interval.start, start))
+            overlap = interval.overlaps(start, end)
             if overlap <= 0.0:
                 continue
-            gpu_count = len(interval.gpu_ids)
-            if gpu_count > 0:
+            if interval.gpu_count > 0:
                 dynamic_w = self.gpu_power.dynamic_power(interval.gpu_utilization)
-                joules = gpu_count * dynamic_w * overlap
+                joules = interval.gpu_count * dynamic_w * overlap
                 category = interval.category
                 breakdown.dynamic_wh_by_category[category] = (
                     breakdown.dynamic_wh_by_category.get(category, 0.0)

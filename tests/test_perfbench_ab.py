@@ -112,3 +112,16 @@ def test_end_to_end_rows_flag_only_a_worsening_beyond_the_bound():
     assert rows["peak_rss_mb"]["beyond_bound"]
     assert rows["setup_s"]["worse"] == pytest.approx(-0.05 / 0.45)
     assert not rows["setup_s"]["beyond_bound"]
+
+
+def test_metric_must_be_end_to_end_and_is_rejected_before_any_run(monkeypatch, capsys):
+    def no_worktree(parent):
+        raise AssertionError("no run may start for a rejected metric")
+
+    monkeypatch.setattr(perfbench_ab, "_add_worktree", no_worktree)
+    with pytest.raises(SystemExit) as exit_info:
+        perfbench_ab.main(["--workload", "fidelity", "--metric", "sim.engine.self_s"])
+    assert exit_info.value.code == 2
+    assert "not an end-to-end metric" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        perfbench_ab.main(["--workload", "fidelity", "--better", "higher"])
