@@ -16,7 +16,8 @@ from repro.llm.models import get_model_spec
 from repro.llm.serving import LlmRequest, LlmServingSimulator
 from repro.profiling.profiler import Profiler
 from repro.sim.engine import SimulationEngine
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.video_understanding import video_understanding_spec
 from repro.workloads.video import paper_videos
 
 
@@ -30,7 +31,11 @@ def test_profiling_the_full_library(benchmark, library):
 def test_job_decomposition_overhead(benchmark):
     """DAG creation from the declarative job (paper: <1% of execution time)."""
     decomposer = JobDecomposer()
-    job = video_understanding_job(videos=paper_videos(), job_id="bench-decompose")
+    job = compile_spec(
+        video_understanding_spec(),
+        inputs=paper_videos(),
+        job_id="bench-decompose",
+    )
 
     graph, trace = benchmark(lambda: decomposer.decompose(job))
     benchmark.extra_info["tasks"] = len(graph)
@@ -42,7 +47,11 @@ def test_job_decomposition_overhead(benchmark):
 def test_configuration_search_overhead(benchmark, library, profile_store):
     """Greedy configuration search across the Table-1 levers."""
     decomposer = JobDecomposer()
-    job = video_understanding_job(videos=paper_videos(), job_id="bench-plan")
+    job = compile_spec(
+        video_understanding_spec(),
+        inputs=paper_videos(),
+        job_id="bench-plan",
+    )
     graph, _ = decomposer.decompose(job)
     planner = ConfigurationPlanner(profile_store, library)
     constraint_set = ConstraintSet((MIN_COST,), quality_floor=0.93)
@@ -90,7 +99,7 @@ def test_end_to_end_murakkab_submission(benchmark):
 
     def run_once():
         runtime = MurakkabRuntime()
-        return runtime.submit(video_understanding_job(job_id="bench-e2e"))
+        return runtime.submit(compile_spec(video_understanding_spec(), job_id="bench-e2e"))
 
     result = benchmark.pedantic(run_once, rounds=2, iterations=1)
     benchmark.extra_info["simulated_makespan_s"] = round(result.makespan_s, 1)
@@ -112,7 +121,8 @@ def test_repeated_murakkab_submission(benchmark):
 
     def construct_and_submit():
         runtime = MurakkabRuntime()
-        return runtime.submit(video_understanding_job(videos=videos, job_id="bench-repeat"))
+        job = compile_spec(video_understanding_spec(), inputs=videos, job_id="bench-repeat")
+        return runtime.submit(job)
 
     construct_and_submit()  # pay the one-time profiling cost outside the timer
     result = benchmark.pedantic(construct_and_submit, rounds=20, warmup_rounds=2, iterations=1)

@@ -29,10 +29,8 @@ from repro.core.decomposer import JobDecomposer
 from repro.core.planner import ConfigurationPlanner
 from repro.core.quality import cascade_quality
 from repro.core.quality_control import QualityController, plan_checkpoints
-from repro.workflows.video_understanding import (
-    video_understanding_job,
-    video_understanding_spec,
-)
+from repro.spec import compile_spec
+from repro.workflows.video_understanding import video_understanding_spec
 
 
 class WhisperV4(_BaseSTT):
@@ -67,7 +65,7 @@ def quality_control(client: MurakkabClient) -> None:
     print()
     print("=== Quality control (cost/quality trade-offs, checkpoints) ===")
     runtime = client.service.runtime
-    job = video_understanding_job(job_id="aiwaas-quality")
+    job = compile_spec(video_understanding_spec(), job_id="aiwaas-quality")
     graph, _ = JobDecomposer().decompose(job)
     planner = ConfigurationPlanner(runtime.profile_store, runtime.library)
     cheap_plan = planner.plan(graph, ConstraintSet((MIN_COST,), quality_floor=0.0))

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from repro import MurakkabRuntime, TenantSubmission, run_submissions
 from repro.experiments.multitenant import run_multitenant
-from repro.workflows.newsfeed import newsfeed_job
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.newsfeed import newsfeed_spec
+from repro.workflows.video_understanding import video_understanding_spec
 
 
 def main() -> None:
@@ -24,8 +25,14 @@ def main() -> None:
     report = run_submissions(
         MurakkabRuntime(),
         [
-            TenantSubmission(arrival_time=0.0, job=video_understanding_job(job_id="workflow-a")),
-            TenantSubmission(arrival_time=5.0, job=newsfeed_job(user="Alice", job_id="workflow-b")),
+            TenantSubmission(
+                arrival_time=0.0,
+                job=compile_spec(video_understanding_spec(), job_id="workflow-a"),
+            ),
+            TenantSubmission(
+                arrival_time=5.0,
+                job=compile_spec(newsfeed_spec(user="Alice"), job_id="workflow-b"),
+            ),
         ]
     )
     for job_id, result in report.job_results.items():

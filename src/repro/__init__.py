@@ -100,7 +100,6 @@ from repro.spec import (
 )
 from repro.workflows.video_understanding import (
     omagent_imperative_workflow,
-    video_understanding_job,
     video_understanding_spec,
 )
 
@@ -178,7 +177,6 @@ __all__ = [
     "register_bundle",
     "resolve_bundle",
     "pinned_bundle",
-    "video_understanding_job",
     "video_understanding_spec",
     "omagent_imperative_workflow",
     "__version__",

@@ -295,9 +295,9 @@ def capture_trace(
     """Serve ``arrivals`` on ``service`` and record a replayable capture.
 
     Returns ``(capture, report)``.  ``admission`` defaults to the service's
-    installed config (mirroring :meth:`ServiceLoadGenerator.run`); every
-    workload in the trace must be spec-registered, because the capture
-    embeds the serialized specs for environment-independent replay.
+    installed config (mirroring :meth:`ServiceLoadGenerator.run`); the
+    capture embeds the serialized spec of every workload in the trace for
+    environment-independent replay.
     ``mode`` selects the serving path (``"grouped"`` or ``"multiplex"``);
     it is recorded in the capture, with the ``multiplex_window`` option, so
     replay serves the same way.
@@ -313,17 +313,10 @@ def capture_trace(
     config = admission_of(
         admission if admission is not None else getattr(service, "admission", None)
     )
-    workloads = sorted({arrival.workload for arrival in arrivals})
-    specs: Dict[str, dict] = {}
-    for workload in workloads:
-        spec = registry.spec(workload)
-        if spec is None:
-            raise CaptureError(
-                f"workload {workload!r} is factory-registered; captures "
-                "require spec-registered workloads (register_spec) so the "
-                "capture can embed a replayable definition"
-            )
-        specs[workload] = spec.to_dict()
+    specs = {
+        workload: registry.spec(workload).to_dict()
+        for workload in sorted({arrival.workload for arrival in arrivals})
+    }
 
     entries: List[QoEEntry] = []
     generator = ServiceLoadGenerator(service)

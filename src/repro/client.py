@@ -225,9 +225,9 @@ class Session:
                 registry = self._client.registry
                 if workload in registry and inputs is None:
                     if constraints is None and quality_target is None:
-                        # Unmodified registered workload: use the registry
-                        # factory, which shares the inputs it materialized
-                        # once at registration instead of regenerating.
+                        # Unmodified registered workload: the registry
+                        # compiles it with the inputs it materialized once
+                        # at registration instead of regenerating them.
                         spec = registry.spec(workload)
                         job = registry.build(workload, job_id or self._job_id())
                         return JobHandle(
@@ -292,13 +292,7 @@ class Session:
             return workload
         name = str(workload)
         if name in self._client.registry:
-            spec = self._client.registry.spec(name)
-            if spec is None:
-                raise ValueError(
-                    f"workload {name!r} is registered without a spec; "
-                    "submit it via submit_trace or register it with register_spec"
-                )
-            return spec
+            return self._client.registry.spec(name)
         if not name.split(None, 1)[1:]:
             # No whitespace: this reads as a workload name, not a job
             # description — fail loudly rather than run the wrong pipeline.

@@ -209,9 +209,6 @@ class ClusterManager:
     def total_deployed_gpus(self) -> int:
         return sum(i.gpus for insts in self._instances.values() for i in insts)
 
-    def total_deployed_cpu_cores(self) -> int:
-        return sum(i.cpu_cores for insts in self._instances.values() for i in insts)
-
     # ------------------------------------------------------------------ #
     # Telemetry towards the orchestrator
     # ------------------------------------------------------------------ #

@@ -23,10 +23,6 @@ class GpuDevice:
     spec: GpuSpec
     allocated_to: Optional[str] = None
 
-    @property
-    def is_free(self) -> bool:
-        return self.allocated_to is None
-
 
 class Node:
     """A VM with a fixed complement of GPUs and CPU cores."""

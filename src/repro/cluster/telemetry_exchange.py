@@ -44,14 +44,6 @@ class ResourceStatsMessage:
     #: cluster does not have.
     gpus_by_generation: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def idle_gpus(self) -> int:
-        return self.free_gpus
-
-    @property
-    def idle_cpu_cores(self) -> int:
-        return self.free_cpu_cores
-
     def planning_digest(self) -> Tuple:
         """Hashable digest of the fields configuration planning reads.
 
@@ -112,6 +104,3 @@ class WorkflowAnnouncement:
         if self.total_tasks == 0:
             return 0.0
         return self.completed_tasks / self.total_tasks
-
-    def demand_for(self, agent_name: str) -> int:
-        return self.upcoming_demand.get(agent_name, 0)

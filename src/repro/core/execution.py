@@ -725,15 +725,6 @@ class WorkflowExecutor:
         next_task = min(pending, key=lambda t: self._order_index[t.task_id])
         return next_task.task_id == task.task_id
 
-    def _any_other_active_or_pending(self, lane: _Lane) -> bool:
-        for lanes in self._lanes.values():
-            for other in lanes:
-                if other is lane:
-                    continue
-                if other.active > 0 or other.queue:
-                    return True
-        return False
-
     def _start_task(self, task: Task, lane: _Lane, allocation: Optional[Allocation]) -> None:
         assignment = lane.assignment
         estimate = lane.implementation.estimate(task.work, assignment.config, assignment.mode)

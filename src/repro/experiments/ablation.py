@@ -19,8 +19,9 @@ from repro.core.planner import PlannerOverride
 from repro.core.runtime import MurakkabRuntime
 from repro.experiments.configs import paper_quality_target, stt_override
 from repro.policies import PolicyBundle, get_bundle, pinned_bundle
+from repro.spec import compile_spec
 from repro.telemetry.reporting import render_table
-from repro.workflows.video_understanding import video_understanding_job
+from repro.workflows.video_understanding import video_understanding_spec
 from repro.workloads.video import SyntheticVideo, paper_videos
 
 
@@ -78,10 +79,12 @@ def _murakkab_result(
     videos: Sequence[SyntheticVideo], bundle: PolicyBundle, label: str
 ) -> JobResult:
     runtime = MurakkabRuntime(policy=bundle)
-    job = video_understanding_job(
-        videos=list(videos),
-        constraints=MIN_COST,
-        quality_target=paper_quality_target(),
+    job = compile_spec(
+        video_understanding_spec(
+            constraints=MIN_COST,
+            quality_target=paper_quality_target(),
+        ),
+        inputs=videos,
         job_id=f"ablation-{label}",
     )
     return runtime.submit(job)

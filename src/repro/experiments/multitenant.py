@@ -16,9 +16,10 @@ from repro.core.constraints import MIN_COST
 from repro.core.multitenant import TenantSubmission, run_submissions
 from repro.core.runtime import MurakkabRuntime
 from repro.experiments.configs import paper_quality_target
+from repro.spec import compile_spec
 from repro.telemetry.metrics import average_utilization
-from repro.workflows.newsfeed import newsfeed_job
-from repro.workflows.video_understanding import video_understanding_job
+from repro.workflows.newsfeed import newsfeed_spec
+from repro.workflows.video_understanding import video_understanding_spec
 from repro.workloads.video import SyntheticVideo, paper_videos
 
 
@@ -52,13 +53,15 @@ class MultiTenantComparison:
 
 
 def _jobs(videos: Sequence[SyntheticVideo], suffix: str):
-    video_job = video_understanding_job(
-        videos=list(videos),
-        constraints=MIN_COST,
-        quality_target=paper_quality_target(),
+    video_job = compile_spec(
+        video_understanding_spec(
+            constraints=MIN_COST,
+            quality_target=paper_quality_target(),
+        ),
+        inputs=videos,
         job_id=f"tenant-a-{suffix}",
     )
-    feed_job = newsfeed_job(job_id=f"tenant-b-{suffix}")
+    feed_job = compile_spec(newsfeed_spec(), job_id=f"tenant-b-{suffix}")
     return video_job, feed_job
 
 

@@ -10,8 +10,9 @@ from repro.core.constraints import MIN_COST
 from repro.core.job import JobResult
 from repro.core.runtime import MurakkabRuntime
 from repro.experiments.configs import paper_quality_target, stt_override
+from repro.spec import compile_spec
 from repro.telemetry.energy_report import build_table2_rows, render_table2
-from repro.workflows.video_understanding import video_understanding_job
+from repro.workflows.video_understanding import video_understanding_spec
 from repro.workloads.video import SyntheticVideo, paper_videos
 
 
@@ -41,10 +42,9 @@ def _run_murakkab_config(
     quality_target: float,
 ) -> JobResult:
     runtime = MurakkabRuntime()
-    job = video_understanding_job(
-        videos=list(videos),
-        constraints=MIN_COST,
-        quality_target=quality_target,
+    job = compile_spec(
+        video_understanding_spec(constraints=MIN_COST, quality_target=quality_target),
+        inputs=videos,
         job_id=f"video-understanding-{label}",
     )
     overrides = stt_override(stt_config) if stt_config else None

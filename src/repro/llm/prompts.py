@@ -45,16 +45,6 @@ def render_user_prompt(
     return "\n".join(lines)
 
 
-def render_tool_call_request(task_description: str, metadata: dict) -> str:
-    """Prompt asking the LLM to emit a tool call for one task."""
-    rendered_metadata = ", ".join(f"{key}={value!r}" for key, value in sorted(metadata.items()))
-    return (
-        f"Task: {task_description}\n"
-        f"Input metadata: {rendered_metadata}\n"
-        "Emit a single tool call invoking the most suitable agent."
-    )
-
-
 def estimate_token_count(text: str) -> int:
     """Crude token estimate (~0.75 tokens per word) used for cost accounting."""
     words = len(text.split())

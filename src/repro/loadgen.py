@@ -3,10 +3,13 @@
 :class:`ServiceLoadGenerator` serves a whole arrival trace
 (:class:`~repro.workloads.arrival.JobArrival` schedules — Poisson, uniform,
 bursty, diurnal, from ``repro.workloads.arrival``) on the service's **one
-shared** :class:`~repro.sim.engine.SimulationEngine`, in one of two modes:
+shared** :class:`~repro.sim.engine.SimulationEngine`.  Every arrival names
+a workload of a :class:`WorkloadRegistry`: a declarative
+:class:`~repro.spec.ir.WorkflowSpec` whose inputs were materialized once, so
+all jobs of one workload are identical by construction.  Two modes:
 
 * ``mode="grouped"`` (default, the throughput path) serves jobs FIFO
-  through the standard submission path, grouped by ``(workload template,
+  through the standard submission path, grouped by ``(workload,
   constraints, quality_target)``; a single-job trace is byte-identical to
   ``submit()``.
 * ``mode="multiplex"`` (the fidelity path) admits every job at its arrival
@@ -61,6 +64,7 @@ from repro.core.job import Job, JobResult
 from repro.core.multitenant import TenantSubmission
 from repro.core.planner import PlanningError
 from repro.sim.energy import EnergyBreakdown
+from repro.spec.compiler import check_spec, compile_spec, materialize_inputs
 from repro.telemetry.metrics import (
     StreamingAggregate,
     ThroughputMeter,
@@ -101,85 +105,59 @@ class UnknownWorkloadError(KeyError):
 
 
 class WorkloadRegistry:
-    """Named workload templates: ``workload name -> Job factory``.
+    """Named workloads, each a declarative
+    :class:`~repro.spec.ir.WorkflowSpec` with its inputs materialized once.
 
-    A factory takes a ``job_id`` and returns a fully formed
-    :class:`~repro.core.job.Job`.  Factories must be deterministic per name
-    (same description, inputs, tasks, constraints, and quality target every
-    call) — that is what makes jobs of one workload *compatible* and lets the
+    :meth:`register_spec` validates a spec eagerly and materializes its
+    input source into a tuple every job of the workload shares, so jobs of
+    one workload are identical by construction — the property that lets the
     load generator reuse one plan and one steady-state record per group.
-    The generator verifies this signature on every simulated job and falls
-    back to full simulation for workloads that violate it.
-
-    The preferred registration surface is :meth:`register_spec`: a
-    declarative :class:`~repro.spec.ir.WorkflowSpec` is validated eagerly,
-    its inputs are materialized once (so every job of the workload shares
-    them — the determinism contract above holds by construction), and the
-    spec stays retrievable via :meth:`spec` for capture/replay.
+    The spec stays retrievable via :meth:`spec` for capture/replay.
     """
 
     def __init__(self) -> None:
-        self._factories: Dict[str, Callable[[str], Job]] = {}
-        self._specs: Dict[str, object] = {}
-        self._inputs: Dict[str, list] = {}
-
-    def register(self, name: str, factory: Callable[[str], Job]) -> None:
-        if not name:
-            raise ValueError("workload name must be non-empty")
-        self._factories[name] = factory
-        self._specs.pop(name, None)
-        self._inputs.pop(name, None)
+        self._entries: Dict[str, Tuple[object, Tuple[object, ...]]] = {}
 
     def register_spec(self, spec, name: str = "") -> str:
         """Register a declarative workflow spec as a named workload.
 
         Validates eagerly (structural checks plus the decomposition
-        cross-check), materializes the spec's input source once, and
-        registers a compile factory sharing those inputs.  Returns the
-        registered name (``spec.name`` unless overridden).
+        cross-check) and materializes the spec's input source once.
+        Returns the registered name (``spec.name`` unless overridden).
         """
-        from repro.spec.compiler import check_spec, compile_spec, materialize_inputs
-
         check_spec(spec)
         name = name or spec.name
         if not name:
             raise ValueError("workload name must be non-empty")
-        inputs = materialize_inputs(spec)
-        self._factories[name] = lambda job_id: compile_spec(
-            spec, inputs=inputs, job_id=job_id
-        )
-        self._specs[name] = spec
-        self._inputs[name] = inputs
+        self._entries[name] = (spec, tuple(materialize_inputs(spec)))
         return name
 
     def names(self) -> List[str]:
-        return sorted(self._factories)
+        return sorted(self._entries)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._factories
+        return name in self._entries
+
+    def _entry(self, name: str) -> Tuple[object, Tuple[object, ...]]:
+        try:
+            return self._entries[name]
+        except KeyError:
+            raise UnknownWorkloadError(name, self.names()) from None
 
     def spec(self, name: str):
         """The :class:`~repro.spec.ir.WorkflowSpec` behind a registered
-        workload, or ``None`` for factories registered without one."""
-        if name not in self._factories:
-            raise UnknownWorkloadError(name, self.names())
-        return self._specs.get(name)
+        workload."""
+        return self._entry(name)[0]
 
-    def materialized_inputs(self, name: str):
-        """The input corpus materialized once at :meth:`register_spec` time
-        (``None`` for factories registered without a spec), so callers
-        compiling variants of a registered spec can share it instead of
-        regenerating the corpus per job."""
-        if name not in self._factories:
-            raise UnknownWorkloadError(name, self.names())
-        return self._inputs.get(name)
+    def materialized_inputs(self, name: str) -> Tuple[object, ...]:
+        """The input corpus materialized once at :meth:`register_spec` time,
+        so callers compiling variants of a registered spec can share it
+        instead of regenerating the corpus per job."""
+        return self._entry(name)[1]
 
     def build(self, name: str, job_id: str) -> Job:
-        try:
-            factory = self._factories[name]
-        except KeyError:
-            raise UnknownWorkloadError(name, self.names()) from None
-        return factory(job_id)
+        spec, inputs = self._entry(name)
+        return compile_spec(spec, inputs=inputs, job_id=job_id)
 
 
 def default_registry() -> WorkloadRegistry:
@@ -342,7 +320,6 @@ class GroupState:
     """Per-(workload, constraints, quality_target) admission-group state."""
 
     workload: str
-    signature: Optional[tuple] = None
     #: The confirmed slot every further job of the group replays, valid only
     #: under :attr:`steady_context`, and its index in the sink's slot table.
     steady: Optional[_ReplaySlot] = None
@@ -354,9 +331,6 @@ class GroupState:
     last_observation: Optional[tuple] = None
     simulated: int = 0
     replayed: int = 0
-    #: Set when the factory broke its determinism contract; the group is
-    #: then always fully simulated.
-    unstable: bool = False
     #: Index of the steady record in the trace recording being captured
     #: (``None`` when no recording is active for this steady state).
     steady_record: Optional[int] = None
@@ -977,20 +951,11 @@ class _TraceRun:
             self.collector(record)
 
     def _workload_slo(self, workload: str) -> Tuple[str, Optional[float]]:
-        """The (priority, deadline_s) a workload's spec declares.
-
-        Factory-registered workloads carry no spec: they are served at the
-        default priority, best effort (the config's default deadline still
-        applies after admission).
-        """
+        """The (priority, deadline_s) a workload's spec declares."""
         slo = self._slo.get(workload)
         if slo is None:
             spec = self.registry.spec(workload)
-            if spec is not None:
-                slo = (spec.priority, spec.deadline_s)
-            else:
-                slo = (DEFAULT_PRIORITY, None)
-            self._slo[workload] = slo
+            slo = self._slo[workload] = (spec.priority, spec.deadline_s)
         return slo
 
     def build_job(self, entry: _Entry) -> Job:
@@ -998,36 +963,23 @@ class _TraceRun:
 
         A degraded entry compiles the degraded-quality variant of its
         workload, once per run and sharing the workload's materialized
-        inputs, so degraded jobs stay deterministic per workload.  A
-        factory-registered workload has no spec to recompile; its
-        "degraded" variant is the original job.
+        inputs, so degraded jobs stay deterministic per workload.
         """
         if entry.outcome != "degrade":
             return self.registry.build(entry.workload, entry.job_id)
         variant = self._degraded.get(entry.workload)
         if variant is None:
-            spec = self.registry.spec(entry.workload)
-            if spec is None:
-                variant = (None, None)
-            else:
-                config = self.controller.config
-                overrides: Dict[str, object] = {
-                    "quality_target": config.degraded_quality
-                }
-                if config.degraded_constraint is not None:
-                    from repro.core.constraints import Constraint
+            config = self.controller.config
+            overrides: Dict[str, object] = {"quality_target": config.degraded_quality}
+            if config.degraded_constraint is not None:
+                from repro.core.constraints import Constraint
 
-                    overrides["constraints"] = Constraint(config.degraded_constraint)
-                variant = (
-                    spec.with_overrides(**overrides),
-                    self.registry.materialized_inputs(entry.workload),
-                )
-            self._degraded[entry.workload] = variant
+                overrides["constraints"] = Constraint(config.degraded_constraint)
+            variant = self._degraded[entry.workload] = (
+                self.registry.spec(entry.workload).with_overrides(**overrides),
+                self.registry.materialized_inputs(entry.workload),
+            )
         spec, inputs = variant
-        if spec is None:
-            return self.registry.build(entry.workload, entry.job_id)
-        from repro.spec.compiler import compile_spec
-
         return compile_spec(spec, inputs=inputs, job_id=entry.job_id)
 
 
@@ -1315,7 +1267,6 @@ class ServiceLoadGenerator:
             if service_start > engine.now:
                 engine.run(until=service_start)
             job = run.build_job(entry) if tracks else registry.build(key, job_id)
-            self._check_signature(group, job)
             try:
                 result = service.submit_job(job)
             except (ExecutionError, PlanningError) as error:
@@ -1346,11 +1297,6 @@ class ServiceLoadGenerator:
                     result.makespan_s,
                     result.quality,
                 )
-            if group.unstable:
-                # Non-deterministic factories never replay identically; drop
-                # the recording rather than persist a wrong one.
-                recording = None
-                continue
             slot = _ReplaySlot.of(result)
             if recording is not None:
                 recording.records.append(
@@ -1390,12 +1336,8 @@ class ServiceLoadGenerator:
         context: tuple,
         epoch: float,
     ) -> Optional[tuple]:
-        """The exact-match cache key for recording/replaying this trace.
-
-        Returns ``None`` when the trace has no content identity — a workload
-        registered from a bare factory has no spec digest, so its recording
-        could not be validated against a restarted process.
-        """
+        """The exact-match cache key for recording/replaying this trace, or
+        ``None`` when a costed fabric makes recordings unsafe."""
         runtime = self.service.runtime
         fabric = getattr(runtime, "fabric", None)
         if fabric is not None and not fabric.is_zero_cost():
@@ -1406,15 +1348,10 @@ class ServiceLoadGenerator:
             # proven differentially — so its recordings are safely shared.)
             return None
         workload_sequence = tuple(workloads)
-        spec_digests = []
-        for name in sorted(set(workload_sequence)):
-            if name not in registry:
-                return None
-            spec = registry.spec(name)
-            digest = getattr(spec, "digest", None) if spec is not None else None
-            if digest is None:
-                return None
-            spec_digests.append((name, digest()))
+        spec_digests = tuple(
+            (name, registry.spec(name).digest())
+            for name in sorted(set(workload_sequence))
+        )
         cluster_fingerprint = tuple(
             (
                 node.node_id,
@@ -1429,7 +1366,7 @@ class ServiceLoadGenerator:
             library_fingerprint=runtime.library.fingerprint(),
             policy_fingerprint=policy_fingerprint,
             workload_sequence=workload_sequence,
-            spec_digests=tuple(spec_digests),
+            spec_digests=spec_digests,
             cluster_fingerprint=cluster_fingerprint,
             pool_signature=pool_signature,
             store_version=store_version,
@@ -1488,22 +1425,6 @@ class ServiceLoadGenerator:
     def _pool_signature(self) -> Tuple[Tuple[str, str], ...]:
         pool = getattr(self.service, "_pool", None)
         return pool.signature() if pool is not None else ()
-
-    @staticmethod
-    def _check_signature(group: GroupState, job: Job) -> None:
-        signature = (
-            job.description,
-            tuple(job.tasks),
-            job.constraint_set(),
-            job.quality_target,
-            id(job.inputs) if not isinstance(job.inputs, (list, tuple)) else None,
-            tuple(id(item) for item in job.inputs),
-        )
-        if group.signature is None:
-            group.signature = signature
-        elif group.signature != signature:
-            group.unstable = True
-            group.steady = None
 
     # ------------------------------------------------------------------ #
     # Multiplexed (full shared-engine interleaving) serving
@@ -1749,9 +1670,6 @@ class ServiceLoadGenerator:
             owner.energy_wh.add_sequence(energies)
             owner.cost.add_sequence(costs)
             owner.quality.add_sequence(qualities)
-        stats.total_makespan_s = sequential_sum(stats.total_makespan_s, makespans)
-        stats.total_energy_wh = sequential_sum(stats.total_energy_wh, energies)
-        stats.total_cost = sequential_sum(stats.total_cost, costs)
         moving = [row for row, slot in enumerate(slots) if slot.transfer is not None]
         if moving:
             # The reference's per-result += in job order, over the rows whose

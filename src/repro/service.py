@@ -52,9 +52,6 @@ class ServiceStats:
     """
 
     jobs_completed: int = 0
-    total_energy_wh: float = 0.0
-    total_cost: float = 0.0
-    total_makespan_s: float = 0.0
     per_job: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Cap on retained per-job records (``None`` keeps every record).
     max_per_job_records: Optional[int] = None
@@ -74,6 +71,18 @@ class ServiceStats:
     cross_rack_bytes: int = 0
     transfer_s: float = 0.0
     transfer_wh: float = 0.0
+
+    @property
+    def total_makespan_s(self) -> float:
+        return self.makespan_s.total
+
+    @property
+    def total_energy_wh(self) -> float:
+        return self.energy_wh.total
+
+    @property
+    def total_cost(self) -> float:
+        return self.cost.total
 
     @property
     def mean_makespan_s(self) -> float:
@@ -109,9 +118,6 @@ class ServiceStats:
         :attr:`shards`.  Returns ``self`` so merges chain.
         """
         self.jobs_completed += other.jobs_completed
-        self.total_energy_wh += other.total_energy_wh
-        self.total_cost += other.total_cost
-        self.total_makespan_s += other.total_makespan_s
         self.transfer_events += other.transfer_events
         self.transferred_bytes += other.transferred_bytes
         self.cross_rack_bytes += other.cross_rack_bytes
@@ -167,9 +173,6 @@ class ServiceStats:
 
     def record(self, result: JobResult) -> None:
         self.jobs_completed += 1
-        self.total_energy_wh += result.energy_wh
-        self.total_cost += result.cost
-        self.total_makespan_s += result.makespan_s
         if result.transfer_events:
             self.transfer_events += result.transfer_events
             self.transferred_bytes += result.transferred_bytes

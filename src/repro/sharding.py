@@ -603,24 +603,12 @@ class ShardedService:
 
         The spec IR is the unit of dispatch: workers rebuild the workload
         (validation, input materialization — deterministic per spec) from
-        JSON.  Workloads registered from bare factories have no serialized
-        form and cannot cross a process boundary.
+        JSON.
         """
-        from repro.loadgen import UnknownWorkloadError
-
-        payload: Dict[str, str] = {}
-        for name in sorted({arrival.workload for arrival in subset}):
-            if name not in registry:
-                raise UnknownWorkloadError(name, registry.names())
-            spec = registry.spec(name)
-            if spec is None:
-                raise ValueError(
-                    f"workload {name!r} is registered without a spec; "
-                    "backend='process' ships workloads as spec JSON — "
-                    "register it with register_spec or use backend='inline'"
-                )
-            payload[name] = spec.to_json()
-        return payload
+        return {
+            name: registry.spec(name).to_json()
+            for name in sorted({arrival.workload for arrival in subset})
+        }
 
     # ------------------------------------------------------------------ #
     # Merged accounting and telemetry

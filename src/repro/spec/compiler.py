@@ -12,7 +12,7 @@ check that needs the orchestrator: a *decomposition cross-check* proving
 the declared stages and edges survive lowering (the orchestrator produces
 every declared stage, and every declared edge is realised as a dataflow
 dependency).  The check runs once per spec digest and is memoized, so
-registry factories can compile per-arrival without re-deriving it.
+the workload registry can compile per-arrival without re-deriving it.
 """
 
 from __future__ import annotations
@@ -195,8 +195,9 @@ def compile_spec(
 ) -> Job:
     """Lower a validated spec to an executable :class:`Job`.
 
-    ``inputs`` overrides the spec's declared input source (the legacy
-    factories' escape hatch); ``None`` materializes the declared source.
+    ``inputs`` overrides the spec's declared input source (a corpus the
+    caller already holds, such as the one a registry materialized once);
+    ``None`` materializes the declared source.
     The returned job carries the spec's content digest, which namespaces
     the planner's cached decisions per spec.
     """

@@ -4,8 +4,10 @@
 The declarative API lives in :mod:`repro.spec` and is re-exported here:
 :class:`WorkflowBuilder` authors a serializable :class:`WorkflowSpec`, and
 :func:`compile_spec` lowers it to an executable job.  Each shipped workload
-is defined once as a spec (``*_spec``); the ``*_job`` factories are thin
-compile shims kept for legacy call sites.
+is defined as a spec (``*_spec``); ``compile_spec(<name>_spec(...),
+inputs=..., job_id=...)`` turns one into a job, and
+:meth:`~repro.loadgen.WorkloadRegistry.register_spec` makes it a named
+workload of the serving stack.
 """
 
 from repro.spec import SpecError, WorkflowBuilder, WorkflowSpec, compile_spec
@@ -18,15 +20,11 @@ from repro.workflows.imperative import (
 )
 from repro.workflows.video_understanding import (
     omagent_imperative_workflow,
-    video_understanding_job,
     video_understanding_spec,
 )
-from repro.workflows.newsfeed import newsfeed_job, newsfeed_spec
-from repro.workflows.document_qa import document_qa_job, document_qa_spec
-from repro.workflows.chain_of_thought import (
-    chain_of_thought_job,
-    chain_of_thought_spec,
-)
+from repro.workflows.newsfeed import newsfeed_spec
+from repro.workflows.document_qa import document_qa_spec
+from repro.workflows.chain_of_thought import chain_of_thought_spec
 
 __all__ = [
     "Tool",
@@ -38,13 +36,9 @@ __all__ = [
     "WorkflowBuilder",
     "WorkflowSpec",
     "compile_spec",
-    "video_understanding_job",
     "video_understanding_spec",
     "omagent_imperative_workflow",
-    "newsfeed_job",
     "newsfeed_spec",
-    "document_qa_job",
     "document_qa_spec",
-    "chain_of_thought_job",
     "chain_of_thought_spec",
 ]

@@ -4,10 +4,9 @@ Used by the Table-1 "Execution Paths" lever experiments: allocating more
 resources lets the runtime explore additional reasoning paths in parallel,
 raising answer quality at higher cost and power (§3.2 "Execution Paths").
 
-The workload is defined once as a declarative :class:`WorkflowSpec`
-(:func:`chain_of_thought_spec`); :func:`chain_of_thought_job` is a thin
-compile shim kept for the legacy factory call sites, proven byte-identical
-differentially in ``tests/test_spec_compile.py``.
+The workload is defined as a declarative :class:`WorkflowSpec`
+(:func:`chain_of_thought_spec`); ``compile_spec(chain_of_thought_spec())``
+lowers it to a job.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from __future__ import annotations
 from typing import Union
 
 from repro.core.constraints import Constraint, ConstraintSet, MAX_QUALITY
-from repro.core.job import Job
-from repro.spec import WorkflowBuilder, WorkflowSpec, compile_spec
+from repro.spec import WorkflowBuilder, WorkflowSpec
 
 
 def chain_of_thought_spec(
@@ -37,17 +35,3 @@ def chain_of_thought_spec(
     if quality_target:
         builder.quality(quality_target)
     return builder.build()
-
-
-def chain_of_thought_job(
-    question: str = "Which speech-to-text configuration minimises energy for 16 scenes?",
-    constraints: Union[Constraint, ConstraintSet] = MAX_QUALITY,
-    quality_target: float = 0.9,
-    job_id: str = "",
-) -> Job:
-    """A single-question reasoning job whose quality benefits from multiple
-    parallel reasoning paths; compiled from its spec."""
-    spec = chain_of_thought_spec(
-        question=question, constraints=constraints, quality_target=quality_target
-    )
-    return compile_spec(spec, job_id=job_id)

@@ -4,19 +4,17 @@ This exercises the embedding -> vector database -> question answering slice
 of the agent library on text inputs (no video substrate involved), the kind
 of "unstructured analytics" workload the paper cites as related work.
 
-The workload is defined once as a declarative :class:`WorkflowSpec`
-(:func:`document_qa_spec`); :func:`document_qa_job` is a thin compile shim
-kept for the legacy factory call sites, proven byte-identical
-differentially in ``tests/test_spec_compile.py``.
+The workload is defined as a declarative :class:`WorkflowSpec`
+(:func:`document_qa_spec`); ``compile_spec(document_qa_spec(),
+inputs=documents)`` lowers it to a job over a caller's own corpus.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.core.constraints import Constraint, ConstraintSet, MIN_COST
-from repro.core.job import Job
-from repro.spec import WorkflowBuilder, WorkflowSpec, compile_spec
+from repro.spec import WorkflowBuilder, WorkflowSpec
 
 
 def document_qa_spec(
@@ -40,17 +38,3 @@ def document_qa_spec(
     if quality_target:
         builder.quality(quality_target)
     return builder.build()
-
-
-def document_qa_job(
-    question: str = "Which documents discuss energy efficiency?",
-    documents: Optional[Sequence[dict]] = None,
-    constraints: Union[Constraint, ConstraintSet] = MIN_COST,
-    quality_target: float = 0.8,
-    job_id: str = "",
-) -> Job:
-    """The declarative document-QA job, compiled from its spec."""
-    spec = document_qa_spec(
-        question=question, constraints=constraints, quality_target=quality_target
-    )
-    return compile_spec(spec, inputs=documents, job_id=job_id)

@@ -4,19 +4,17 @@
 posts relevant to the user, then generate the personalised feed text.  This
 is the second tenant used in the multi-tenant experiments.
 
-The workload is defined once as a declarative :class:`WorkflowSpec`
-(:func:`newsfeed_spec`); :func:`newsfeed_job` is a thin compile shim kept
-for the legacy factory call sites, proven byte-identical differentially in
-``tests/test_spec_compile.py``.
+The workload is defined as a declarative :class:`WorkflowSpec`
+(:func:`newsfeed_spec`); ``compile_spec(newsfeed_spec(), inputs=posts)``
+lowers it to a job over a caller's own posts.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.core.constraints import Constraint, ConstraintSet, MIN_COST
-from repro.core.job import Job
-from repro.spec import WorkflowBuilder, WorkflowSpec, compile_spec
+from repro.spec import WorkflowBuilder, WorkflowSpec
 
 
 def newsfeed_spec(
@@ -43,15 +41,3 @@ def newsfeed_spec(
     if quality_target:
         builder.quality(quality_target)
     return builder.build()
-
-
-def newsfeed_job(
-    posts: Optional[Sequence[dict]] = None,
-    user: str = "Alice",
-    constraints: Union[Constraint, ConstraintSet] = MIN_COST,
-    quality_target: float = 0.85,
-    job_id: str = "",
-) -> Job:
-    """The declarative newsfeed-generation job, compiled from its spec."""
-    spec = newsfeed_spec(user=user, constraints=constraints, quality_target=quality_target)
-    return compile_spec(spec, inputs=posts, job_id=job_id)

@@ -1,13 +1,12 @@
 """The Video Understanding workflow (paper §2, §4; derived from OmAgent).
 
-Three forms are provided:
+Two forms are provided:
 
 * :func:`video_understanding_spec` — the declarative, serializable
   :class:`WorkflowSpec` form ("List objects shown/mentioned in the videos",
   the Listing-2 sub-task hints as declared stages, a constraint block);
-* :func:`video_understanding_job` — a thin compile shim over the spec kept
-  for the legacy factory call sites, proven byte-identical differentially
-  in ``tests/test_spec_compile.py``;
+  ``compile_spec(video_understanding_spec(), inputs=videos)`` lowers it to
+  a job over a caller's own videos;
 * :func:`omagent_imperative_workflow` — the imperative Listing-1 form used as
   the baseline, with every model, resource amount, and hyperparameter pinned
   (OpenCV on CPUs, Whisper on one GPU, CLIP on CPUs, NVLM on 8 GPUs for text
@@ -17,14 +16,12 @@ Three forms are provided:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro import calibration
 from repro.agents.base import AgentInterface
 from repro.core.constraints import Constraint, ConstraintSet, MIN_COST
-from repro.core.job import Job
-from repro.spec import WorkflowBuilder, WorkflowSpec, compile_spec
-from repro.workloads.video import SyntheticVideo
+from repro.spec import WorkflowBuilder, WorkflowSpec
 from repro.workflows.imperative import ImperativeWorkflow, LLM, MLModel, Tool
 
 #: Quality floor used throughout the paper-reproduction experiments: high
@@ -70,20 +67,6 @@ def video_understanding_spec(
     if quality_target:
         builder.quality(quality_target)
     return builder.build()
-
-
-def video_understanding_job(
-    videos: Optional[Sequence[Union[SyntheticVideo, dict, str]]] = None,
-    constraints: Union[Constraint, ConstraintSet] = MIN_COST,
-    quality_target: float = PAPER_QUALITY_TARGET,
-    description: str = PAPER_JOB_DESCRIPTION,
-    job_id: str = "",
-) -> Job:
-    """The declarative Video Understanding job, compiled from its spec."""
-    spec = video_understanding_spec(
-        constraints=constraints, quality_target=quality_target, description=description
-    )
-    return compile_spec(spec, inputs=videos, job_id=job_id)
 
 
 def omagent_imperative_workflow(name: str = "omagent-baseline") -> ImperativeWorkflow:

@@ -189,19 +189,6 @@ def test_divergence_is_detected():
     assert "entries" in diff_captures(capture, mutated)
 
 
-def test_capture_requires_spec_registered_workloads():
-    registry = WorkloadRegistry()
-    registry.register("factory-made", lambda job_id: None)
-    service = AIWorkflowService()
-    with pytest.raises(CaptureError):
-        capture_trace(
-            service,
-            [JobArrival(arrival_time=0.0, workload="factory-made")],
-            registry=registry,
-        )
-    service.shutdown()
-
-
 def test_capture_without_admission_still_records():
     """The QoE collector composes with an uncontrolled service: every
     arrival is an admit and the capture still replays identically."""

@@ -26,7 +26,8 @@ from repro.cluster.node import Node
 from repro.cluster.spot import SpotCapacityModel, SpotInstance
 from repro.cluster.telemetry_exchange import ScalingAction, WorkflowAnnouncement
 from repro.sim.engine import SimulationEngine
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.video_understanding import video_understanding_spec
 from repro.workloads.arrival import poisson_arrivals
 
 
@@ -340,7 +341,7 @@ def test_scale_out_respects_max_nodes():
 def recovery_runs(videos_module):
     videos = videos_module
     baseline = MurakkabRuntime().submit(
-        video_understanding_job(videos=videos, job_id="job")
+        compile_spec(video_understanding_spec(), inputs=videos, job_id="job")
     )
     runtime = MurakkabRuntime()
     dynamics = runtime.attach_dynamics(
@@ -348,7 +349,9 @@ def recovery_runs(videos_module):
             failures=FailureModel(failures=[NodeFailure(time=5.0, node_id="node0")])
         )
     )
-    disrupted = runtime.submit(video_understanding_job(videos=videos, job_id="job"))
+    disrupted = runtime.submit(
+        compile_spec(video_understanding_spec(), inputs=videos, job_id="job")
+    )
     return baseline, disrupted, dynamics, runtime
 
 
@@ -387,7 +390,7 @@ def test_requeued_tasks_record_retries(recovery_runs):
 def test_dynamics_free_submit_is_unchanged(recovery_runs, videos_module):
     baseline, _, _, _ = recovery_runs
     again = MurakkabRuntime().submit(
-        video_understanding_job(videos=videos_module, job_id="job")
+        compile_spec(video_understanding_spec(), inputs=videos_module, job_id="job")
     )
     assert again.makespan_s == baseline.makespan_s
     assert again.energy_wh == baseline.energy_wh

@@ -6,9 +6,10 @@ from repro import calibration
 from repro.agents.base import AgentInterface
 from repro.core.decomposer import JobDecomposer, _looks_like_video, _normalise_inputs
 from repro.core.job import Job
-from repro.workflows.document_qa import document_qa_job
-from repro.workflows.newsfeed import newsfeed_job
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.document_qa import document_qa_spec
+from repro.workflows.newsfeed import newsfeed_spec
+from repro.workflows.video_understanding import video_understanding_spec
 from repro.workloads.video import generate_videos
 
 
@@ -31,7 +32,7 @@ def test_normalise_inputs_materialises_named_videos():
 
 
 def test_video_job_expands_per_video_and_per_scene(decomposer, paper_workload):
-    job = video_understanding_job(videos=paper_workload, job_id="decomp-test")
+    job = compile_spec(video_understanding_spec(), inputs=paper_workload, job_id="decomp-test")
     graph, trace = decomposer.decompose(job)
     counts = graph.counts_by_interface()
     scenes = calibration.VIDEO_COUNT * calibration.SCENES_PER_VIDEO
@@ -46,7 +47,7 @@ def test_video_job_expands_per_video_and_per_scene(decomposer, paper_workload):
 
 
 def test_scene_tasks_depend_on_their_own_videos_extraction(decomposer, videos):
-    job = video_understanding_job(videos=videos, job_id="scene-deps")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="scene-deps")
     graph, _ = decomposer.decompose(job)
     for task in graph.tasks_by_interface(AgentInterface.SPEECH_TO_TEXT):
         predecessors = graph.predecessors(task.task_id)
@@ -56,7 +57,7 @@ def test_scene_tasks_depend_on_their_own_videos_extraction(decomposer, videos):
 
 
 def test_summarization_depends_on_same_scene_stt_and_detection(decomposer, videos):
-    job = video_understanding_job(videos=videos, job_id="sum-deps")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="sum-deps")
     graph, _ = decomposer.decompose(job)
     for task in graph.tasks_by_interface(AgentInterface.SCENE_SUMMARIZATION):
         predecessor_interfaces = {p.interface for p in graph.predecessors(task.task_id)}
@@ -71,7 +72,7 @@ def test_summarization_depends_on_same_scene_stt_and_detection(decomposer, video
 
 
 def test_vector_db_fans_in_from_all_embeddings(decomposer, videos):
-    job = video_understanding_job(videos=videos, job_id="fanin")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="fanin")
     graph, _ = decomposer.decompose(job)
     vector_db = graph.tasks_by_interface(AgentInterface.VECTOR_DB)[0]
     predecessors = graph.predecessors(vector_db.task_id)
@@ -84,7 +85,7 @@ def test_string_inputs_work_like_listing2(decomposer):
     job = Job(
         description="List objects shown/mentioned in the videos",
         inputs=["cats.mov", "formula_1.mov"],
-        tasks=video_understanding_job().tasks,
+        tasks=compile_spec(video_understanding_spec()).tasks,
         job_id="strings",
     )
     graph, _ = decomposer.decompose(job)
@@ -92,7 +93,7 @@ def test_string_inputs_work_like_listing2(decomposer):
 
 
 def test_newsfeed_job_expands_per_post(decomposer):
-    job = newsfeed_job(job_id="feed")
+    job = compile_spec(newsfeed_spec(), job_id="feed")
     graph, _ = decomposer.decompose(job)
     sentiment_tasks = graph.tasks_by_interface(AgentInterface.SENTIMENT_ANALYSIS)
     assert len(sentiment_tasks) == len(job.inputs)
@@ -102,7 +103,7 @@ def test_newsfeed_job_expands_per_post(decomposer):
 
 
 def test_document_qa_job_builds_retrieval_chain(decomposer):
-    job = document_qa_job(job_id="docs")
+    job = compile_spec(document_qa_spec(), job_id="docs")
     graph, _ = decomposer.decompose(job)
     counts = graph.counts_by_interface()
     assert counts[AgentInterface.EMBEDDING] == len(job.inputs)
@@ -113,13 +114,13 @@ def test_document_qa_job_builds_retrieval_chain(decomposer):
 
 
 def test_task_ids_are_namespaced_by_job(decomposer, videos):
-    job = video_understanding_job(videos=videos, job_id="my-job")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="my-job")
     graph, _ = decomposer.decompose(job)
     assert all(task.task_id.startswith("my-job/") for task in graph)
 
 
 def test_decomposition_graph_is_valid_dag(decomposer, videos):
-    job = video_understanding_job(videos=videos, job_id="valid")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="valid")
     graph, _ = decomposer.decompose(job)
     graph.validate()
     order = [t.task_id for t in graph.topological_order()]

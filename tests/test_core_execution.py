@@ -18,7 +18,8 @@ from repro.core.execution import (
 from repro.core.planner import ConfigurationPlanner
 from repro.core.task import TaskState
 from repro.sim.engine import SimulationEngine
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.video_understanding import video_understanding_spec
 
 QUALITY_FLOOR = 0.93
 
@@ -31,7 +32,7 @@ def _environment(library, cluster=None):
 
 
 def _plan_and_graph(library, profile_store, videos, job_id):
-    job = video_understanding_job(videos=videos, job_id=job_id)
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id=job_id)
     graph, _ = JobDecomposer().decompose(job)
     planner = ConfigurationPlanner(profile_store, library)
     plan = planner.plan(graph, ConstraintSet((MIN_COST,), quality_floor=QUALITY_FLOOR))

@@ -15,7 +15,8 @@ from repro.core.quality import (
     token_recall,
 )
 from repro.core.task import Task
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.video_understanding import video_understanding_spec
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ def mapper(library):
 
 @pytest.fixture(scope="module")
 def graph(videos):
-    job = video_understanding_job(videos=videos, job_id="mapper-graph")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="mapper-graph")
     graph, _ = JobDecomposer().decompose(job)
     return graph
 

@@ -3,13 +3,16 @@
 import pytest
 
 from repro import MurakkabRuntime, TenantSubmission, run_submissions
-from repro.workflows.newsfeed import newsfeed_job
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.newsfeed import newsfeed_spec
+from repro.workflows.video_understanding import video_understanding_spec
 
 
 def test_submission_validation(videos):
     with pytest.raises(ValueError):
-        TenantSubmission(arrival_time=-1.0, job=video_understanding_job(videos=videos))
+        TenantSubmission(
+            arrival_time=-1.0, job=compile_spec(video_understanding_spec(), inputs=videos)
+        )
     with pytest.raises(ValueError):
         run_submissions(MurakkabRuntime(), [])
 
@@ -19,8 +22,10 @@ def test_two_tenants_share_the_cluster(videos):
     report = run_submissions(
         runtime,
         [
-            TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-video")),
-            TenantSubmission(2.0, newsfeed_job(job_id="mt-feed")),
+            TenantSubmission(
+                0.0, compile_spec(video_understanding_spec(), inputs=videos, job_id="mt-video")
+            ),
+            TenantSubmission(2.0, compile_spec(newsfeed_spec(), job_id="mt-feed")),
         ]
     )
     assert set(report.job_results) == {"mt-video", "mt-feed"}
@@ -36,8 +41,10 @@ def test_multiplexing_is_no_slower_than_running_serially(videos):
     report = run_submissions(
         runtime,
         [
-            TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-a")),
-            TenantSubmission(1.0, newsfeed_job(job_id="mt-b")),
+            TenantSubmission(
+                0.0, compile_spec(video_understanding_spec(), inputs=videos, job_id="mt-a")
+            ),
+            TenantSubmission(1.0, compile_spec(newsfeed_spec(), job_id="mt-b")),
         ]
     )
     serial_total = sum(result.makespan_s for result in report.job_results.values())
@@ -49,8 +56,10 @@ def test_cluster_fully_released_after_batch(videos):
     run_submissions(
         runtime,
         [
-            TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-rel-a")),
-            TenantSubmission(0.0, newsfeed_job(job_id="mt-rel-b")),
+            TenantSubmission(
+                0.0, compile_spec(video_understanding_spec(), inputs=videos, job_id="mt-rel-a")
+            ),
+            TenantSubmission(0.0, compile_spec(newsfeed_spec(), job_id="mt-rel-b")),
         ]
     )
     assert runtime.cluster.free_gpus == runtime.cluster.total_gpus
@@ -62,8 +71,12 @@ def test_identical_video_tenants_share_serving_instances(videos):
     report = run_submissions(
         runtime,
         [
-            TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-share-a")),
-            TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-share-b")),
+            TenantSubmission(
+                0.0, compile_spec(video_understanding_spec(), inputs=videos, job_id="mt-share-a")
+            ),
+            TenantSubmission(
+                0.0, compile_spec(video_understanding_spec(), inputs=videos, job_id="mt-share-b")
+            ),
         ]
     )
     # One shared NVLM (8) + embedder (2) deployment serves both workflows, so
@@ -78,8 +91,10 @@ def test_later_arrival_starts_later(videos):
     report = run_submissions(
         runtime,
         [
-            TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-t0")),
-            TenantSubmission(30.0, newsfeed_job(job_id="mt-t30")),
+            TenantSubmission(
+                0.0, compile_spec(video_understanding_spec(), inputs=videos, job_id="mt-t0")
+            ),
+            TenantSubmission(30.0, compile_spec(newsfeed_spec(), job_id="mt-t30")),
         ]
     )
     assert report.job_results["mt-t30"].started_at >= 30.0
@@ -89,10 +104,14 @@ def test_many_tenants_share_one_engine_run(videos):
     """The coordinator generalises beyond two tenants (batched admission)."""
     runtime = MurakkabRuntime()
     submissions = [
-        TenantSubmission(float(i) * 3.0, newsfeed_job(job_id=f"mt-n{i}")) for i in range(5)
+        TenantSubmission(
+            float(i) * 3.0, compile_spec(newsfeed_spec(), job_id=f"mt-n{i}")) for i in range(5
+        )
     ]
     submissions.append(
-        TenantSubmission(1.0, video_understanding_job(videos=videos, job_id="mt-video-n"))
+        TenantSubmission(
+            1.0, compile_spec(video_understanding_spec(), inputs=videos, job_id="mt-video-n")
+        )
     )
     report = run_submissions(runtime, submissions)
     assert len(report.job_results) == 6
@@ -111,9 +130,11 @@ def test_streaming_mode_bounds_retained_state(videos):
     report = run_submissions(
         runtime,
         [
-            TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-s0")),
-            TenantSubmission(2.0, newsfeed_job(job_id="mt-s1")),
-            TenantSubmission(4.0, newsfeed_job(job_id="mt-s2")),
+            TenantSubmission(
+                0.0, compile_spec(video_understanding_spec(), inputs=videos, job_id="mt-s0")
+            ),
+            TenantSubmission(2.0, compile_spec(newsfeed_spec(), job_id="mt-s1")),
+            TenantSubmission(4.0, compile_spec(newsfeed_spec(), job_id="mt-s2")),
         ],
         collect_traces=False,
         on_result=lambda result: streamed.append(result),
@@ -133,8 +154,10 @@ def test_streaming_mode_bounds_retained_state(videos):
 def test_streaming_energy_matches_full_accounting(videos):
     """Streaming (incremental) energy equals the merged-trace integration."""
     jobs = lambda: [
-        TenantSubmission(0.0, video_understanding_job(videos=videos, job_id="mt-e0")),
-        TenantSubmission(3.0, newsfeed_job(job_id="mt-e1")),
+        TenantSubmission(
+            0.0, compile_spec(video_understanding_spec(), inputs=videos, job_id="mt-e0")
+        ),
+        TenantSubmission(3.0, compile_spec(newsfeed_spec(), job_id="mt-e1")),
     ]
     full = run_submissions(MurakkabRuntime(), jobs())
     streaming = run_submissions(MurakkabRuntime(), jobs(), collect_traces=False)
@@ -146,13 +169,13 @@ def test_streaming_energy_matches_full_accounting(videos):
 def test_three_gpu_bound_tenants_do_not_stall():
     """A workflow whose tasks all queue on a busy shared instance is woken by
     another workflow's completion (server-slot release notification)."""
-    from repro.workflows.chain_of_thought import chain_of_thought_job
+    from repro.workflows.chain_of_thought import chain_of_thought_spec
 
     runtime = MurakkabRuntime()
     report = run_submissions(
         runtime,
         [
-            TenantSubmission(0.0, chain_of_thought_job(job_id=f"mt-cot{i}"))
+            TenantSubmission(0.0, compile_spec(chain_of_thought_spec(), job_id=f"mt-cot{i}"))
             for i in range(3)
         ]
     )

@@ -8,14 +8,15 @@ from repro.cluster.telemetry_exchange import ResourceStatsMessage
 from repro.core.constraints import ConstraintSet, MAX_QUALITY, MIN_COST, MIN_LATENCY
 from repro.core.decomposer import JobDecomposer
 from repro.core.planner import ConfigurationPlanner, PlannerOverride, PlanningError
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.video_understanding import video_understanding_spec
 
 QUALITY_FLOOR = 0.93
 
 
 @pytest.fixture(scope="module")
 def graph(paper_workload):
-    job = video_understanding_job(videos=paper_workload, job_id="planner-graph")
+    job = compile_spec(video_understanding_spec(), inputs=paper_workload, job_id="planner-graph")
     graph, _ = JobDecomposer().decompose(job)
     return graph
 

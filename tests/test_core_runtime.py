@@ -6,9 +6,10 @@ from repro import MIN_COST, MIN_LATENCY, MurakkabRuntime
 from repro.agents.base import AgentInterface
 from repro.core.job import Job
 from repro.experiments.configs import stt_override
-from repro.workflows.document_qa import document_qa_job
-from repro.workflows.newsfeed import newsfeed_job
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.document_qa import document_qa_spec
+from repro.workflows.newsfeed import newsfeed_spec
+from repro.workflows.video_understanding import video_understanding_spec
 
 
 @pytest.fixture
@@ -17,7 +18,7 @@ def runtime():
 
 
 def test_submit_video_job_returns_complete_result(runtime, videos):
-    job = video_understanding_job(videos=videos, job_id="rt-video")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-video")
     result = runtime.submit(job)
     assert result.makespan_s > 0
     assert result.energy_wh > 0
@@ -29,7 +30,7 @@ def test_submit_video_job_returns_complete_result(runtime, videos):
 
 
 def test_submit_records_orchestration_overhead_in_trace(runtime, videos):
-    job = video_understanding_job(videos=videos, job_id="rt-orch")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-orch")
     result = runtime.submit(job)
     categories = result.trace.categories()
     assert "Orchestration" in categories
@@ -38,7 +39,7 @@ def test_submit_records_orchestration_overhead_in_trace(runtime, videos):
 
 
 def test_submit_releases_cluster_resources(runtime, videos):
-    job = video_understanding_job(videos=videos, job_id="rt-release")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-release")
     runtime.submit(job)
     assert runtime.cluster.free_gpus == runtime.cluster.total_gpus
     assert runtime.cluster.free_cpu_cores == runtime.cluster.total_cpu_cores
@@ -46,7 +47,7 @@ def test_submit_releases_cluster_resources(runtime, videos):
 
 def test_keep_warm_retains_serving_instances(videos):
     runtime = MurakkabRuntime()
-    job = video_understanding_job(videos=videos, job_id="rt-warm")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-warm")
     runtime.submit(job, keep_warm=True)
     assert runtime.cluster.free_gpus < runtime.cluster.total_gpus
     assert runtime.cluster_manager.total_deployed_gpus() > 0
@@ -54,10 +55,14 @@ def test_keep_warm_retains_serving_instances(videos):
 
 def test_min_latency_job_is_faster_than_min_cost(videos):
     cost_result = MurakkabRuntime().submit(
-        video_understanding_job(videos=videos, constraints=MIN_COST, job_id="rt-cost")
+        compile_spec(
+            video_understanding_spec(constraints=MIN_COST), inputs=videos, job_id="rt-cost"
+        )
     )
     latency_result = MurakkabRuntime().submit(
-        video_understanding_job(videos=videos, constraints=MIN_LATENCY, job_id="rt-lat")
+        compile_spec(
+            video_understanding_spec(constraints=MIN_LATENCY), inputs=videos, job_id="rt-lat"
+        )
     )
     assert latency_result.makespan_s <= cost_result.makespan_s
     # The greedy planner optimises per-task cost (paper §3.3): every stage it
@@ -71,33 +76,33 @@ def test_min_latency_job_is_faster_than_min_cost(videos):
 
 def test_override_forces_stt_hardware(videos):
     runtime = MurakkabRuntime()
-    job = video_understanding_job(videos=videos, job_id="rt-override")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-override")
     result = runtime.submit(job, overrides=stt_override("gpu"))
     stt = result.plan.primary_assignment(AgentInterface.SPEECH_TO_TEXT)
     assert stt.config.gpus == 1 and stt.config.cpu_cores == 0
 
 
 def test_job_execute_convenience_builds_runtime(videos):
-    job = video_understanding_job(videos=videos, job_id="rt-convenience")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-convenience")
     result = job.execute()
     assert result.makespan_s > 0
 
 
 def test_newsfeed_job_runs_end_to_end(runtime):
-    result = runtime.submit(newsfeed_job(job_id="rt-feed"))
+    result = runtime.submit(compile_spec(newsfeed_spec(), job_id="rt-feed"))
     assert "text" in result.output
     assert "Alice" in result.output["prompt"]
     assert result.energy_wh >= 0
 
 
 def test_document_qa_job_retrieves_relevant_documents(runtime):
-    result = runtime.submit(document_qa_job(job_id="rt-docs"))
+    result = runtime.submit(compile_spec(document_qa_spec(), job_id="rt-docs"))
     assert "answer" in result.output
     assert result.makespan_s > 0
 
 
 def test_quality_reflects_planned_stage_qualities(runtime, videos):
-    job = video_understanding_job(videos=videos, job_id="rt-quality")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-quality")
     result = runtime.submit(job)
     planned = result.plan.stage_qualities()
     assert result.quality <= min(planned.values()) + 1e-9
@@ -111,21 +116,27 @@ def test_job_validation():
 
 
 def test_result_summary_fields(runtime, videos):
-    result = runtime.submit(video_understanding_job(videos=videos, job_id="rt-summary"))
+    result = runtime.submit(
+        compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-summary")
+    )
     summary = result.summary()
     for key in ("job_id", "makespan_s", "energy_wh", "cost", "quality", "tasks"):
         assert key in summary
 
 
 def test_sequential_jobs_reuse_same_runtime(runtime, videos):
-    first = runtime.submit(video_understanding_job(videos=videos, job_id="rt-seq-1"))
-    second = runtime.submit(video_understanding_job(videos=videos, job_id="rt-seq-2"))
+    first = runtime.submit(
+        compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-seq-1")
+    )
+    second = runtime.submit(
+        compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-seq-2")
+    )
     assert second.started_at >= first.finished_at
     assert second.makespan_s == pytest.approx(first.makespan_s, rel=0.05)
 
 
 def test_orchestration_tool_calls_are_built_lazily_once(runtime, videos):
-    job = video_understanding_job(videos=videos, job_id="lazy-tools")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="lazy-tools")
     orchestration = runtime.orchestrator.prepare(job)
     assert orchestration._tool_calls is None
     calls = orchestration.tool_calls

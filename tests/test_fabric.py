@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -41,8 +42,9 @@ from repro.fabric import (
     validate_profiles,
 )
 from repro.service import AIWorkflowService, ServiceStats
-from repro.workflows.newsfeed import newsfeed_job
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import InputsSpec, compile_spec
+from repro.workflows.newsfeed import newsfeed_spec
+from repro.workflows.video_understanding import video_understanding_spec
 from repro.workloads.arrival import JobArrival
 from repro.workloads.posts import generate_posts
 from repro.workloads.video import generate_videos
@@ -283,7 +285,9 @@ def videos():
 @pytest.fixture(scope="module")
 def congested_runs(videos):
     """(no-fabric, congested default, congested locality_aware) results."""
-    job = lambda: video_understanding_job(videos=videos, job_id="vu")  # noqa: E731
+    job = lambda: compile_spec(  # noqa: E731
+        video_understanding_spec(), inputs=videos, job_id="vu"
+    )
     plain = MurakkabRuntime(cluster=paper_testbed(4)).submit(job())
     default = MurakkabRuntime(cluster=paper_testbed(4), fabric="congested").submit(job())
     locality = MurakkabRuntime(
@@ -340,8 +344,8 @@ def _newsfeed_trace_report(fabric, vectorized, posts):
     from repro.loadgen import WorkloadRegistry
 
     registry = WorkloadRegistry()
-    registry.register(
-        "newsfeed", lambda job_id: newsfeed_job(posts=posts, job_id=job_id)
+    registry.register_spec(
+        replace(newsfeed_spec(), inputs=InputsSpec(source="inline", items=posts))
     )
     service = AIWorkflowService(fabric=fabric)
     arrivals = [JobArrival(0.5 * i, "newsfeed") for i in range(100)]
@@ -372,10 +376,10 @@ def test_uniform_fabric_is_byte_identical_to_no_fabric(vectorized):
 
 def test_uniform_fabric_single_job_byte_identical(videos):
     plain = MurakkabRuntime(cluster=paper_testbed(4)).submit(
-        video_understanding_job(videos=videos, job_id="vu")
+        compile_spec(video_understanding_spec(), inputs=videos, job_id="vu")
     )
     uniform = MurakkabRuntime(cluster=paper_testbed(4), fabric="uniform").submit(
-        video_understanding_job(videos=videos, job_id="vu")
+        compile_spec(video_understanding_spec(), inputs=videos, job_id="vu")
     )
     assert uniform.summary() == plain.summary()
     assert uniform.compact_summary() == plain.compact_summary()
@@ -410,13 +414,11 @@ def test_service_stats_transfer_gating():
     assert record["transfer_wh"] == 0.01
 
 
-def test_congested_trace_report_surfaces_transfers(videos):
+def test_congested_trace_report_surfaces_transfers():
     from repro.loadgen import WorkloadRegistry
 
     registry = WorkloadRegistry()
-    registry.register(
-        "video", lambda job_id: video_understanding_job(videos=videos, job_id=job_id)
-    )
+    registry.register_spec(video_understanding_spec(video_count=1), name="video")
     service = AIWorkflowService(
         runtime=MurakkabRuntime(cluster=paper_testbed(4)), fabric="congested"
     )

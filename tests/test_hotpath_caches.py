@@ -37,7 +37,8 @@ from repro.profiling.profiler import (
 )
 from repro.sim.engine import SimulationEngine
 from repro.sim.events import EventQueue
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.video_understanding import video_understanding_spec
 from repro.workloads.video import generate_videos
 
 
@@ -541,7 +542,7 @@ def _trace_tuples(result):
 
 def test_optimized_path_is_byte_identical_to_unoptimized():
     videos = generate_videos(count=2)
-    job = video_understanding_job(videos=videos, job_id="differential")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="differential")
     optimized = MurakkabRuntime().submit(job)
     reference = unoptimized_runtime().submit(job)
     assert optimized.plan.describe() == reference.plan.describe()
@@ -635,12 +636,12 @@ def test_repeated_submission_speedup_at_least_5x():
 
     def submit_optimized():
         return MurakkabRuntime().submit(
-            video_understanding_job(videos=videos, job_id="speedup")
+            compile_spec(video_understanding_spec(), inputs=videos, job_id="speedup")
         )
 
     def submit_unoptimized():
         return unoptimized_runtime().submit(
-            video_understanding_job(videos=videos, job_id="speedup")
+            compile_spec(video_understanding_spec(), inputs=videos, job_id="speedup")
         )
 
     # Warm-up: the first optimized construction pays the one-time profiling

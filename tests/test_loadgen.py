@@ -27,7 +27,8 @@ from repro.loadgen import (
     default_registry,
 )
 from repro.service import AIWorkflowService
-from repro.workflows.newsfeed import newsfeed_job
+from repro.spec import compile_spec
+from repro.workflows.newsfeed import newsfeed_spec
 from repro.workloads.arrival import JobArrival, poisson_arrivals, uniform_arrivals
 from repro.workloads.posts import generate_posts
 
@@ -37,9 +38,9 @@ def registry():
     return default_registry()
 
 
-def _newsfeed_registry(posts):
+def _newsfeed_registry():
     registry = WorkloadRegistry()
-    registry.register("newsfeed", lambda job_id: newsfeed_job(posts=posts, job_id=job_id))
+    registry.register_spec(newsfeed_spec())
     return registry
 
 
@@ -81,12 +82,12 @@ def test_grouped_trace_matches_serial_loop_exactly():
 
     loop_service = AIWorkflowService()
     for index in range(len(arrivals)):
-        loop_service.submit_job(newsfeed_job(posts=posts, job_id=f"job-{index}"))
+        loop_service.submit_job(compile_spec(newsfeed_spec(), inputs=posts, job_id=f"job-{index}"))
 
     trace_service = AIWorkflowService()
     report = trace_service.submit_trace(
         arrivals,
-        registry=_newsfeed_registry(posts),
+        registry=_newsfeed_registry(),
         job_ids=lambda index, workload: f"job-{index}",
     )
 
@@ -112,14 +113,16 @@ def test_1k_job_trace_is_10x_faster_than_per_job_loop():
     assert len(arrivals) >= 1000
 
     trace_service = AIWorkflowService()
-    report = trace_service.submit_trace(arrivals, registry=_newsfeed_registry(posts))
+    report = trace_service.submit_trace(arrivals, registry=_newsfeed_registry())
     assert report.jobs == len(arrivals)
     assert report.replayed_jobs >= len(arrivals) - 4
 
     loop_service = AIWorkflowService()
     started = time.perf_counter()
     for index in range(len(arrivals)):
-        loop_service.submit_job(newsfeed_job(posts=posts, job_id=f"loop-{index}"))
+        loop_service.submit_job(
+            compile_spec(newsfeed_spec(), inputs=posts, job_id=f"loop-{index}")
+        )
     loop_seconds = time.perf_counter() - started
 
     assert report.wall_seconds > 0
@@ -218,6 +221,18 @@ def test_unknown_workload_raises(registry):
         service.submit_trace([JobArrival(0.0, "newsfeed")], registry=registry, mode="bogus")
 
 
+def test_registered_inputs_are_one_immutable_shared_corpus():
+    registry = WorkloadRegistry()
+    registry.register_spec(newsfeed_spec())
+    inputs = registry.materialized_inputs("newsfeed")
+    assert isinstance(inputs, tuple)
+    first = registry.build("newsfeed", "first")
+    second = registry.build("newsfeed", "second")
+    assert len(first.inputs) == len(second.inputs) == len(inputs) > 0
+    for mine, theirs, shared in zip(first.inputs, second.inputs, inputs):
+        assert mine is theirs is shared
+
+
 # --------------------------------------------------------------------- #
 # Multiplex mode
 # --------------------------------------------------------------------- #
@@ -246,7 +261,7 @@ def test_service_stats_bounded_mode_keeps_aggregates_exact():
     service = AIWorkflowService()
     report = service.submit_trace(
         uniform_arrivals(30, 1.0, workloads=("newsfeed",)),
-        registry=_newsfeed_registry(posts),
+        registry=_newsfeed_registry(),
         max_per_job_records=5,
     )
     stats = service.stats

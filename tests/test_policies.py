@@ -40,7 +40,8 @@ from repro.policies import (
 )
 from repro.profiling.store import ProfileStore
 from repro.service import AIWorkflowService
-from repro.workflows.newsfeed import newsfeed_job
+from repro.spec import compile_spec
+from repro.workflows.newsfeed import newsfeed_spec
 from repro.workloads.arrival import uniform_arrivals
 from repro.workloads.posts import generate_posts
 
@@ -54,9 +55,9 @@ def posts():
     return generate_posts(count=COMPARISON_NEWSFEED_POSTS)
 
 
-def _newsfeed_registry(posts):
+def _newsfeed_registry():
     registry = WorkloadRegistry()
-    registry.register("newsfeed", lambda job_id: newsfeed_job(posts=posts, job_id=job_id))
+    registry.register_spec(newsfeed_spec(post_count=COMPARISON_NEWSFEED_POSTS))
     return registry
 
 
@@ -144,9 +145,11 @@ def test_pinned_bundle_overrides_reach_every_serving_mode():
 
 
 def test_default_bundle_submission_is_byte_identical_to_no_policy(posts):
-    plain = MurakkabRuntime().submit(newsfeed_job(posts=posts, job_id="ident"))
+    plain = MurakkabRuntime().submit(
+        compile_spec(newsfeed_spec(), inputs=posts, job_id="ident")
+    )
     policied = MurakkabRuntime(policy="default").submit(
-        newsfeed_job(posts=posts, job_id="ident")
+        compile_spec(newsfeed_spec(), inputs=posts, job_id="ident")
     )
     assert policied.plan.describe() == plain.plan.describe()
     assert tuple(policied.trace) == tuple(plain.trace)
@@ -164,13 +167,14 @@ def test_default_bundle_trace_matches_unoptimized_baseline_100_jobs(posts):
     expected = {}
     for index in range(len(arrivals)):
         result = reference.submit(
-            newsfeed_job(posts=posts, job_id=f"job-{index}"), server_pool=pool
+            compile_spec(newsfeed_spec(), inputs=posts, job_id=f"job-{index}"),
+            server_pool=pool,
         )
         expected[result.job_id] = result.compact_summary()
     reference_plan = result.plan.describe()
 
     generator = ServiceLoadGenerator(
-        AIWorkflowService(policy="default"), _newsfeed_registry(posts)
+        AIWorkflowService(policy="default"), _newsfeed_registry()
     )
     report = generator.run(
         arrivals,
@@ -201,7 +205,7 @@ def test_at_least_three_bundles_produce_distinct_tradeoffs(posts):
     points = {}
     for name in REQUIRED_BUNDLES:
         result = MurakkabRuntime(policy=name).submit(
-            newsfeed_job(posts=posts, job_id="tradeoff")
+            compile_spec(newsfeed_spec(), inputs=posts, job_id="tradeoff")
         )
         points[name] = (round(result.makespan_s, 9), round(result.energy_wh, 9))
     assert len(set(points.values())) >= 3
@@ -251,17 +255,17 @@ def test_plan_cache_is_never_shared_across_policies(posts):
     the other policy's cached plans (the fingerprint is in the cache key)."""
     lf_reference = (
         MurakkabRuntime(policy="latency_first")
-        .submit(newsfeed_job(posts=posts, job_id="ref"))
+        .submit(compile_spec(newsfeed_spec(), inputs=posts, job_id="ref"))
         .plan.describe()
     )
 
     service = AIWorkflowService()  # starts under the stock behaviour
     default_plan = service.submit_job(
-        newsfeed_job(posts=posts, job_id="first")
+        compile_spec(newsfeed_spec(), inputs=posts, job_id="first")
     ).plan.describe()
     service.set_policy("latency_first")
     switched_plan = service.submit_job(
-        newsfeed_job(posts=posts, job_id="second")
+        compile_spec(newsfeed_spec(), inputs=posts, job_id="second")
     ).plan.describe()
 
     assert switched_plan == lf_reference
@@ -270,16 +274,16 @@ def test_plan_cache_is_never_shared_across_policies(posts):
     # under the default fingerprint).
     service.set_policy("default")
     back_plan = service.submit_job(
-        newsfeed_job(posts=posts, job_id="third")
+        compile_spec(newsfeed_spec(), inputs=posts, job_id="third")
     ).plan.describe()
     assert back_plan == default_plan
 
 
-def test_trace_memos_are_never_shared_across_policies(posts):
+def test_trace_memos_are_never_shared_across_policies():
     """A warm service serving the same trace under two bundles must produce
     each bundle's own results (steady-state memos carry the fingerprint)."""
     arrivals = uniform_arrivals(12, interval_s=1.0, workloads=("newsfeed",))
-    registry = _newsfeed_registry(posts)
+    registry = _newsfeed_registry()
 
     fresh = AIWorkflowService(policy="latency_first")
     expected = fresh.submit_trace(arrivals, registry=registry)

@@ -8,12 +8,13 @@ from repro.core.decomposer import JobDecomposer
 from repro.core.planner import ConfigurationPlanner
 from repro.core.quality import cascade_quality
 from repro.core.quality_control import QualityController, plan_checkpoints
-from repro.workflows.video_understanding import video_understanding_job
+from repro.spec import compile_spec
+from repro.workflows.video_understanding import video_understanding_spec
 
 
 @pytest.fixture(scope="module")
 def graph(videos):
-    job = video_understanding_job(videos=videos, job_id="qc-graph")
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="qc-graph")
     graph, _ = JobDecomposer().decompose(job)
     return graph
 

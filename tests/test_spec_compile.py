@@ -1,8 +1,7 @@
-"""Differential tests: spec compilation vs the legacy ``*_job()`` factories.
+"""Differential tests: spec compilation vs the legacy hand-built jobs.
 
-The four shipped workloads are now defined as :class:`WorkflowSpec` values
-and the legacy factories are thin compile shims.  These tests pin the
-refactor down:
+The four shipped workloads are defined as :class:`WorkflowSpec` values.
+These tests pin the refactor down:
 
 * for each workload, ``compile_spec(spec)`` produces a job that is
   field-identical to the job the *pre-refactor* factory built (the legacy
@@ -17,14 +16,13 @@ from repro.core.constraints import MAX_QUALITY, MIN_COST
 from repro.core.job import Job
 from repro.core.runtime import MurakkabRuntime
 from repro.spec import compile_spec
-from repro.workflows.chain_of_thought import chain_of_thought_job, chain_of_thought_spec
-from repro.workflows.document_qa import document_qa_job, document_qa_spec
-from repro.workflows.newsfeed import newsfeed_job, newsfeed_spec
+from repro.workflows.chain_of_thought import chain_of_thought_spec
+from repro.workflows.document_qa import document_qa_spec
+from repro.workflows.newsfeed import newsfeed_spec
 from repro.workflows.video_understanding import (
     PAPER_JOB_DESCRIPTION,
     PAPER_QUALITY_TARGET,
     PAPER_TASK_HINTS,
-    video_understanding_job,
     video_understanding_spec,
 )
 from repro.workloads.documents import generate_documents
@@ -37,7 +35,7 @@ from repro.workloads.video import paper_videos
 # --------------------------------------------------------------------- #
 
 
-def _legacy_newsfeed_job(job_id):
+def _legacy_newsfeed(job_id):
     return Job(
         description="Generate social media newsfeed for Alice",
         inputs=generate_posts(),
@@ -51,7 +49,7 @@ def _legacy_newsfeed_job(job_id):
     )
 
 
-def _legacy_video_understanding_job(job_id):
+def _legacy_video_understanding(job_id):
     return Job(
         description=PAPER_JOB_DESCRIPTION,
         inputs=paper_videos(),
@@ -62,7 +60,7 @@ def _legacy_video_understanding_job(job_id):
     )
 
 
-def _legacy_document_qa_job(job_id):
+def _legacy_document_qa(job_id):
     return Job(
         description="Which documents discuss energy efficiency?",
         inputs=generate_documents(),
@@ -77,7 +75,7 @@ def _legacy_document_qa_job(job_id):
     )
 
 
-def _legacy_chain_of_thought_job(job_id):
+def _legacy_chain_of_thought(job_id):
     return Job(
         description="Which speech-to-text configuration minimises energy for 16 scenes?",
         inputs=(),
@@ -89,18 +87,10 @@ def _legacy_chain_of_thought_job(job_id):
 
 
 WORKLOADS = {
-    "newsfeed": (newsfeed_spec, newsfeed_job, _legacy_newsfeed_job),
-    "video-understanding": (
-        video_understanding_spec,
-        video_understanding_job,
-        _legacy_video_understanding_job,
-    ),
-    "document-qa": (document_qa_spec, document_qa_job, _legacy_document_qa_job),
-    "chain-of-thought": (
-        chain_of_thought_spec,
-        chain_of_thought_job,
-        _legacy_chain_of_thought_job,
-    ),
+    "newsfeed": (newsfeed_spec, _legacy_newsfeed),
+    "video-understanding": (video_understanding_spec, _legacy_video_understanding),
+    "document-qa": (document_qa_spec, _legacy_document_qa),
+    "chain-of-thought": (chain_of_thought_spec, _legacy_chain_of_thought),
 }
 
 
@@ -111,7 +101,7 @@ WORKLOADS = {
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_compiled_job_fields_match_legacy_factory(name):
-    spec_fn, _shim, legacy_fn = WORKLOADS[name]
+    spec_fn, legacy_fn = WORKLOADS[name]
     compiled = compile_spec(spec_fn(), job_id=f"{name}-spec")
     legacy = legacy_fn(f"{name}-spec")
     assert compiled.description == legacy.description
@@ -126,18 +116,6 @@ def test_compiled_job_fields_match_legacy_factory(name):
     assert legacy.spec_digest == ""
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_shim_factory_is_the_spec_compile(name):
-    spec_fn, shim, _legacy_fn = WORKLOADS[name]
-    via_shim = shim(job_id=f"{name}-shim")
-    via_spec = compile_spec(spec_fn(), job_id=f"{name}-shim")
-    assert via_shim.description == via_spec.description
-    assert list(via_shim.inputs) == list(via_spec.inputs)
-    assert tuple(via_shim.tasks) == tuple(via_spec.tasks)
-    assert via_shim.constraint_set() == via_spec.constraint_set()
-    assert via_shim.spec_digest == via_spec.spec_digest
-
-
 # --------------------------------------------------------------------- #
 # Execution-level byte-identity under the default policy
 # --------------------------------------------------------------------- #
@@ -145,7 +123,7 @@ def test_shim_factory_is_the_spec_compile(name):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_compiled_execution_is_byte_identical_to_legacy(name):
-    spec_fn, _shim, legacy_fn = WORKLOADS[name]
+    spec_fn, legacy_fn = WORKLOADS[name]
     job_id = f"{name}-diff"
     spec_result = MurakkabRuntime().submit(compile_spec(spec_fn(), job_id=job_id))
     legacy_result = MurakkabRuntime().submit(legacy_fn(job_id))
@@ -168,7 +146,7 @@ def test_spec_digest_namespaces_plan_cache_entries():
     size_after_spec = planner.plan_cache_info["size"]
     # The legacy-shaped job (no digest) misses the spec-digest entries and
     # plans into its own namespace.
-    runtime.submit(_legacy_newsfeed_job("ns-b"))
+    runtime.submit(_legacy_newsfeed("ns-b"))
     assert planner.plan_cache_info["size"] > size_after_spec
 
 
@@ -186,9 +164,11 @@ def test_shim_preserves_constraint_set_floor_when_quality_target_zero(name):
     quality_target defers to the constraint set's own quality floor."""
     from repro.core.constraints import Constraint, ConstraintSet
 
-    _spec_fn, shim, _legacy_fn = WORKLOADS[name]
+    spec_fn, _legacy_fn = WORKLOADS[name]
     floored = ConstraintSet((Constraint.MIN_ENERGY,), quality_floor=0.95)
-    job = shim(constraints=floored, quality_target=0.0, job_id=f"{name}-floor")
+    job = compile_spec(
+        spec_fn(constraints=floored, quality_target=0.0), job_id=f"{name}-floor"
+    )
     assert job.constraint_set() == floored
 
 
