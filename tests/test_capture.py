@@ -18,7 +18,7 @@ from repro.capture import (
     replay_capture,
     replays_identically,
 )
-from repro.loadgen import WorkloadRegistry
+from repro.loadgen import WorkloadRegistry, default_registry
 from repro.service import AIWorkflowService
 from repro.workflows.newsfeed import newsfeed_spec
 from repro.workloads.arrival import JobArrival
@@ -202,5 +202,24 @@ def test_capture_without_admission_still_records():
     assert capture.admission is None
     assert len(capture.entries) == 6
     assert {e.outcome for e in capture.entries} == {"admit"}
+    replayed, _ = replay_capture(capture)
+    assert replays_identically(capture, replayed)
+
+
+def test_capture_covers_every_default_workload():
+    """Every servable workload is spec-registered, so a trace over all the
+    shipped workloads captures and replays byte-identically."""
+    registry = default_registry()
+    arrivals = [
+        JobArrival(arrival_time=i * 5.0, workload=name)
+        for i, name in enumerate(registry.names())
+    ]
+    service = AIWorkflowService()
+    try:
+        capture, _ = capture_trace(service, arrivals, registry=registry)
+    finally:
+        service.shutdown()
+    assert sorted(capture.registry().names()) == registry.names()
+    assert [e.workload for e in capture.entries] == registry.names()
     replayed, _ = replay_capture(capture)
     assert replays_identically(capture, replayed)

@@ -15,6 +15,7 @@ import pytest
 from repro.core.constraints import MAX_QUALITY, MIN_COST
 from repro.core.job import Job
 from repro.core.runtime import MurakkabRuntime
+from repro.loadgen import default_registry
 from repro.spec import compile_spec
 from repro.workflows.chain_of_thought import chain_of_thought_spec
 from repro.workflows.document_qa import document_qa_spec
@@ -114,6 +115,22 @@ def test_compiled_job_fields_match_legacy_factory(name):
     # carry none.
     assert compiled.spec_digest == spec_fn().digest()
     assert legacy.spec_digest == ""
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_registered_build_is_the_spec_compile(name):
+    """A registered workload builds its jobs only by compiling its spec
+    over the inputs materialized at registration."""
+    spec_fn, _legacy_fn = WORKLOADS[name]
+    registry = default_registry()
+    assert registry.spec(name).digest() == spec_fn().digest()
+    via_registry = registry.build(name, f"{name}-registry")
+    via_spec = compile_spec(spec_fn(), job_id=f"{name}-registry")
+    assert via_registry.description == via_spec.description
+    assert list(via_registry.inputs) == list(via_spec.inputs)
+    assert tuple(via_registry.tasks) == tuple(via_spec.tasks)
+    assert via_registry.constraint_set() == via_spec.constraint_set()
+    assert via_registry.spec_digest == via_spec.spec_digest
 
 
 # --------------------------------------------------------------------- #
