@@ -58,12 +58,13 @@ perfbench-smoke:
 overload-smoke:
 	$(PYTHON) scripts/overload_gauntlet.py
 
-## A/B one perfbench metric between a parent revision (git worktree in a
-## temporary directory) and the working tree: alternating pairs, one seed per
-## pair, no bytecode cache; prints medians, quartiles, wins and the verdict,
-## and fails if a sim_* metric or served_frac differs within a seed.  Slow
-## (two full perfbench runs per pair), so not part of ci.  Override AB_ARGS,
-## e.g. make perfbench-ab AB_ARGS="--workload interactive --parent HEAD~1".
+## A/B one perfbench metric between a parent revision (exported with git
+## archive into a temporary directory) and the working tree: alternating
+## pairs, one seed per pair, no bytecode cache; prints medians, quartiles,
+## wins and the verdict, and fails if a sim_* metric or served_frac differs
+## within a seed.  Slow (two full perfbench runs per pair), so not part of
+## ci.  Override AB_ARGS, e.g.
+## make perfbench-ab AB_ARGS="--workload interactive --parent HEAD~1".
 AB_ARGS ?= --workload fidelity --pairs 10 --seconds 25
 perfbench-ab:
 	$(PYTHON) scripts/perfbench_ab.py $(AB_ARGS)

@@ -156,9 +156,11 @@ def test_trace_throughput_1k_jobs(benchmark, tmp_path):
     convergence with vectorized accounting, persisting profiles, plans, and
     the trace recording to the warm cache.  Every timed generation is a
     restarted service replaying the recording, with zero profiling sweeps and
-    zero convergence probes: one Python loop per job writes its start/finish
-    recurrence and ``job_ids`` call into column batches, and the batch's
-    accounting is numpy work over those columns.  The regression gate in
+    zero convergence probes: the whole trace is one batch of columns, whose
+    keys are the admission order itself (job ids are rendered only for the
+    rows the capped details keep); per job only the start/finish recurrence
+    stays a Python expression, and the batch's accounting is numpy work over
+    the columns.  The regression gate in
     ``scripts/bench.py`` watches this number (min time to serve the trace;
     ``jobs_per_second`` is recorded alongside).
     """

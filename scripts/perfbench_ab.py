@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """A/B a perfbench metric between a parent revision and the working tree.
 
-Checks the parent revision out with ``git worktree add`` into a temporary
-directory (removed on exit), then runs ``perfbench/run.py`` on both trees in
+Exports the parent revision's files with ``git archive`` into a temporary
+directory (removed on exit; nothing is written under ``.git``, so a run that
+is killed leaves no stale worktree behind), then runs ``perfbench/run.py`` on
+both trees in
 alternating pairs: pair ``i`` serves seed ``first_seed + i`` on both sides,
 with the side that runs first alternating between pairs.  Both sides run with
 identical settings, from source, with no bytecode cache (each run gets an
@@ -29,6 +31,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
@@ -36,6 +39,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -150,23 +154,22 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> Dict[str, floa
     return parse_result(completed.stdout)
 
 
-def _add_worktree(parent: str) -> Path:
-    tmp = Path(tempfile.mkdtemp(prefix="perfbench-ab-"))
-    tree = tmp / "parent"
-    subprocess.run(
-        ["git", "worktree", "add", "--detach", str(tree), parent],
-        cwd=ROOT, check=True, capture_output=True, text=True,
+def _export_parent(parent: str, root: Path = ROOT) -> Path:
+    """The files of revision ``parent`` of the repository at ``root``,
+    written by ``git archive`` into a new temporary directory."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", parent],
+        cwd=root, check=True, capture_output=True,
     )
+    tree = Path(tempfile.mkdtemp(prefix="perfbench-ab-")) / "parent"
+    tree.mkdir()
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as files:
+        files.extractall(tree, filter="data")
     return tree
 
 
-def _remove_worktree(tree: Path) -> None:
-    subprocess.run(
-        ["git", "worktree", "remove", "--force", str(tree)],
-        cwd=ROOT, capture_output=True, text=True,
-    )
+def _remove_export(tree: Path) -> None:
     shutil.rmtree(tree.parent, ignore_errors=True)
-    subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -190,9 +193,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     higher = declared[args.metric] == "higher"
 
-    # A terminated run still removes its worktree (the finally below).
+    # A terminated run still removes its export (the finally below).
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
-    parent_tree = _add_worktree(args.parent)
+    parent_tree = _export_parent(args.parent)
     mismatched = False
     parent_runs: List[Dict[str, float]] = []
     change_runs: List[Dict[str, float]] = []
@@ -215,7 +218,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 flush=True,
             )
     finally:
-        _remove_worktree(parent_tree)
+        _remove_export(parent_tree)
 
     result = verdict(
         [run[args.metric] for run in parent_runs],

@@ -105,6 +105,10 @@ class InMemoryVectorDB(AgentImplementation):
     def drop_collection(self, name: str) -> None:
         self._collections.pop(name, None)
 
+    def collection_names(self) -> List[str]:
+        """The names of the collections held now."""
+        return list(self._collections)
+
     def estimate(
         self,
         work: WorkUnit,

@@ -455,6 +455,17 @@ class WorkflowExecutor:
                 self._notify_server_waiters(server)
         if self.announce:
             self.cluster_manager.retract_workflow(self.workflow_id)
+        self._drop_vector_collection()
+
+    def _drop_vector_collection(self) -> None:
+        """Forget the job's own vector collection, which the decomposer names
+        after the job id: nothing reads it once the job has finished or been
+        given up on, and a later job under the same id must start from an
+        empty collection rather than read its predecessor's vectors."""
+        if "vector-db" in self.library:
+            drop = getattr(self.library.get("vector-db"), "drop_collection", None)
+            if drop is not None:
+                drop(self.workflow_id)
 
     # ------------------------------------------------------------------ #
     # Dispatch loop
@@ -861,6 +872,7 @@ class WorkflowExecutor:
             self.finished_at = now
             if self.announce:
                 self.cluster_manager.retract_workflow(self.workflow_id)
+            self._drop_vector_collection()
             self.engine.mark(self.workflow_id)
             if self.on_finish is not None:
                 self.on_finish(self)

@@ -86,6 +86,36 @@ class TenantSubmission:
             raise ValueError("arrival_time must be non-negative")
 
 
+class SubmissionSchedule(Sequence[TenantSubmission]):
+    """Submissions already in admission order (arrival time, then index),
+    each built on first access by ``build(position)``.
+
+    :func:`run_submissions` serves a schedule as it is instead of sorting
+    it, so a windowed run that confirms a steady window never builds the
+    submissions of the tail it leaves unsimulated.
+    """
+
+    def __init__(self, size: int, build: Callable[[int], TenantSubmission]) -> None:
+        self._size = size
+        self._build = build
+        self._built: Dict[int, TenantSubmission] = {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return [self[i] for i in range(*position.indices(self._size))]
+        if position < 0:
+            position += self._size
+        if not 0 <= position < self._size:
+            raise IndexError(position)
+        submission = self._built.get(position)
+        if submission is None:
+            submission = self._built[position] = self._build(position)
+        return submission
+
+
 @dataclass
 class MultiTenantReport:
     """Cluster-level metrics for a multi-tenant run.
@@ -137,7 +167,8 @@ def run_submissions(
 ) -> MultiTenantReport:
     """Admit every submission onto ``runtime``'s shared engine and run to done.
 
-    Admission order is deterministic: arrival time, then submission index.
+    Admission order is deterministic: arrival time, then submission index
+    (a :class:`SubmissionSchedule` is taken as already in that order).
     The whole schedule is batch-injected into the event queue in one pass.
     Each job is orchestrated when it arrives (seeing the then-current cluster
     stats), starts executing immediately, and shares the serving-instance
@@ -247,7 +278,10 @@ def run_submissions(
         launched[job.job_id] = (job, orchestration, executor)
 
     # A stable sort on arrival time: ties keep submission order.
-    ordered = sorted(submissions, key=attrgetter("arrival_time"))
+    if isinstance(submissions, SubmissionSchedule):
+        ordered = submissions
+    else:
+        ordered = sorted(submissions, key=attrgetter("arrival_time"))
 
     def drain(until: Optional[float] = None) -> None:
         while True:

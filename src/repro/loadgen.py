@@ -36,8 +36,13 @@ indices) instead of pipeline runs.  Three pattern sources feed the core:
   :class:`~repro.warmstate.ReplayRecord` slots of an identical earlier
   trace, replayed with zero probes.
 
-The default sink accounts each batch of columns as numpy arrays; per row,
-only the FIFO start/finish recurrence and the ``job_ids`` call stay Python.
+The default sink accounts each batch of columns as numpy arrays.  An
+untracked run (no admission controller, no QoE collector) hands it whole
+batches: per replayed row only the FIFO start/finish recurrence stays a
+Python expression, and under the default :class:`TraceJobIds` naming the key
+column holds trace indices, so job ids are rendered only for the rows the
+capped details keep.  A caller's ``job_ids`` is still called once per
+arrival, in admission order, and tracked runs go arrival by arrival.
 ``vectorized=False`` schedules one engine completion event per row instead,
 the reference path the differential tests compare against.  Telemetry
 streams into bounded :class:`~repro.telemetry.metrics.StreamingAggregate`
@@ -49,6 +54,7 @@ state, not O(jobs).
 from __future__ import annotations
 
 import math
+import re
 import time as _wall_time
 from collections import Counter
 from dataclasses import dataclass, field, replace as dataclass_replace
@@ -183,6 +189,134 @@ def default_registry() -> WorkloadRegistry:
 
 
 # --------------------------------------------------------------------- #
+# Job naming
+# --------------------------------------------------------------------- #
+
+
+#: The index an id rendered by :class:`TraceJobIds` starts with.
+_TRACE_INDEX = re.compile(r"trace-([0-9]+)-")
+
+
+class TraceJobIds:
+    """The job ids a trace gets unless its caller names the jobs:
+    ``trace-{index:05d}-{workload}``, ``index`` being the arrival's position
+    in the whole trace.
+
+    A shard serving a sub-trace passes the whole-trace index of each of its
+    arrivals as ``global_indices``, so its ids are exactly the ones an
+    unsharded serving of the trace gives.  The naming is stateless and
+    distinct trace indices render distinct ids, so replay keeps a replayed
+    job's trace index and renders its id only where a capped per-job detail
+    keeps it.
+    """
+
+    __slots__ = ("global_indices",)
+
+    def __init__(self, global_indices: Optional[Sequence[int]] = None) -> None:
+        self.global_indices = global_indices
+
+    def __call__(self, index: int, workload: str) -> str:
+        if self.global_indices is not None:
+            index = self.global_indices[index]
+        return f"trace-{index:05d}-{workload}"
+
+
+class _TraceIndexIds:
+    """One run's :class:`TraceJobIds`, rendered on demand from trace indices.
+
+    Built before the run touches the engine: it notes, for each capped
+    mapping the run writes, the keys earlier work left there that this run
+    would render again (a re-served trace, or another trace's ids under the
+    same naming).  Every other key is either foreign to this naming or names
+    a trace index the run has already served, so a batch of the run's rows
+    can collide only with a noted key still held.
+    """
+
+    def __init__(
+        self, naming: TraceJobIds, arrivals: Sequence[JobArrival], mappings: Sequence[Dict]
+    ) -> None:
+        self.naming = naming
+        self.arrivals = arrivals
+        self._held = [(mapping, self._rendered_again(mapping)) for mapping in mappings]
+
+    def render(self, indices) -> List[str]:
+        naming, arrivals = self.naming, self.arrivals
+        return [naming(index, arrivals[index].workload) for index in indices]
+
+    def _rendered_again(self, mapping: Dict) -> Dict[int, str]:
+        """``{trace index: key}`` of the keys of ``mapping`` this run renders:
+        each key is parsed for its index and compared with the id rendered
+        from it, so the match is exact and costs O(len(mapping))."""
+        naming, arrivals = self.naming, self.arrivals
+        local: Optional[Dict[int, int]] = None
+        found: Dict[int, str] = {}
+        for key in mapping:
+            match = _TRACE_INDEX.match(key) if isinstance(key, str) else None
+            if match is None:
+                continue
+            index: Optional[int] = int(match[1])
+            if naming.global_indices is not None:
+                if local is None:
+                    local = {g: i for i, g in enumerate(naming.global_indices)}
+                index = local.get(index)
+            if index is None or index >= len(arrivals):
+                continue
+            if naming(index, arrivals[index].workload) == key:
+                found[index] = key
+        return found
+
+    def fresh(self, mapping: Dict, indices) -> bool:
+        """Whether no row of the batch ``indices`` renders a key of ``mapping``.
+
+        The rows render distinct ids (one trace index each), so only a noted
+        key still held can collide, and only through its own index.
+        """
+        live = None
+        for held, again in self._held:
+            if held is mapping:
+                live = {index for index, key in again.items() if key in mapping}
+                break
+        if live is not None and not live:
+            return True
+        if isinstance(indices, _np.ndarray):
+            indices = indices.tolist()
+        if live is None:
+            # A mapping noted at no run start: compare every rendered id.
+            return mapping.keys().isdisjoint(self.render(indices))
+        return live.isdisjoint(indices)
+
+
+class _IdColumn:
+    """The job ids of one batch of replayed rows: built ids, or trace indices
+    that the run's :class:`_TraceIndexIds` renders only where needed."""
+
+    __slots__ = ("keys", "source", "_distinct")
+
+    def __init__(self, keys, source: Optional[_TraceIndexIds] = None) -> None:
+        self.keys = keys
+        self.source = source
+        self._distinct: Optional[bool] = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def tail(self, start: int) -> List[str]:
+        """The ids of the rows from ``start`` on."""
+        keys = self.keys[start:]
+        if isinstance(keys, _np.ndarray):
+            keys = keys.tolist()
+        return list(keys) if self.source is None else self.source.render(keys)
+
+    def fresh(self, mapping: Dict) -> bool:
+        """No id repeats within the batch and none is a key of ``mapping``."""
+        if self.source is not None:
+            return self.source.fresh(mapping, self.keys)
+        if self._distinct is None:
+            self._distinct = len(set(self.keys)) == len(self.keys)
+        return self._distinct and mapping.keys().isdisjoint(self.keys)
+
+
+# --------------------------------------------------------------------- #
 # The replay core: slots and sinks
 # --------------------------------------------------------------------- #
 
@@ -252,29 +386,41 @@ class _ReplaySink:
     """Where every pattern source sends its replayed completions, as columns.
 
     A source puts each confirmed slot into the sink's small slot table once
-    (:meth:`register`) and then appends its rows straight into
-    :attr:`columns`, in completion order, from its own loop.  ``flush()``
-    accounts the buffered rows before the engine moves on (a probe, a
-    disruption): this sink as numpy arrays
-    (:meth:`ServiceLoadGenerator._account_run`), :class:`_EventSink` as one
-    engine event per row.  ``close(last_finish)`` flushes, drains the engine,
-    and leaves its clock at the last completion.
+    (:meth:`register`) and then either appends its rows one at a time into
+    :attr:`columns`, in completion order, or hands over a whole batch of
+    columns (lists or numpy arrays) with :meth:`add`.  ``flush()`` accounts
+    the buffered rows before the engine moves on (a probe, a disruption):
+    this sink as numpy arrays (:meth:`ServiceLoadGenerator._account_run`),
+    :class:`_EventSink` as one engine event per row.  ``close(last_finish)``
+    flushes, drains the engine, and leaves its clock at the last completion.
+
+    The key column holds job ids, or trace indices when the sink is given
+    the run's :class:`_TraceIndexIds` (``ids``).
     """
 
     def __init__(
-        self, generator: "ServiceLoadGenerator", report: "TraceReport"
+        self,
+        generator: "ServiceLoadGenerator",
+        report: "TraceReport",
+        ids: Optional[_TraceIndexIds] = None,
     ) -> None:
         self.generator = generator
         self.report = report
+        self.ids = ids
         #: The slot table the slot-index column points into.
         self.slots: List[_ReplaySlot] = []
-        #: Job ids, arrival times, starts, finishes, slot indices.
+        #: Job keys, arrival times, starts, finishes, slot indices.
         self.columns: Tuple[list, list, list, list, list] = ([], [], [], [], [])
 
     def register(self, slots: Sequence[_ReplaySlot]) -> int:
         """Append ``slots`` to the slot table; returns the first one's index."""
         self.slots.extend(slots)
         return len(self.slots) - len(slots)
+
+    def add(self, keys, arrivals_at, starts, finishes, rows) -> None:
+        """Account one whole batch of rows, after any buffered ones."""
+        self.flush()
+        self._account((keys, arrivals_at, starts, finishes, rows))
 
     def flush(self) -> None:
         if self.columns[0]:
@@ -283,7 +429,8 @@ class _ReplaySink:
                 column.clear()
 
     def _account(self, columns) -> None:
-        self.generator._account_run(self.report, self.slots, columns)
+        ids = _IdColumn(columns[0], self.ids)
+        self.generator._account_run(self.report, self.slots, (ids, *columns[1:]))
 
     def close(self, last_finish: float) -> None:
         self.flush()
@@ -301,7 +448,12 @@ class _EventSink(_ReplaySink):
 
     def _account(self, columns) -> None:
         slots, complete = self.slots, self._complete_replay
-        rows = zip(*columns)
+        rows = zip(
+            *(
+                column.tolist() if isinstance(column, _np.ndarray) else column
+                for column in columns
+            )
+        )
         self.generator.service.runtime.engine.schedule_at_batch(
             (finish, complete, (slots[row].stamp(job_id, start, finish), arrived))
             for job_id, arrived, start, finish, row in rows
@@ -313,6 +465,117 @@ class _EventSink(_ReplaySink):
         service.runtime.engine.mark(result.job_id)
         service.stats.record(result)
         self.report.account(result, arrival_at, simulated=False)
+
+
+class _SteadyColumns:
+    """Columnar grouped serving for an untracked run without dynamics: the
+    runs of arrivals whose group replays a confirmed slot, found and
+    accounted as columns.
+
+    ``codes`` numbers each admission position's group; ``live`` holds, per
+    group code, the group whose confirmed slot replays under the current
+    serving context (``None``: it probes), and ``rows`` that slot's row
+    (``-1``: none).  Both are refreshed after every probe.  A run of
+    replayed arrivals ends at the first arrival whose group has no live
+    row, which is the next probe.
+    """
+
+    #: Positions :meth:`end_of_run` looks at first; it doubles the look
+    #: ahead while every position replays, so finding a run costs O(run).
+    _LOOKAHEAD = 64
+
+    def __init__(
+        self,
+        sink: _ReplaySink,
+        arrivals: Sequence[JobArrival],
+        times: List[float],
+        order: List[int],
+        workloads: List[str],
+        epoch: float,
+        job_ids: Callable[[int, str], str],
+    ) -> None:
+        self.sink = sink
+        self.arrivals = arrivals
+        self.order = order
+        self.epoch = epoch
+        self.job_ids = job_ids
+        self.code_of = {name: code for code, name in enumerate(dict.fromkeys(workloads))}
+        self.codes = _np.fromiter(
+            map(self.code_of.__getitem__, workloads), dtype=_np.intp, count=len(workloads)
+        )
+        self.indices = _np.array(order, dtype=_np.intp)
+        self.times = _np.array(times)
+        self.live: List[Optional[GroupState]] = [None] * len(self.code_of)
+        self.rows = _np.full(len(self.code_of), -1, dtype=_np.intp)
+
+    def refresh(self, groups: Dict[str, "GroupState"], context: tuple) -> None:
+        """Recompute the live groups after a probe changed a group or the context."""
+        for name, code in self.code_of.items():
+            group = groups.get(name)
+            if group is None or group.steady is None or group.steady_context != context:
+                group = None
+            self.live[code] = group
+            self.rows[code] = -1 if group is None else group.steady_row
+
+    def end_of_run(self, position: int) -> int:
+        """The first position from ``position`` on whose group has no live
+        row (the end of the trace if every one has)."""
+        n = len(self.codes)
+        step = self._LOOKAHEAD
+        while position < n:
+            window = self.rows[self.codes[position : position + step]]
+            misses = _np.flatnonzero(window < 0)
+            if misses.size:
+                return position + int(misses[0])
+            position += step
+            step *= 2
+        return n
+
+    def account(
+        self,
+        start: int,
+        end: int,
+        previous_finish: float,
+        recording: Optional[TraceRecording],
+    ) -> Tuple[float, Optional[TraceRecording]]:
+        """Hand the sink the replayed positions ``[start, end)`` as one batch.
+
+        The FIFO recurrence is the per-row loop's, operation for operation:
+        ``start = max(previous finish, arrival)``, ``finish = start +
+        makespan``.  Returns the last finish and the recording, ``None`` once
+        a row replays a slot the recording does not hold.
+        """
+        sink = self.sink
+        indices = self.indices[start:end]
+        codes = self.codes[start:end]
+        rows = self.rows[codes]
+        arrival_col = self.epoch + self.times[indices]
+        makespans = _np.array([slot.values[0] for slot in sink.slots])[rows]
+        finish = previous_finish
+        finish_col = [
+            finish := (finish if finish > arrival else arrival) + makespan
+            for arrival, makespan in zip(arrival_col.tolist(), makespans.tolist())
+        ]
+        before = _np.empty(len(finish_col))
+        before[0] = previous_finish
+        before[1:] = finish_col[:-1]
+        start_col = _np.where(before > arrival_col, before, arrival_col)
+        counts = _np.bincount(codes, minlength=len(self.live)).tolist()
+        for group, count in zip(self.live, counts):
+            if count:
+                group.replayed += count
+                if group.steady_record is None:
+                    recording = None
+        if recording is not None:
+            records = [-1 if group is None else group.steady_record for group in self.live]
+            recording.script.extend(_np.array(records)[codes].tolist())
+        if sink.ids is not None:
+            keys = indices
+        else:
+            arrivals, job_ids = self.arrivals, self.job_ids
+            keys = [job_ids(index, arrivals[index].workload) for index in self.order[start:end]]
+        sink.add(keys, arrival_col, start_col, finish_col, rows)
+        return finish, recording
 
 
 @dataclass
@@ -1027,7 +1290,10 @@ class ServiceLoadGenerator:
         service's :class:`~repro.service.ServiceStats` for the rest of the
         service's life (aggregates stay exact); pass ``None`` to leave the
         service unbounded.  ``job_ids`` maps ``(trace index, workload)`` to a
-        job id (defaults to ``trace-<index>-<workload>``).
+        job id and is called once per arrival, in admission order; without
+        it jobs are named by :class:`TraceJobIds` (``trace-<index>-<workload>``).
+        Multiplex serving needs a distinct id per admitted job and raises
+        :class:`ValueError` naming a repeated one before the engine runs.
 
         ``dynamics`` runs the trace under a disruption schedule (a
         :class:`~repro.cluster.dynamics.ClusterDynamics` or
@@ -1050,9 +1316,13 @@ class ServiceLoadGenerator:
         streams replayed rows to its sink as columns and accounts each batch
         as numpy arrays; its :class:`TraceReport` aggregates and the
         service's stats are byte-identical to the reference path (asserted
-        differentially in the test suite).  Per replayed job only the FIFO
-        start/finish recurrence and the ``job_ids`` call run in Python; the
-        capped per-job details are built only for the rows their caps keep.
+        differentially in the test suite).  On an untracked run (no
+        admission controller, no collector) replayed jobs reach the sink as
+        whole batches: per replayed job only the FIFO start/finish recurrence
+        is a Python expression, the multiplex tail builds no per-arrival
+        objects, and under the default naming job ids are rendered only for
+        the rows the capped per-job details keep.  Tracked runs serve
+        arrival by arrival.
 
         ``admission`` serves the trace behind an admission controller (an
         :class:`~repro.admission.AdmissionConfig` or its dict form; the
@@ -1114,7 +1384,7 @@ class ServiceLoadGenerator:
                 feedback(None)
         if max_per_job_records is not None:
             self.service.stats.limit_per_job_records(max_per_job_records)
-        job_ids = job_ids or (lambda index, workload: f"trace-{index:05d}-{workload}")
+        job_ids = job_ids or TraceJobIds()
         started = _wall_time.perf_counter()
         if mode == "grouped":
             report = self._run_grouped(
@@ -1157,8 +1427,31 @@ class ServiceLoadGenerator:
             self._policy_fp,
         )
 
-    def _sink(self, vectorized: bool, report: TraceReport) -> _ReplaySink:
-        return (_ReplaySink if vectorized else _EventSink)(self, report)
+    def _sink(
+        self,
+        vectorized: bool,
+        report: TraceReport,
+        ids: Optional[_TraceIndexIds] = None,
+    ) -> _ReplaySink:
+        if not vectorized:
+            return _EventSink(self, report)
+        return _ReplaySink(self, report, ids)
+
+    def _index_ids(
+        self, run: "_TraceRun", arrivals: Sequence[JobArrival]
+    ) -> Optional[_TraceIndexIds]:
+        """The run's ids, rendered on demand, when it names its jobs with
+        :class:`TraceJobIds`; ``None`` when a caller's ``job_ids`` names them
+        (called once per arrival, in admission order).  Call it before the
+        run touches the engine."""
+        if not isinstance(run.job_ids, TraceJobIds):
+            return None
+        mappings = (
+            self.service.runtime.engine.watermarks,
+            self.service.stats.per_job,
+            run.report.job_summaries,
+        )
+        return _TraceIndexIds(run.job_ids, arrivals, mappings)
 
     # ------------------------------------------------------------------ #
     # Grouped (steady-state memoized) serving
@@ -1180,7 +1473,14 @@ class ServiceLoadGenerator:
         run = _TraceRun(report, registry, job_ids, engine.now, controller, collector)
         groups: Dict[str, GroupState] = {}
         context = self._context()
-        order = _admission_order(arrivals)
+        times = [arrival.arrival_time for arrival in arrivals]
+        order = _admission_order(times)
+        workloads = [arrivals[index].workload for index in order]
+        tracks = run.tracks
+        #: Untracked vectorized runs without dynamics serve each run of
+        #: replayed arrivals as one batch of columns (:class:`_SteadyColumns`);
+        #: the rest go arrival by arrival.
+        columnar = vectorized and not tracks and dynamics is None
 
         # Persistent warm state: when a cache is attached and the serving
         # context matches a recorded one exactly, the whole trace replays
@@ -1188,14 +1488,7 @@ class ServiceLoadGenerator:
         cache = getattr(service, "warm_cache", None)
         recording: Optional[TraceRecording] = None
         recording_key: Optional[tuple] = None
-        if (
-            vectorized
-            and cache is not None
-            and dynamics is None
-            and controller is None
-            and collector is None
-        ):
-            workloads = [arrivals[index].workload for index in order]
+        if columnar and cache is not None:
             recording_key = self._trace_context_key(
                 registry, workloads, context, run.epoch
             )
@@ -1203,18 +1496,36 @@ class ServiceLoadGenerator:
                 cached = cache.load_trace_recording(recording_key, len(order))
                 if cached is not None:
                     return self._replay_recording(
-                        cached, arrivals, order, workloads, run
+                        cached, arrivals, times, order, workloads, run
                     )
                 recording = TraceRecording(store_version=context[1], epoch=run.epoch)
 
-        sink = self._sink(vectorized, report)
+        sink = self._sink(
+            vectorized, report, self._index_ids(run, arrivals) if columnar else None
+        )
         ids, arrivals_at, starts, finishes, rows = sink.columns
-        tracks = run.tracks
         epoch = previous_finish = run.epoch
-        for index in order:
-            arrival = arrivals[index]
+        steady = (
+            _SteadyColumns(sink, arrivals, times, order, workloads, epoch, job_ids)
+            if columnar
+            else None
+        )
+        position, n = 0, len(order)
+        while position < n:
+            if steady is not None:
+                end = steady.end_of_run(position)
+                if end > position:
+                    previous_finish, recording = steady.account(
+                        position, end, previous_finish, recording
+                    )
+                    position = end
+                    if position == n:
+                        break
+            index = order[position]
+            workload = workloads[position]
+            position += 1
             if tracks:
-                entry = run.admit(index, arrival, previous_finish, groups)
+                entry = run.admit(index, arrivals[index], previous_finish, groups)
                 if entry is None:
                     continue
                 key, job_id = entry.group, entry.job_id
@@ -1222,9 +1533,9 @@ class ServiceLoadGenerator:
             else:
                 # Nothing sheds, defers or records an untracked arrival: its
                 # workload, id and arrival time are all the loop needs.
-                key = arrival.workload
+                key = workload
                 job_id = job_ids(index, key)
-                arrival_at = ready_at = epoch + arrival.arrival_time
+                arrival_at = ready_at = epoch + times[index]
             group = groups.get(key)
             if group is None:
                 group = groups[key] = GroupState(key)
@@ -1313,6 +1624,8 @@ class ServiceLoadGenerator:
                     recording.records.append(ReplayRecord(*slot.values))
                     group.steady_record = len(recording.records) - 1
             group.last_observation = observation
+            if steady is not None:
+                steady.refresh(groups, context)
 
         sink.close(previous_finish)
         report.groups = {name: group.counters() for name, group in groups.items()}
@@ -1377,6 +1690,7 @@ class ServiceLoadGenerator:
         self,
         recording: TraceRecording,
         arrivals: Sequence[JobArrival],
+        times: List[float],
         order: List[int],
         workloads: List[str],
         run: _TraceRun,
@@ -1388,33 +1702,42 @@ class ServiceLoadGenerator:
         records carry their exact simulated ``finished_at`` (pinned), because
         ``start + makespan`` does not round-trip bit-exactly; steady records
         recompute ``finish = start + makespan`` exactly as live replay does.
-        The resulting aggregates, service stats, and watermarks are
+        The whole trace is one batch of columns: its keys are the admission
+        order itself (or the caller's ids), its slot rows the recording's
+        script.  The resulting aggregates, service stats, and watermarks are
         byte-identical to a cold serving of the same trace in the same
         context.
         """
         report = run.report
         records = recording.records
-        sink = _ReplaySink(self, report)
-        values = [(r.makespan_s, r.energy_wh, r.cost, r.quality) for r in records]
-        sink.register([_ReplaySlot(slot_values) for slot_values in values])
+        sink = _ReplaySink(self, report, self._index_ids(run, arrivals))
+        sink.register(
+            [_ReplaySlot((r.makespan_s, r.energy_wh, r.cost, r.quality)) for r in records]
+        )
         makespans = [record.makespan_s for record in records]
         pinned = [record.pinned_finish for record in records]
-        ids, arrivals_at, starts, finishes, rows = sink.columns
-        job_ids = run.job_ids
-        epoch = previous_finish = run.epoch
-        for index, workload, step in zip(order, workloads, recording.script):
-            arrival_at = epoch + arrivals[index].arrival_time
-            start = arrival_at if arrival_at > previous_finish else previous_finish
-            finish = pinned[step]
-            if finish is None:
-                finish = start + makespans[step]
-            ids.append(job_ids(index, workload))
-            arrivals_at.append(arrival_at)
-            starts.append(start)
-            finishes.append(finish)
-            previous_finish = finish
-        rows.extend(recording.script)
-        sink.close(previous_finish)
+        script = recording.script
+        epoch = run.epoch
+        arrival_col = epoch + _np.array(times)[order]
+        finish = epoch
+        finish_col = [
+            finish := (
+                (arrival if arrival > finish else finish) + makespans[step]
+                if pinned[step] is None
+                else pinned[step]
+            )
+            for arrival, step in zip(arrival_col.tolist(), script)
+        ]
+        before = _np.empty(len(finish_col))
+        before[0] = epoch
+        before[1:] = finish_col[:-1]
+        start_col = _np.where(arrival_col > before, arrival_col, before)
+        if sink.ids is not None:
+            keys = order
+        else:
+            keys = [run.job_ids(index, workload) for index, workload in zip(order, workloads)]
+        sink.add(keys, arrival_col, start_col, finish_col, script)
+        sink.close(finish)
         report.warm_trace = True
         report.groups = {
             name: {"simulated": 0, "replayed": count}
@@ -1439,7 +1762,7 @@ class ServiceLoadGenerator:
         collector: Optional[Callable[[Dict[str, object]], None]] = None,
         window: Optional[int] = None,
     ) -> TraceReport:
-        from repro.core.multitenant import run_submissions
+        from repro.core.multitenant import SubmissionSchedule, run_submissions
 
         service = self.service
         report = TraceReport(mode="multiplex")
@@ -1447,59 +1770,99 @@ class ServiceLoadGenerator:
         run = _TraceRun(
             report, registry, job_ids, service.runtime.engine.now, controller, collector
         )
-        entries: List[_Entry] = []
-        #: Serial backlog watermark fed to the deadline-feasibility rung.
-        #: Multiplexed jobs overlap, so there is no FIFO probe stream to
-        #: observe makespans from: the ladder runs on the config's cost
-        #: priors, keeping every decision a pure function of the arrival
-        #: sequence (the capture/replay property).
-        backlog = run.epoch
-        for index in _admission_order(arrivals):
-            entry = run.admit(index, arrivals[index], backlog)
-            if entry is None:
-                continue
-            if controller is not None:
-                config = controller.config
-                prior = (
-                    config.degraded_prior_s
-                    if entry.outcome == "degrade"
-                    else config.estimate_prior_s
-                )
-                backlog = max(entry.ready_at, backlog) + (prior or 0.0)
-            entries.append(entry)
+        times = [arrival.arrival_time for arrival in arrivals]
+        order = _admission_order(times)
+        entries: Optional[List[_Entry]] = None
+        index_ids: Optional[_TraceIndexIds] = None
+        if vectorized and not run.tracks:
+            # Nothing sheds, defers or records an untracked arrival, so its
+            # admission entry is its trace index, workload and ready time,
+            # kept as columns in admission order (ready times are already
+            # sorted: the epoch shift is monotone).
+            groups = [arrivals[index].workload for index in order]
+            ready_col = arrival_col = run.epoch + _np.array(times)[order]
+            ready = arrivals_at = ready_col.tolist()
+            index_ids = self._index_ids(run, arrivals)
+            if index_ids is not None:
+                keys = _np.array(order, dtype=_np.intp)
+                naming = index_ids.naming
 
-        if not entries:
-            # Every arrival was shed; nothing touches the engine.
-            run.emit()
-            return report
+                def job_id(position: int) -> str:
+                    return naming(order[position], groups[position])
 
-        # Deferred admissions shift ready times, so re-sort (stably) before
-        # building submissions: run_submissions orders by (arrival_time,
-        # position), which after this sort is the identity — entry i of this
-        # list is served as submission i, so the steady-window replay plan's
-        # ``resume_at`` indexes straight into ``entries``.
-        entries.sort(key=attrgetter("ready_at"))
+            else:
+                keys = [job_ids(index, group) for index, group in zip(order, groups)]
+                job_id = keys.__getitem__
+        else:
+            entries = []
+            #: Serial backlog watermark fed to the deadline-feasibility rung.
+            #: Multiplexed jobs overlap, so there is no FIFO probe stream to
+            #: observe makespans from: the ladder runs on the config's cost
+            #: priors, keeping every decision a pure function of the arrival
+            #: sequence (the capture/replay property).
+            backlog = run.epoch
+            for index in order:
+                entry = run.admit(index, arrivals[index], backlog)
+                if entry is None:
+                    continue
+                if controller is not None:
+                    config = controller.config
+                    prior = (
+                        config.degraded_prior_s
+                        if entry.outcome == "degrade"
+                        else config.estimate_prior_s
+                    )
+                    backlog = max(entry.ready_at, backlog) + (prior or 0.0)
+                entries.append(entry)
+
+            if not entries:
+                # Every arrival was shed; nothing touches the engine.
+                run.emit()
+                return report
+
+            # Deferred admissions shift ready times, so re-sort (stably):
+            # run_submissions serves in (arrival_time, position) order, which
+            # after this sort is the identity — entry i is served as
+            # submission i, so the steady-window replay plan's ``resume_at``
+            # indexes straight into these columns.
+            entries.sort(key=attrgetter("ready_at"))
+            groups = [entry.group for entry in entries]
+            ready = [entry.ready_at for entry in entries]
+            ready_col = _np.array(ready)
+            arrivals_at = [entry.arrival_at for entry in entries]
+            arrival_col = _np.array(arrivals_at)
+            keys = [entry.job_id for entry in entries]
+            job_id = keys.__getitem__
+        if index_ids is None:
+            _require_distinct(keys)
 
         # Template compilation: one Job per admission group, cloned with a
         # fresh job_id only when run_submissions admits the submission (the
-        # replayed tail never is).  Clones share the template's materialized
-        # inputs and spec digest, so the digest-keyed plan cache plans each
-        # group once no matter how many arrivals it has.
+        # replayed tail is never even built).  Clones share the template's
+        # materialized inputs and spec digest, so the digest-keyed plan
+        # cache plans each group once no matter how many arrivals it has.
         templates: Dict[str, Job] = {}
-        submissions: List[TenantSubmission] = []
-        for entry in entries:
-            template = templates.get(entry.group)
-            if template is None:
-                template = templates[entry.group] = run.build_job(entry)
-            submissions.append(_Submission(entry.ready_at, template, entry.job_id))
-        by_job_id = {entry.job_id: entry for entry in entries}
+        for group in dict.fromkeys(groups):
+            first = groups.index(group)
+            templates[group] = (
+                run.build_job(entries[first])
+                if entries is not None
+                else registry.build(group, job_id(first))
+            )
         group_counts = {group: {"simulated": 0, "replayed": 0} for group in templates}
+        #: Position of every built submission, by job id.
+        by_job_id: Dict[str, int] = {}
+
+        def submission(position: int) -> _Submission:
+            name = job_id(position)
+            by_job_id[name] = position
+            return _Submission(ready[position], templates[groups[position]], name)
 
         period: Optional[int] = None
         if window != 0 and self._dynamics is None:
             if window is None:
-                period = self._detect_multiplex_period(entries)
-            elif self._pattern_holds(entries, window):
+                period = _detect_multiplex_period(ready, groups)
+            elif _pattern_holds(ready, groups, window):
                 # An explicit window that the arrival pattern does not
                 # actually repeat at (or a too-short trace) falls back to
                 # full per-event serving rather than mis-replaying.
@@ -1508,18 +1871,18 @@ class ServiceLoadGenerator:
         stats = service.stats
 
         def on_result(result: JobResult) -> None:
-            entry = by_job_id.get(result.job_id)
-            if entry is None:
+            position = by_job_id.get(result.job_id)
+            if position is None:
                 raise ValueError(
                     f"multiplex completion for unknown job id {result.job_id!r}; "
                     "job_ids must return the id each submission was admitted under"
                 )
             stats.record(result)
-            report.account(result, entry.arrival_at, simulated=True)
-            group_counts[entry.group]["simulated"] += 1
+            report.account(result, arrivals_at[position], simulated=True)
+            group_counts[groups[position]]["simulated"] += 1
             if run.tracks:
                 run.complete(
-                    entry,
+                    entries[position],
                     result.started_at,
                     result.finished_at,
                     result.makespan_s,
@@ -1528,7 +1891,7 @@ class ServiceLoadGenerator:
 
         tenant_report = run_submissions(
             service.runtime,
-            submissions,
+            SubmissionSchedule(len(groups), submission),
             pool=service._pool,
             collect_traces=False,
             on_result=on_result,
@@ -1537,102 +1900,75 @@ class ServiceLoadGenerator:
         report.failed_jobs = tenant_report.failed_jobs
         plan = tenant_report.replay_plan
         if plan is not None:
-            sink = self._sink(vectorized, report)
-            remaining = entries[plan.resume_at :]
-            self._replay_windows(run, remaining, plan, group_counts, sink)
+            resume = plan.resume_at
+            self._replay_windows(
+                run,
+                self._sink(vectorized, report, index_ids),
+                plan,
+                ready_col[resume:],
+                arrival_col[resume:],
+                keys[resume:],
+                groups[resume : resume + plan.period],
+                group_counts,
+                entries[resume:] if run.tracks else None,
+            )
         report.groups = group_counts
         run.emit()
         return report
 
     @staticmethod
-    def _pattern_holds(entries: List[_Entry], period: int) -> bool:
-        """Whether ``entries`` repeats with ``period``: same admission-group
-        sequence, constant positive window-to-window ready-time shift.
-
-        Requires at least ``2 * period + 1`` entries — the steady-window
-        detector needs two complete windows to compare plus at least one
-        entry to replay.
-        """
-        n = len(entries)
-        if period < 1 or n < 2 * period + 1:
-            return False
-        span = round_sig(entries[period].ready_at - entries[0].ready_at)
-        if span <= 0.0:
-            return False
-        checked = None
-        for i in range(period, n):
-            previous = entries[i - period]
-            current = entries[i]
-            if current.group != previous.group:
-                return False
-            shift = current.ready_at - previous.ready_at
-            if shift != checked:
-                # Rounding is the slow part; a repeated shift rounds alike.
-                if round_sig(shift) != span:
-                    return False
-                checked = shift
-        return True
-
-    @classmethod
-    def _detect_multiplex_period(cls, entries: List[_Entry]) -> Optional[int]:
-        """Smallest period the admitted arrival pattern repeats at, if any.
-
-        Aperiodic traces reject each candidate within a few comparisons
-        (the first group or spacing mismatch short-circuits), so detection
-        stays effectively linear in practice.
-        """
-        first = entries[0].group
-        for period in range(1, (len(entries) - 1) // 2 + 1):
-            if entries[period].group != first:
-                continue
-            if cls._pattern_holds(entries, period):
-                return period
-        return None
-
-    @staticmethod
     def _replay_windows(
         run: _TraceRun,
-        remaining: List[_Entry],
-        plan,
-        group_counts: Dict[str, Dict[str, int]],
         sink: _ReplaySink,
+        plan,
+        ready,
+        arrivals_at,
+        keys,
+        groups: List[str],
+        group_counts: Dict[str, Dict[str, int]],
+        entries: Optional[List[_Entry]] = None,
     ) -> None:
         """Replay the unsimulated tail from the confirmed window pattern.
 
-        Remaining entry ``i`` replays pattern slot ``i % period``: its start
-        is its own window's first ready time plus the slot's offset from the
-        confirmed window's base (clamped to the entry's own ready time, as
-        the engine would), and its finish adds the slot's exact makespan.
-        Rows reach the sink stably sorted by finish, which is the (finish,
-        position) order of the shared engine's (time, sequence) queue.
+        ``ready``, ``arrivals_at`` and ``keys`` are the tail's columns in
+        admission order, ``groups`` the admission groups of its first
+        window, and ``entries`` the tail's admission entries on a tracked
+        run.  Remaining row ``i`` replays pattern slot ``i % period``: its
+        start is its own window's first ready time plus the slot's offset
+        from the confirmed window's base (clamped to the row's own ready
+        time, as the engine would), and its finish adds the slot's exact
+        makespan.  Rows reach the sink stably sorted by finish, which is the
+        (finish, position) order of the shared engine's (time, sequence)
+        queue.
         """
         period = plan.period
         pattern = plan.pattern
         base_row = sink.register([_ReplaySlot.of(result) for result in pattern])
         offsets = _np.array([result.started_at - plan.base for result in pattern])
         makespans = _np.array([result.makespan_s for result in pattern])
-        ready = _np.array([entry.ready_at for entry in remaining])
-        positions = _np.arange(len(remaining))
+        positions = _np.arange(len(ready))
         slot_of = positions % period
         starts = ready[positions - slot_of] + offsets[slot_of]
         starts = _np.where(starts < ready, ready, starts)
         finishes = starts + makespans[slot_of]
         order = _np.argsort(finishes, kind="stable")
-        tail = [remaining[position] for position in order.tolist()]
-        ids, arrivals_at, start_col, finish_col, rows = sink.columns
-        ids.extend([entry.job_id for entry in tail])
-        arrivals_at.extend([entry.arrival_at for entry in tail])
-        start_col.extend(starts[order].tolist())
-        finish_col.extend(finishes[order].tolist())
-        rows.extend((slot_of[order] + base_row).tolist())
+        if isinstance(keys, _np.ndarray):
+            keys = keys[order]
+        else:
+            keys = [keys[position] for position in order.tolist()]
+        start_col, finish_col = starts[order], finishes[order]
+        rows = slot_of[order] + base_row
+        sink.add(keys, arrivals_at[order], start_col, finish_col, rows)
         replayed = _np.bincount(slot_of, minlength=period).tolist()
-        for position, entry in enumerate(remaining[:period]):
-            group_counts[entry.group]["replayed"] += replayed[position]
-        if run.tracks:
-            for entry, start, finish, row in zip(tail, start_col, finish_col, rows):
+        for position, group in enumerate(groups):
+            group_counts[group]["replayed"] += replayed[position]
+        if entries is not None:
+            for position, start, finish, row in zip(
+                order.tolist(), start_col.tolist(), finish_col.tolist(), rows.tolist()
+            ):
                 values = sink.slots[row].values
-                run.complete(entry, start, finish, values[0], values[3])
-        sink.close(finish_col[-1])
+                run.complete(entries[position], start, finish, values[0], values[3])
+        sink.close(float(finish_col[-1]))
 
     # ------------------------------------------------------------------ #
     # Vectorized replay accounting
@@ -1642,6 +1978,10 @@ class ServiceLoadGenerator:
     ) -> None:
         """Account one batch of a sink's columns (job ids; arrival, start and
         finish floats; indices into ``slots``) as numpy arrays.
+
+        The id column is an :class:`_IdColumn`: under the default naming it
+        renders ids only for the rows a capped detail keeps.  The float
+        and index columns are lists or 1-d numpy arrays.
 
         Byte-identical to one engine event per row through
         :class:`_EventSink`: every streaming aggregate receives the same
@@ -1657,10 +1997,10 @@ class ServiceLoadGenerator:
         report.jobs += n
         report.replayed_jobs += n
         report.replay_runs += 1
-        arrivals = _np.array(arrival_col, dtype=float)
-        starts = _np.array(start_col, dtype=float)
-        finishes = _np.array(finish_col, dtype=float)
-        rows = _np.array(row_col, dtype=_np.intp)
+        arrivals = _np.asarray(arrival_col, dtype=float)
+        starts = _np.asarray(start_col, dtype=float)
+        finishes = _np.asarray(finish_col, dtype=float)
+        rows = _np.asarray(row_col, dtype=_np.intp)
         # Gathered per row from the slot table, so a steady run adds its one
         # slot's values once per job, in job order, like the reference.
         values = _np.array([slot.values for slot in slots])[rows]
@@ -1688,58 +2028,153 @@ class ServiceLoadGenerator:
         cap = report.max_latency_samples
         room = n if cap is None else min(n, cap - len(report.latency_s))
         if room > 0:
-            report.latency_s.extend((finishes[:room] - arrivals[:room]).tolist())
+            report.latency_s.extend(_shared_floats(finishes[:room] - arrivals[:room]))
         throughput = report.throughput
         throughput.completed += n
         throughput.first_start = min(throughput.first_start, float(starts.min()))
         throughput.last_finish = max(throughput.last_finish, float(finishes.max()))
         stats.jobs_completed += n
         # Capped details are built only for the rows their caps keep.
-        distinct = len(set(ids)) == n
         engine = self.service.runtime.engine
         _bulk_insert(
             engine.watermarks,
             engine.WATERMARK_CAP,
             ids,
-            distinct,
-            lambda start: finish_col[start:],
+            lambda start: finishes[start:].tolist(),
             latest=True,
         )
 
         def summaries(start: int) -> List[Dict[str, float]]:
             # The JobResult.compact_summary dict of each kept row's slot.
-            kept = row_col[start:]
+            kept = rows[start:].tolist()
             return [dict(zip(_SUMMARY_KEYS, slots[row].values)) for row in kept]
 
         stats.per_job_evicted += _bulk_insert(
-            stats.per_job, stats.max_per_job_records, ids, distinct, summaries
+            stats.per_job, stats.max_per_job_records, ids, summaries
         )
-        _bulk_insert(
-            report.job_summaries, report.max_job_summaries, ids, distinct, summaries
-        )
+        _bulk_insert(report.job_summaries, report.max_job_summaries, ids, summaries)
 
 
-def _admission_order(arrivals: Sequence[JobArrival]) -> List[int]:
+def _admission_order(times: Sequence[float]) -> List[int]:
     """Trace indices by arrival time, ties in trace order: a stable sort on
     arrival time, which is the (time, index) order."""
-    times = [arrival.arrival_time for arrival in arrivals]
     return sorted(range(len(times)), key=times.__getitem__)
 
 
-def _bulk_insert(
-    mapping: Dict, cap: Optional[int], keys, distinct: bool, payloads, latest=False
-) -> int:
-    """``mapping[key] = payload`` pairwise, evicting the insertion-oldest
+def _shared_floats(values) -> List[float]:
+    """``values.tolist()`` with one float object per distinct value.
+
+    Replayed rows repeat a few slot makespans, so their latencies repeat
+    (about one value in four is distinct on a steady grouped trace), and a
+    report holding up to :attr:`TraceReport.max_latency_samples` of them
+    keeps each value once.  Values are matched bit for bit.
+    """
+    _, first, inverse = _np.unique(
+        values.view(_np.int64), return_index=True, return_inverse=True
+    )
+    return _np.array(values[first].tolist(), dtype=object)[inverse].tolist()
+
+
+def _require_distinct(ids: Sequence[str]) -> None:
+    """Multiplex serving matches each completion to its arrival by job id,
+    so an id may name one admitted job only."""
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for job_id in ids:
+            if job_id in seen:
+                raise ValueError(
+                    f"job id {job_id!r} names more than one admitted job; "
+                    "multiplex serving needs a distinct id per job"
+                )
+            seen.add(job_id)
+
+
+#: Rows of a candidate period the steady-window detector compares one at a
+#: time before it compares the rest as arrays: an arrival pattern that does
+#: not repeat at a period almost always shows it within these.
+_PATTERN_PREFIX = 16
+
+
+def _pattern_holds(
+    ready: List[float], groups: List[str], period: int, arrays: Optional[tuple] = None
+) -> bool:
+    """Whether the admitted arrivals repeat with ``period``: the same
+    admission-group sequence and a constant positive window-to-window
+    ready-time shift.
+
+    ``ready`` and ``groups`` are the arrivals' ready times and admission
+    groups in admission order; ``arrays`` is their :func:`_pattern_arrays`
+    form, when the caller already has it.  Requires at least ``2 * period +
+    1`` arrivals — the steady-window detector needs two complete windows to
+    compare plus at least one arrival to replay.
+    """
+    n = len(ready)
+    if period < 1 or n < 2 * period + 1:
+        return False
+    span = round_sig(ready[period] - ready[0])
+    if span <= 0.0:
+        return False
+    head = min(n, period + _PATTERN_PREFIX)
+    checked = None
+    for i in range(period, head):
+        if groups[i] != groups[i - period]:
+            return False
+        shift = ready[i] - ready[i - period]
+        if shift != checked:
+            # Rounding is the slow part; a repeated shift rounds alike.
+            if round_sig(shift) != span:
+                return False
+            checked = shift
+    if head == n:
+        return True
+    times, codes = arrays or _pattern_arrays(ready, groups)
+    if not _np.array_equal(codes[head:], codes[head - period : n - period]):
+        return False
+    shifts = times[head:] - times[head - period : n - period]
+    return all(round_sig(shift) == span for shift in _np.unique(shifts).tolist())
+
+
+def _pattern_arrays(ready: List[float], groups: List[str]) -> tuple:
+    """``ready`` as floats and ``groups`` as integer codes, as numpy arrays."""
+    codes = {group: code for code, group in enumerate(dict.fromkeys(groups))}
+    return (
+        _np.array(ready),
+        _np.fromiter(map(codes.__getitem__, groups), dtype=_np.intp, count=len(groups)),
+    )
+
+
+def _detect_multiplex_period(ready: List[float], groups: List[str]) -> Optional[int]:
+    """Smallest period the admitted arrival pattern repeats at, if any.
+
+    Aperiodic traces reject each candidate within a few comparisons (the
+    first group or spacing mismatch short-circuits), so detection stays
+    effectively linear in practice.
+    """
+    first = groups[0]
+    arrays = None
+    for period in range(1, (len(groups) - 1) // 2 + 1):
+        if groups[period] != first:
+            continue
+        if arrays is None and len(groups) > period + _PATTERN_PREFIX:
+            arrays = _pattern_arrays(ready, groups)
+        if _pattern_holds(ready, groups, period, arrays):
+            return period
+    return None
+
+
+def _bulk_insert(mapping: Dict, cap: Optional[int], ids, payloads, latest=False) -> int:
+    """``mapping[id] = payload`` pairwise, evicting the insertion-oldest
     beyond ``cap``: byte-identical (contents, order, eviction count) to one
-    insert at a time.  ``payloads(start)`` builds the payloads of
-    ``keys[start:]``; with ``latest`` a present key keeps the later value, as
-    :meth:`SimulationEngine.mark` does.  Fresh keys (``distinct``, none
-    present) take the arithmetic path and build only the payloads the cap
-    keeps; a re-inserted key keeps its dict position, which arithmetic cannot
+    insert at a time.  ``ids`` is a batch's id column and ``payloads(start)``
+    builds the payloads of its rows from ``start`` on; with ``latest`` a
+    present key keeps the later value, as :meth:`SimulationEngine.mark`
+    does.  Fresh ids (:meth:`_IdColumn.fresh`: distinct, none present) take
+    the arithmetic path and render only the ids and payloads the cap keeps;
+    a re-inserted key keeps its dict position, which arithmetic cannot
     model, so any other batch inserts one key at a time.
     """
-    if distinct and mapping.keys().isdisjoint(keys):
-        n = len(keys)
+    if ids.fresh(mapping):
+        n = len(ids)
         overflow = 0 if cap is None else len(mapping) + n - cap
         keep_from = 0
         if overflow >= len(mapping) and overflow > 0:
@@ -1748,10 +2183,10 @@ def _bulk_insert(
             keep_from = max(0, n - cap)
         elif overflow > 0:
             evict_oldest(mapping, len(mapping) - overflow)
-        mapping.update(zip(keys[keep_from:], payloads(keep_from)))
+        mapping.update(zip(ids.tail(keep_from), payloads(keep_from)))
         return max(0, overflow)
     evicted = 0
-    for key, payload in zip(keys, payloads(0)):
+    for key, payload in zip(ids.tail(0), payloads(0)):
         existing = mapping.get(key) if latest else None
         if existing is None or payload > existing:
             mapping[key] = payload

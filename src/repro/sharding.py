@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.job import Job, JobResult
-from repro.loadgen import TraceReport, WorkloadRegistry, default_registry
+from repro.loadgen import TraceJobIds, TraceReport, WorkloadRegistry, default_registry
 from repro.policies.bundles import PolicyBundle, PolicyLike, resolve_bundle
 from repro.service import AIWorkflowService, ServiceStats
 from repro.warmstate import shard_dir_name
@@ -552,17 +552,17 @@ class ShardedService:
         self, assignment, registry, job_ids, options
     ) -> List[Tuple[int, TraceReport]]:
         outcomes: List[Tuple[int, TraceReport]] = []
-        naming = job_ids or (lambda index, workload: f"trace-{index:05d}-{workload}")
         for shard in sorted(assignment):
             indices, subset = assignment[shard]
             service = self._inline_shard(shard)
-            report = service.submit_trace(
-                subset,
-                registry=registry,
-                job_ids=lambda local, workload, _indices=indices: naming(
+            if job_ids is None:
+                naming = TraceJobIds(indices)
+            else:
+                naming = lambda local, workload, _indices=indices: job_ids(  # noqa: E731
                     _indices[local], workload
-                ),
-                **options,
+                )
+            report = service.submit_trace(
+                subset, registry=registry, job_ids=naming, **options
             )
             outcomes.append((shard, report))
         return outcomes

@@ -121,6 +121,7 @@ def serve_trace(payload: Dict[str, object]) -> Dict[str, object]:
     report's job summaries) are exactly the ones an unsharded serving of
     the full trace would have produced for these arrivals.
     """
+    from repro.loadgen import TraceJobIds
     from repro.workloads.arrival import JobArrival
 
     service = _configure(payload["config"], payload.get("warm_cache"))
@@ -135,7 +136,7 @@ def serve_trace(payload: Dict[str, object]) -> Dict[str, object]:
     report = service.submit_trace(
         arrivals,
         registry=registry,
-        job_ids=lambda local, workload: f"trace-{indices[local]:05d}-{workload}",
+        job_ids=TraceJobIds(indices),
         **payload["options"],
     )
     outcome = _outcome(payload["shard"], service)

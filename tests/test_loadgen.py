@@ -617,3 +617,190 @@ def test_caps_crossed_inside_a_warm_recording_match_the_cold_run(
     for snapshot in (cold_snapshot, warm_snapshot):
         del snapshot["jobs"], snapshot["groups"]
     assert warm_snapshot == cold_snapshot
+
+
+# --------------------------------------------------------------------- #
+# Columnar replay: lazily rendered default ids, caller-named jobs
+# --------------------------------------------------------------------- #
+
+
+def _colliding_traces():
+    """A grouped trace and a multiplex burst with the same workload at every
+    shared trace index, so the burst's default ids repeat the grouped run's."""
+    from test_multiplex_fastpath import _burst_arrivals
+
+    burst = _burst_arrivals()
+    grouped = [
+        JobArrival(50.0 * index, arrival.workload) for index, arrival in enumerate(burst[:30])
+    ]
+    return grouped, burst
+
+
+@pytest.mark.parametrize("numpy_enabled", [True, False], ids=["numpy", "pure-python"])
+def test_default_ids_colliding_with_held_keys_are_byte_identical(
+    registry, monkeypatch, small_caps, numpy_enabled
+):
+    import repro.loadgen as loadgen
+
+    if not numpy_enabled:
+        import repro.telemetry.metrics as metrics
+
+        monkeypatch.setattr(metrics, "_NUMPY_MIN_BATCH", sys.maxsize)
+    fresh = []
+    check = loadgen._TraceIndexIds.fresh
+
+    def spy(self, mapping, indices):
+        fresh.append(check(self, mapping, indices))
+        return fresh[-1]
+
+    monkeypatch.setattr(loadgen._TraceIndexIds, "fresh", spy)
+    grouped, burst = _colliding_traces()
+
+    def serve(vectorized):
+        service = AIWorkflowService()
+        snapshots = []
+        held = set()
+        for arrivals, mode in ((grouped, "grouped"), (burst, "multiplex")):
+            engine = service.runtime.engine
+            held = set(engine.watermarks) | set(service.stats.per_job)
+            report = service.submit_trace(
+                arrivals,
+                registry=registry,
+                mode=mode,
+                max_per_job_records=CAPS["per_job"],
+                vectorized=vectorized,
+            )
+            snapshot = _accounting_snapshot(service, report)
+            _assert_plain_numbers(snapshot)
+            snapshots.append(snapshot)
+        return snapshots, held, report
+
+    ref_snapshots, _, reference = serve(False)
+    assert not small_caps and not fresh
+    vec_snapshots, held, vectorized = serve(True)
+    assert small_caps == set(CAPS)
+    assert reference.replay_runs == 0 and vectorized.replay_runs == 1
+    # The burst replays rows whose default ids the grouped run left held in
+    # the capped mappings, so the fresh-key check must see the collision.
+    replayed_ids = {
+        f"trace-{index:05d}-{arrival.workload}"
+        for index, arrival in enumerate(burst)
+        if index >= vectorized.simulated_jobs
+    }
+    assert held & replayed_ids
+    assert False in fresh and True in fresh
+    assert vec_snapshots == ref_snapshots
+
+
+class _NumberingIds:
+    """A stateful ``job_ids``: each id carries its call's sequence number."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, index, workload):
+        self.calls.append((index, workload))
+        return f"job-{len(self.calls)}-{workload}"
+
+
+@pytest.mark.parametrize("numpy_enabled", [True, False], ids=["numpy", "pure-python"])
+@pytest.mark.parametrize("mode", ["grouped", "multiplex", "warm"])
+def test_caller_job_ids_are_called_once_per_arrival_in_admission_order(
+    registry, monkeypatch, tmp_path, mode, numpy_enabled
+):
+    if not numpy_enabled:
+        import repro.telemetry.metrics as metrics
+
+        monkeypatch.setattr(metrics, "_NUMPY_MIN_BATCH", sys.maxsize)
+    if mode == "multiplex":
+        from test_multiplex_fastpath import _burst_arrivals
+
+        arrivals = _burst_arrivals()
+    else:
+        arrivals = poisson_arrivals(
+            rate_per_s=1.0,
+            horizon_s=120.0,
+            workloads=("newsfeed", "chain-of-thought"),
+            seed=5,
+        )
+    # Served out of time order: admission order is the stable time sort.
+    arrivals = arrivals[::2] + arrivals[1::2]
+    expected = [
+        (index, arrivals[index].workload)
+        for index in sorted(range(len(arrivals)), key=lambda i: arrivals[i].arrival_time)
+    ]
+    serve_mode = "multiplex" if mode == "multiplex" else "grouped"
+
+    def serve(vectorized, warm_cache=None):
+        service = AIWorkflowService(warm_cache=warm_cache)
+        job_ids = _NumberingIds()
+        report = service.submit_trace(
+            arrivals,
+            registry=registry,
+            mode=serve_mode,
+            job_ids=job_ids,
+            vectorized=vectorized,
+        )
+        assert job_ids.calls == expected
+        return report, _accounting_snapshot(service, report)
+
+    reference, ref_snapshot = serve(False)
+    if mode == "warm":
+        cold, cold_snapshot = serve(True, tmp_path)
+        vectorized, vec_snapshot = serve(True, tmp_path)
+        assert not cold.warm_trace and vectorized.warm_trace
+        assert cold_snapshot == ref_snapshot
+        for snapshot in (ref_snapshot, vec_snapshot):
+            del snapshot["jobs"], snapshot["groups"]
+    else:
+        vectorized, vec_snapshot = serve(True)
+    assert vectorized.replay_runs >= 1 and reference.replay_runs == 0
+    assert vec_snapshot == ref_snapshot
+
+
+def test_multiplex_rejects_a_repeated_job_id_before_serving(registry):
+    from test_multiplex_fastpath import _burst_arrivals
+
+    for job_ids, repeated in (
+        (lambda index, workload: "same", "same"),
+        # Far apart in time, so the two jobs never overlap.
+        (lambda index, workload: f"job-{index % 30}", "job-0"),
+    ):
+        for vectorized in (True, False):
+            service = AIWorkflowService()
+            with pytest.raises(ValueError, match=repr(repeated)):
+                service.submit_trace(
+                    _burst_arrivals(),
+                    registry=registry,
+                    mode="multiplex",
+                    job_ids=job_ids,
+                    vectorized=vectorized,
+                )
+            assert service.runtime.engine.events_fired == 0
+            assert service.stats.jobs_completed == 0
+
+
+def test_no_vector_collection_outlives_its_job(registry):
+    from test_multiplex_fastpath import _burst_arrivals
+
+    arrivals = uniform_arrivals(
+        count=12, interval_s=20.0, workloads=("document-qa", "video-understanding")
+    )
+    service = AIWorkflowService()
+    service.submit_trace(arrivals, registry=registry)
+    service.submit_trace(arrivals, registry=registry, mode="multiplex")
+    service.submit_trace(_burst_arrivals(), registry=registry, mode="multiplex")
+    assert service.runtime.library.get("vector-db").collection_names() == []
+
+
+@pytest.mark.parametrize("workload", ["document-qa", "video-understanding"])
+def test_a_reused_job_id_reads_no_earlier_vectors(registry, workload):
+    def serve(job_ids):
+        service = AIWorkflowService()
+        results = [service.submit_job(registry.build(workload, job_id)) for job_id in job_ids]
+        return results[-1]
+
+    reused = serve(["job-x", "job-x"])
+    fresh = serve(["job-x", "job-y"])
+    assert reused.output == fresh.output
+    assert reused.makespan_s == fresh.makespan_s

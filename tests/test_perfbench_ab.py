@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -115,13 +117,43 @@ def test_end_to_end_rows_flag_only_a_worsening_beyond_the_bound():
 
 
 def test_metric_must_be_end_to_end_and_is_rejected_before_any_run(monkeypatch, capsys):
-    def no_worktree(parent):
+    def no_export(parent):
         raise AssertionError("no run may start for a rejected metric")
 
-    monkeypatch.setattr(perfbench_ab, "_add_worktree", no_worktree)
+    monkeypatch.setattr(perfbench_ab, "_export_parent", no_export)
     with pytest.raises(SystemExit) as exit_info:
         perfbench_ab.main(["--workload", "fidelity", "--metric", "sim.engine.self_s"])
     assert exit_info.value.code == 2
     assert "not an end-to-end metric" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         perfbench_ab.main(["--workload", "fidelity", "--better", "higher"])
+
+
+def test_parent_is_exported_without_writing_under_git(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text("print('parent')\n")
+    env = dict(
+        os.environ,
+        GIT_AUTHOR_NAME="a",
+        GIT_AUTHOR_EMAIL="a@example.com",
+        GIT_COMMITTER_NAME="a",
+        GIT_COMMITTER_EMAIL="a@example.com",
+    )
+    for command in (
+        ["git", "init", "-q"],
+        ["git", "add", "-A"],
+        ["git", "commit", "-q", "-m", "parent"],
+    ):
+        subprocess.run(command, cwd=repo, env=env, check=True, capture_output=True)
+    (repo / "perfbench" / "run.py").write_text("print('change')\n")
+    before = sorted(path.relative_to(repo) for path in (repo / ".git").rglob("*"))
+
+    tree = perfbench_ab._export_parent("HEAD", root=repo)
+    try:
+        assert (tree / "perfbench" / "run.py").read_text() == "print('parent')\n"
+        assert not (tree / ".git").exists()
+        assert sorted(path.relative_to(repo) for path in (repo / ".git").rglob("*")) == before
+    finally:
+        perfbench_ab._remove_export(tree)
+    assert not tree.parent.exists()

@@ -489,3 +489,80 @@ def test_process_backend_end_to_end(tmp_path):
     shard_dirs = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
     assert shard_dirs
     assert all(name.startswith("shard-") for name in shard_dirs)
+
+
+# --------------------------------------------------------------------------- #
+# Warm generations: shard job ids are the unsharded serving's
+# --------------------------------------------------------------------------- #
+
+
+def _warm_generation_trace():
+    # video-understanding routes to one shard of two, the rest to the other.
+    return uniform_arrivals(
+        count=48,
+        interval_s=30.0,
+        workloads=("newsfeed", "video-understanding", "chain-of-thought"),
+    )
+
+
+def _unsharded_generations(registry, indices, subset, cache_dir):
+    """A cold and a warm serving of one shard's sub-trace on a plain service,
+    naming jobs by their whole-trace index through a caller's ``job_ids``."""
+    job_ids = lambda local, workload: f"trace-{indices[local]:05d}-{workload}"  # noqa: E731
+    for _ in range(2):
+        service = AIWorkflowService(warm_cache=cache_dir)
+        report = service.submit_trace(subset, registry=registry, job_ids=job_ids)
+        service.shutdown()
+    assert report.warm_trace
+    return report, service
+
+
+@pytest.mark.parametrize(
+    "backend, numpy_enabled",
+    [
+        pytest.param("inline", True, id="inline-numpy"),
+        pytest.param("inline", False, id="inline-pure-python"),
+        # Spawned workers import the accounting module afresh, so only the
+        # default backend can be forced there.
+        pytest.param("process", True, id="process-numpy", marks=pytest.mark.slow),
+    ],
+)
+def test_warm_generation_matches_unsharded_serving(
+    tmp_path, monkeypatch, backend, numpy_enabled
+):
+    if not numpy_enabled:
+        import repro.telemetry.metrics as metrics
+
+        monkeypatch.setattr(metrics, "_NUMPY_MIN_BATCH", sys.maxsize)
+    registry = default_registry()
+    arrivals = _warm_generation_trace()
+    for _ in range(2):
+        sharded = ShardedService(shards=2, backend=backend, warm_cache=tmp_path / "sharded")
+        try:
+            merged = sharded.submit_trace(arrivals, registry=registry)
+            reports = dict(sharded._last_reports)
+            partition = sharded.router.partition_arrivals(arrivals)
+            if backend == "inline":
+                inline = {shard: sharded._inline_shard(shard) for shard in partition}
+                stats = {shard: service.stats for shard, service in inline.items()}
+            else:
+                inline, stats = {}, dict(sharded._shard_stats)
+        finally:
+            sharded.shutdown()
+    assert merged.warm_trace and len(partition) == 2
+    assert set(merged.job_summaries) == {
+        f"trace-{index:05d}-{arrival.workload}" for index, arrival in enumerate(arrivals)
+    }
+    for shard, (indices, subset) in partition.items():
+        report, service = _unsharded_generations(
+            registry, indices, subset, tmp_path / f"plain-{shard}"
+        )
+        assert reports[shard].replayed_jobs == len(subset)
+        assert list(reports[shard].job_summaries.items()) == list(
+            report.job_summaries.items()
+        )
+        assert list(stats[shard].per_job.items()) == list(service.stats.per_job.items())
+        if shard in inline:
+            assert list(inline[shard].runtime.engine.watermarks.items()) == list(
+                service.runtime.engine.watermarks.items()
+            )
