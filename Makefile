@@ -70,9 +70,11 @@ perfbench-ab:
 	$(PYTHON) scripts/perfbench_ab.py $(AB_ARGS)
 
 ## Cold -> warm identity through the CLI: `repro loadtest --report-json`
-## twice on a fresh temporary --warm-cache directory, single-engine and with
-## --shards 2; fails unless the rerun replayed its recording (warm_trace) and
-## matches the cold report in aggregates, latency samples and job summaries.
+## twice on a fresh temporary --warm-cache directory, single-engine, through
+## a one-shard sharded service and with --shards 2; fails unless each rerun
+## replayed its recording (warm_trace) and matches the cold report in
+## aggregates, latency samples and job summaries, and unless the one-shard
+## reports equal the single-engine ones.
 warm-smoke:
 	$(PYTHON) scripts/warm_smoke.py
 

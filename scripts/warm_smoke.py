@@ -1,10 +1,13 @@
 """Cold -> warm identity smoke through the CLI.
 
 Runs ``repro loadtest --report-json`` twice on one fresh temporary
-``--warm-cache`` directory, once on a single engine and once with
-``--shards 2``.  Fails unless the second (warm) report replayed its trace
+``--warm-cache`` directory for each of three endpoints: a single engine, a
+one-shard sharded service (``--shards 1 --shard-backend process``) and
+``--shards 2``.  Fails unless each second (warm) report replayed its trace
 recording (``warm_trace``) and matches the first (cold) report in
-aggregates, latency samples and job summaries.
+aggregates, latency samples and job summaries, and unless both one-shard
+reports equal the single-engine report in those fields (a one-shard
+sharded service serves exactly what an unsharded one does).
 
 Run from the repo root (``make warm-smoke`` sets ``PYTHONPATH``)::
 
@@ -50,20 +53,37 @@ COMPARED = (
 )
 
 
-def _loadtest(cache: Path, report: Path, shards: int) -> dict:
+#: The endpoints, by label: each one's loadtest flags.
+ENDPOINTS = {
+    "--shards 1": ["--shards", "1"],
+    "--shards 1 --shard-backend process": ["--shards", "1", "--shard-backend", "process"],
+    "--shards 2": ["--shards", "2"],
+}
+
+#: Fields a one-shard sharded report must also share with the single-engine
+#: report of the same generation (only shard provenance is added).
+IDENTICAL = ("simulated_jobs", "replayed_jobs", "replay_runs", "warm_trace", "groups")
+
+
+def _loadtest(cache: Path, report: Path, flags: list) -> dict:
     command = [sys.executable, "-m", "repro", "loadtest", *TRACE]
-    command += ["--warm-cache", str(cache), "--shards", str(shards)]
+    command += ["--warm-cache", str(cache), *flags]
     command += ["--report-json", str(report)]
     subprocess.run(command, check=True, stdout=subprocess.DEVNULL)
     return json.loads(report.read_text(encoding="utf-8"))
 
 
-def check(shards: int) -> list:
-    """The failures of one cold -> warm pair (empty when it held)."""
+def serve(flags: list) -> tuple:
+    """The cold and the warm report of one endpoint on a fresh cache."""
     with tempfile.TemporaryDirectory(prefix="warm-smoke-") as workdir:
         root = Path(workdir)
-        cold = _loadtest(root / "cache", root / "cold.json", shards)
-        warm = _loadtest(root / "cache", root / "warm.json", shards)
+        cold = _loadtest(root / "cache", root / "cold.json", flags)
+        warm = _loadtest(root / "cache", root / "warm.json", flags)
+    return cold, warm
+
+
+def check(cold: dict, warm: dict) -> list:
+    """The failures of one cold -> warm pair (empty when it held)."""
     failures = []
     if cold["warm_trace"]:
         failures.append("the cold run found a recording in a fresh cache")
@@ -74,15 +94,29 @@ def check(shards: int) -> list:
     for field in COMPARED:
         if warm[field] != cold[field]:
             failures.append(f"{field} differs between the cold and the warm run")
-    return [f"--shards {shards}: {failure}" for failure in failures]
+    return failures
 
 
 def main() -> int:
     failures = []
-    for shards in (1, 2):
-        found = check(shards)
+    reports = {}
+    for label, flags in ENDPOINTS.items():
+        reports[label] = serve(flags)
+        found = [f"{label}: {failure}" for failure in check(*reports[label])]
         failures += found
-        print(f"warm smoke --shards {shards}: {'FAILED' if found else 'ok'}")
+        print(f"warm smoke {label}: {'FAILED' if found else 'ok'}")
+    found = [
+        f"one-shard sharded {run} run: {field} differs from the single engine"
+        for run, single, sharded in zip(
+            ("cold", "warm"),
+            reports["--shards 1"],
+            reports["--shards 1 --shard-backend process"],
+        )
+        for field in COMPARED + IDENTICAL
+        if sharded[field] != single[field]
+    ]
+    failures += found
+    print(f"warm smoke one shard == single engine: {'FAILED' if found else 'ok'}")
     for failure in failures:
         print(failure, file=sys.stderr)
     return 1 if failures else 0

@@ -82,6 +82,7 @@ from repro.service import AIWorkflowService, ServiceStats
 from repro.sharding import ShardRouter, ShardedService
 from repro.warmstate import WarmStateCache
 from repro.workloads.arrival import (
+    ArrivalColumns,
     JobArrival,
     bursty_arrivals,
     diurnal_arrivals,
@@ -156,6 +157,7 @@ __all__ = [
     "SpecError",
     "SpecIssue",
     "compile_spec",
+    "ArrivalColumns",
     "JobArrival",
     "poisson_arrivals",
     "uniform_arrivals",

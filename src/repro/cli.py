@@ -352,7 +352,9 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     arrivals = _build_arrivals(args, workloads)
     dynamics = _build_dynamics(args)
     admission = _build_admission(args)
-    if args.shards > 1 and dynamics is not None and args.shard_backend == "process":
+    # An explicit --shard-backend fronts even one shard with a sharded service.
+    sharded = args.shards > 1 or args.shard_backend is not None
+    if sharded and dynamics is not None and args.shard_backend in (None, "process"):
         print(
             "disruption schedules bind to shard-local engines; combine "
             "--shards with --shard-backend inline for dynamics",
@@ -362,14 +364,14 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     if args.multiplex_window is not None and args.mode != "multiplex":
         print("--multiplex-window requires --mode multiplex", file=sys.stderr)
         return 2
-    if args.capture and (args.shards > 1 or dynamics is not None):
+    if args.capture and (sharded or dynamics is not None):
         print(
             "--capture records a single-engine trace; drop --shards and "
             "disruption flags",
             file=sys.stderr,
         )
         return 2
-    runtime = _fabric_testbed(fabric) if args.shards == 1 else None
+    runtime = None if sharded else _fabric_testbed(fabric)
     with MurakkabClient(
         runtime=runtime,
         dynamics=dynamics,
@@ -431,14 +433,15 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         for workload, counters in sorted(handle.group_counters().items()):
             print(f"{workload:>22}: {counters}")
         if service.warm_cache is not None:
-            if args.shards > 1:
+            if sharded:
                 counters = service.warm_cache_counters()
             else:
                 counters = service.warm_cache.counters()
             print(
                 f"{'warm cache':>22}: hits={counters['hits']} "
                 f"misses={counters['misses']} invalid={counters['invalid']} "
-                f"stores={counters['stores']}"
+                f"stores={counters['stores']} "
+                f"store_failures={counters['store_failures']}"
             )
             print(f"{'warm trace replay':>22}: {handle.report.warm_trace}")
         if handle.disruptions():
@@ -701,9 +704,11 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--shard-backend",
         choices=("process", "inline"),
-        default="process",
-        help="process = one worker process per shard (parallel, default); "
-        "inline = all shards in-process (sequential, for debugging)",
+        default=None,
+        help="process = one worker process per shard (parallel, the default "
+        "with --shards > 1); inline = all shards in-process (sequential, for "
+        "debugging); given with --shards 1 it serves through a one-shard "
+        "sharded service",
     )
     _add_admission_flags(loadtest)
     loadtest.add_argument(

@@ -353,7 +353,7 @@ class MurakkabClient:
         keep_warm: bool = True,
         warm_cache=None,
         shards: int = 1,
-        shard_backend: str = "process",
+        shard_backend: Optional[str] = None,
         admission=None,
         fabric=None,
     ):
@@ -364,11 +364,13 @@ class MurakkabClient:
 
         ``shards > 1`` scales the endpoint out: the client fronts a
         :class:`~repro.sharding.ShardedService` partitioning admission
-        across that many worker engines (``shard_backend='process'`` runs
-        them as parallel worker processes; ``'inline'`` hosts them
-        in-process).  The facade is unchanged — handles, sessions, and
+        across that many worker engines (``shard_backend='process'``, the
+        default, runs them as parallel worker processes; ``'inline'`` hosts
+        them in-process).  The facade is unchanged — handles, sessions, and
         merged stats work identically — subject to the sharded backend's
-        restrictions (see :class:`~repro.sharding.ShardedService`).
+        restrictions (see :class:`~repro.sharding.ShardedService`).  An
+        explicit ``shard_backend`` with ``shards == 1`` fronts a one-shard
+        sharded service, whose reports equal a plain service's.
 
         ``admission`` (an :class:`~repro.admission.AdmissionConfig` or its
         dict form) installs overload admission control on the service:
@@ -384,17 +386,17 @@ class MurakkabClient:
         service stats (see :mod:`repro.fabric`)."""
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if shards > 1:
+        if shards > 1 or shard_backend is not None:
             if service is not None or runtime is not None:
                 raise ValueError(
-                    "shards > 1 builds its own sharded service; pass either "
-                    "a service/runtime or a shard count, not both"
+                    "a sharded client builds its own sharded service; pass "
+                    "either a service/runtime or shards/shard_backend, not both"
                 )
             from repro.sharding import ShardedService
 
             service = ShardedService(
                 shards=shards,
-                backend=shard_backend,
+                backend=shard_backend or "process",
                 policy=policy,
                 dynamics=dynamics,
                 warm_cache=warm_cache,
@@ -412,7 +414,7 @@ class MurakkabClient:
             admission=admission,
             fabric=fabric,
         )
-        if service is not None and shards == 1:
+        if service is not None and shards == 1 and shard_backend is None:
             # An explicitly passed service gets the configs installed rather
             # than silently dropped.
             if admission is not None:

@@ -56,10 +56,9 @@ from __future__ import annotations
 import math
 import re
 import time as _wall_time
-from collections import Counter
 from dataclasses import dataclass, field, replace as dataclass_replace
 from operator import attrgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as _np
 
@@ -80,7 +79,7 @@ from repro.telemetry.metrics import (
     sequential_sum,
 )
 from repro.warmstate import ReplayRecord, TraceRecording, trace_context_key
-from repro.workloads.arrival import JobArrival
+from repro.workloads.arrival import ArrivalColumns, JobArrival
 
 #: Group-key suffix for the degraded-quality variant of a workload: degraded
 #: jobs plan differently, so they converge to their own steady state and
@@ -213,6 +212,9 @@ class TraceJobIds:
     __slots__ = ("global_indices",)
 
     def __init__(self, global_indices: Optional[Sequence[int]] = None) -> None:
+        if isinstance(global_indices, _np.ndarray):
+            # Indexed once per named job: plain ints, never numpy scalars.
+            global_indices = global_indices.tolist()
         self.global_indices = global_indices
 
     def __call__(self, index: int, workload: str) -> str:
@@ -233,21 +235,21 @@ class _TraceIndexIds:
     """
 
     def __init__(
-        self, naming: TraceJobIds, arrivals: Sequence[JobArrival], mappings: Sequence[Dict]
+        self, naming: TraceJobIds, arrivals: ArrivalColumns, mappings: Sequence[Dict]
     ) -> None:
         self.naming = naming
         self.arrivals = arrivals
         self._held = [(mapping, self._rendered_again(mapping)) for mapping in mappings]
 
     def render(self, indices) -> List[str]:
-        naming, arrivals = self.naming, self.arrivals
-        return [naming(index, arrivals[index].workload) for index in indices]
+        naming, codes, names = self.naming, self.arrivals.codes, self.arrivals.names
+        return [naming(index, names[codes[index]]) for index in indices]
 
     def _rendered_again(self, mapping: Dict) -> Dict[int, str]:
         """``{trace index: key}`` of the keys of ``mapping`` this run renders:
         each key is parsed for its index and compared with the id rendered
         from it, so the match is exact and costs O(len(mapping))."""
-        naming, arrivals = self.naming, self.arrivals
+        naming, codes, names = self.naming, self.arrivals.codes, self.arrivals.names
         local: Optional[Dict[int, int]] = None
         found: Dict[int, str] = {}
         for key in mapping:
@@ -259,9 +261,9 @@ class _TraceIndexIds:
                 if local is None:
                     local = {g: i for i, g in enumerate(naming.global_indices)}
                 index = local.get(index)
-            if index is None or index >= len(arrivals):
+            if index is None or index >= len(codes):
                 continue
-            if naming(index, arrivals[index].workload) == key:
+            if naming(index, names[codes[index]]) == key:
                 found[index] = key
         return found
 
@@ -487,30 +489,26 @@ class _SteadyColumns:
     def __init__(
         self,
         sink: _ReplaySink,
-        arrivals: Sequence[JobArrival],
-        times: List[float],
-        order: List[int],
-        workloads: List[str],
+        arrivals: ArrivalColumns,
+        order: _np.ndarray,
+        codes: _np.ndarray,
         epoch: float,
         job_ids: Callable[[int, str], str],
     ) -> None:
         self.sink = sink
-        self.arrivals = arrivals
-        self.order = order
+        self.names = arrivals.names
         self.epoch = epoch
         self.job_ids = job_ids
-        self.code_of = {name: code for code, name in enumerate(dict.fromkeys(workloads))}
-        self.codes = _np.fromiter(
-            map(self.code_of.__getitem__, workloads), dtype=_np.intp, count=len(workloads)
-        )
-        self.indices = _np.array(order, dtype=_np.intp)
-        self.times = _np.array(times)
-        self.live: List[Optional[GroupState]] = [None] * len(self.code_of)
-        self.rows = _np.full(len(self.code_of), -1, dtype=_np.intp)
+        #: Trace indices, and their workload codes, in admission order.
+        self.indices = order
+        self.codes = codes
+        self.times = arrivals.times
+        self.live: List[Optional[GroupState]] = [None] * len(self.names)
+        self.rows = _np.full(len(self.names), -1, dtype=_np.intp)
 
     def refresh(self, groups: Dict[str, "GroupState"], context: tuple) -> None:
         """Recompute the live groups after a probe changed a group or the context."""
-        for name, code in self.code_of.items():
+        for code, name in enumerate(self.names):
             group = groups.get(name)
             if group is None or group.steady is None or group.steady_context != context:
                 group = None
@@ -572,8 +570,11 @@ class _SteadyColumns:
         if sink.ids is not None:
             keys = indices
         else:
-            arrivals, job_ids = self.arrivals, self.job_ids
-            keys = [job_ids(index, arrivals[index].workload) for index in self.order[start:end]]
+            names, job_ids = self.names, self.job_ids
+            keys = [
+                job_ids(index, names[code])
+                for index, code in zip(indices.tolist(), codes.tolist())
+            ]
         sink.add(keys, arrival_col, start_col, finish_col, rows)
         return finish, recording
 
@@ -1105,11 +1106,13 @@ class _TraceRun:
     def admit(
         self,
         index: int,
-        arrival: JobArrival,
+        workload: str,
+        arrival_s: float,
         backlog_until: float,
         groups: Optional[Dict[str, "GroupState"]] = None,
     ) -> Optional[_Entry]:
-        """Run one arrival through the admission ladder.
+        """Run one arrival (trace index, workload, trace-relative arrival
+        time) through the admission ladder.
 
         Returns the admitted entry, or ``None`` once a rejection is counted
         and recorded.  The ladder runs before any engine state is touched, so
@@ -1117,13 +1120,12 @@ class _TraceRun:
         observed makespan estimates (grouped serving); without it the ladder
         runs on the config's cost priors.
         """
-        workload = arrival.workload
-        arrival_at = self.epoch + arrival.arrival_time
+        arrival_at = self.epoch + arrival_s
         entry = _Entry(
             workload,
             workload,
             self.job_ids(index, workload),
-            arrival.arrival_time,
+            arrival_s,
             arrival_at,
             arrival_at,
         )
@@ -1272,7 +1274,7 @@ class ServiceLoadGenerator:
     # ------------------------------------------------------------------ #
     def run(
         self,
-        arrivals: Sequence[JobArrival],
+        arrivals: Union[ArrivalColumns, Sequence[JobArrival]],
         registry: Optional[WorkloadRegistry] = None,
         mode: str = "grouped",
         max_per_job_records: Optional[int] = 256,
@@ -1285,6 +1287,10 @@ class ServiceLoadGenerator:
         multiplex_window: Optional[int] = None,
     ) -> TraceReport:
         """Serve ``arrivals`` and return the streaming :class:`TraceReport`.
+
+        ``arrivals`` is an :class:`~repro.workloads.arrival.ArrivalColumns`
+        or a sequence of :class:`~repro.workloads.arrival.JobArrival`, which
+        is converted to columns once, here.
 
         ``max_per_job_records`` bounds the per-job detail retained by the
         service's :class:`~repro.service.ServiceStats` for the rest of the
@@ -1352,7 +1358,8 @@ class ServiceLoadGenerator:
         """
         if mode not in ("grouped", "multiplex"):
             raise ValueError(f"unknown mode {mode!r}; expected 'grouped' or 'multiplex'")
-        if not arrivals:
+        arrivals = ArrivalColumns.of(arrivals)
+        if not len(arrivals):
             raise ValueError("at least one arrival is required")
         registry = registry or self.registry
         if admission is None:
@@ -1438,7 +1445,7 @@ class ServiceLoadGenerator:
         return _ReplaySink(self, report, ids)
 
     def _index_ids(
-        self, run: "_TraceRun", arrivals: Sequence[JobArrival]
+        self, run: "_TraceRun", arrivals: ArrivalColumns
     ) -> Optional[_TraceIndexIds]:
         """The run's ids, rendered on demand, when it names its jobs with
         :class:`TraceJobIds`; ``None`` when a caller's ``job_ids`` names them
@@ -1458,7 +1465,7 @@ class ServiceLoadGenerator:
     # ------------------------------------------------------------------ #
     def _run_grouped(
         self,
-        arrivals: Sequence[JobArrival],
+        arrivals: ArrivalColumns,
         registry: WorkloadRegistry,
         job_ids: Callable[[int, str], str],
         vectorized: bool = True,
@@ -1473,9 +1480,10 @@ class ServiceLoadGenerator:
         run = _TraceRun(report, registry, job_ids, engine.now, controller, collector)
         groups: Dict[str, GroupState] = {}
         context = self._context()
-        times = [arrival.arrival_time for arrival in arrivals]
-        order = _admission_order(times)
-        workloads = [arrivals[index].workload for index in order]
+        order = arrivals.admission_order()
+        #: Workload codes in admission order.
+        codes = arrivals.codes[order]
+        names = arrivals.names
         tracks = run.tracks
         #: Untracked vectorized runs without dynamics serve each run of
         #: replayed arrivals as one batch of columns (:class:`_SteadyColumns`);
@@ -1490,14 +1498,12 @@ class ServiceLoadGenerator:
         recording_key: Optional[tuple] = None
         if columnar and cache is not None:
             recording_key = self._trace_context_key(
-                registry, workloads, context, run.epoch
+                registry, codes, names, arrivals.times[order], context, run.epoch
             )
             if recording_key is not None:
                 cached = cache.load_trace_recording(recording_key, len(order))
                 if cached is not None:
-                    return self._replay_recording(
-                        cached, arrivals, times, order, workloads, run
-                    )
+                    return self._replay_recording(cached, arrivals, order, codes, run)
                 recording = TraceRecording(store_version=context[1], epoch=run.epoch)
 
         sink = self._sink(
@@ -1506,10 +1512,19 @@ class ServiceLoadGenerator:
         ids, arrivals_at, starts, finishes, rows = sink.columns
         epoch = previous_finish = run.epoch
         steady = (
-            _SteadyColumns(sink, arrivals, times, order, workloads, epoch, job_ids)
+            _SteadyColumns(sink, arrivals, order, codes, epoch, job_ids)
             if columnar
             else None
         )
+        # The loop below reads plain Python values: whole columns as lists
+        # when it visits every arrival, single items when a columnar run
+        # visits only its probes (no per-arrival objects are built then).
+        if steady is None:
+            time_of, index_of, code_of = (
+                column.tolist().__getitem__ for column in (arrivals.times, order, codes)
+            )
+        else:
+            time_of, index_of, code_of = arrivals.times.item, order.item, codes.item
         position, n = 0, len(order)
         while position < n:
             if steady is not None:
@@ -1521,11 +1536,11 @@ class ServiceLoadGenerator:
                     position = end
                     if position == n:
                         break
-            index = order[position]
-            workload = workloads[position]
+            index = index_of(position)
+            workload = names[code_of(position)]
             position += 1
             if tracks:
-                entry = run.admit(index, arrivals[index], previous_finish, groups)
+                entry = run.admit(index, workload, time_of(index), previous_finish, groups)
                 if entry is None:
                     continue
                 key, job_id = entry.group, entry.job_id
@@ -1535,7 +1550,7 @@ class ServiceLoadGenerator:
                 # workload, id and arrival time are all the loop needs.
                 key = workload
                 job_id = job_ids(index, key)
-                arrival_at = ready_at = epoch + times[index]
+                arrival_at = ready_at = epoch + time_of(index)
             group = groups.get(key)
             if group is None:
                 group = groups[key] = GroupState(key)
@@ -1645,12 +1660,20 @@ class ServiceLoadGenerator:
     def _trace_context_key(
         self,
         registry: WorkloadRegistry,
-        workloads: List[str],
+        codes: _np.ndarray,
+        names: Tuple[str, ...],
+        times: _np.ndarray,
         context: tuple,
         epoch: float,
     ) -> Optional[tuple]:
         """The exact-match cache key for recording/replaying this trace, or
-        ``None`` when a costed fabric makes recordings unsafe."""
+        ``None`` when a costed fabric makes recordings unsafe.
+
+        ``codes`` are the trace's workload codes into ``names`` and
+        ``times`` its arrival times, both in admission order.  The key holds
+        the code sequence renumbered by sorted workload name, so it depends
+        on the workloads admitted, their order and their times, never on how
+        a caller numbered its names."""
         runtime = self.service.runtime
         fabric = getattr(runtime, "fabric", None)
         if fabric is not None and not fabric.is_zero_cost():
@@ -1660,11 +1683,12 @@ class ServiceLoadGenerator:
             # (A zero-cost fabric is byte-identical to no fabric at all —
             # proven differentially — so its recordings are safely shared.)
             return None
-        workload_sequence = tuple(workloads)
-        spec_digests = tuple(
-            (name, registry.spec(name).digest())
-            for name in sorted(set(workload_sequence))
-        )
+        present = _np.flatnonzero(_np.bincount(codes, minlength=len(names))).tolist()
+        ranked = sorted(present, key=names.__getitem__)
+        rank = _np.zeros(len(names), dtype=_np.intp)
+        rank[ranked] = _np.arange(len(ranked))
+        workload_names = tuple(names[code] for code in ranked)
+        spec_digests = tuple((name, registry.spec(name).digest()) for name in workload_names)
         cluster_fingerprint = tuple(
             (
                 node.node_id,
@@ -1678,7 +1702,9 @@ class ServiceLoadGenerator:
         return trace_context_key(
             library_fingerprint=runtime.library.fingerprint(),
             policy_fingerprint=policy_fingerprint,
-            workload_sequence=workload_sequence,
+            workload_codes=rank[codes],
+            workload_names=workload_names,
+            arrival_times=times,
             spec_digests=spec_digests,
             cluster_fingerprint=cluster_fingerprint,
             pool_signature=pool_signature,
@@ -1689,10 +1715,9 @@ class ServiceLoadGenerator:
     def _replay_recording(
         self,
         recording: TraceRecording,
-        arrivals: Sequence[JobArrival],
-        times: List[float],
-        order: List[int],
-        workloads: List[str],
+        arrivals: ArrivalColumns,
+        order: _np.ndarray,
+        codes: _np.ndarray,
         run: _TraceRun,
     ) -> TraceReport:
         """Serve the whole trace from a persistent recording: zero probes.
@@ -1718,7 +1743,7 @@ class ServiceLoadGenerator:
         pinned = [record.pinned_finish for record in records]
         script = recording.script
         epoch = run.epoch
-        arrival_col = epoch + _np.array(times)[order]
+        arrival_col = epoch + arrivals.times[order]
         finish = epoch
         finish_col = [
             finish := (
@@ -1732,16 +1757,21 @@ class ServiceLoadGenerator:
         before[0] = epoch
         before[1:] = finish_col[:-1]
         start_col = _np.where(arrival_col > before, arrival_col, before)
+        names = arrivals.names
         if sink.ids is not None:
             keys = order
         else:
-            keys = [run.job_ids(index, workload) for index, workload in zip(order, workloads)]
+            keys = [
+                run.job_ids(index, names[code])
+                for index, code in zip(order.tolist(), codes.tolist())
+            ]
         sink.add(keys, arrival_col, start_col, finish_col, script)
         sink.close(finish)
         report.warm_trace = True
+        counts = _np.bincount(codes, minlength=len(names)).tolist()
         report.groups = {
-            name: {"simulated": 0, "replayed": count}
-            for name, count in Counter(workloads).items()
+            names[code]: {"simulated": 0, "replayed": counts[code]}
+            for code in _first_seen(codes, len(names))
         }
         return report
 
@@ -1754,7 +1784,7 @@ class ServiceLoadGenerator:
     # ------------------------------------------------------------------ #
     def _run_multiplexed(
         self,
-        arrivals: Sequence[JobArrival],
+        arrivals: ArrivalColumns,
         registry: WorkloadRegistry,
         job_ids: Callable[[int, str], str],
         vectorized: bool = True,
@@ -1770,8 +1800,10 @@ class ServiceLoadGenerator:
         run = _TraceRun(
             report, registry, job_ids, service.runtime.engine.now, controller, collector
         )
-        times = [arrival.arrival_time for arrival in arrivals]
-        order = _admission_order(times)
+        order = arrivals.admission_order()
+        names = arrivals.names
+        indices = order.tolist()
+        workloads = [names[code] for code in arrivals.codes[order].tolist()]
         entries: Optional[List[_Entry]] = None
         index_ids: Optional[_TraceIndexIds] = None
         if vectorized and not run.tracks:
@@ -1779,19 +1811,19 @@ class ServiceLoadGenerator:
             # admission entry is its trace index, workload and ready time,
             # kept as columns in admission order (ready times are already
             # sorted: the epoch shift is monotone).
-            groups = [arrivals[index].workload for index in order]
-            ready_col = arrival_col = run.epoch + _np.array(times)[order]
+            groups = workloads
+            ready_col = arrival_col = run.epoch + arrivals.times[order]
             ready = arrivals_at = ready_col.tolist()
             index_ids = self._index_ids(run, arrivals)
             if index_ids is not None:
-                keys = _np.array(order, dtype=_np.intp)
+                keys = order
                 naming = index_ids.naming
 
                 def job_id(position: int) -> str:
-                    return naming(order[position], groups[position])
+                    return naming(indices[position], groups[position])
 
             else:
-                keys = [job_ids(index, group) for index, group in zip(order, groups)]
+                keys = [job_ids(index, group) for index, group in zip(indices, groups)]
                 job_id = keys.__getitem__
         else:
             entries = []
@@ -1801,8 +1833,9 @@ class ServiceLoadGenerator:
             #: priors, keeping every decision a pure function of the arrival
             #: sequence (the capture/replay property).
             backlog = run.epoch
-            for index in order:
-                entry = run.admit(index, arrivals[index], backlog)
+            times = arrivals.times.tolist()
+            for index, workload in zip(indices, workloads):
+                entry = run.admit(index, workload, times[index], backlog)
                 if entry is None:
                     continue
                 if controller is not None:
@@ -2055,10 +2088,14 @@ class ServiceLoadGenerator:
         _bulk_insert(report.job_summaries, report.max_job_summaries, ids, summaries)
 
 
-def _admission_order(times: Sequence[float]) -> List[int]:
-    """Trace indices by arrival time, ties in trace order: a stable sort on
-    arrival time, which is the (time, index) order."""
-    return sorted(range(len(times)), key=times.__getitem__)
+def _first_seen(codes: _np.ndarray, count: int) -> List[int]:
+    """The codes below ``count`` that occur in ``codes``, in order of first
+    occurrence."""
+    n = len(codes)
+    first = _np.full(count, n)
+    _np.minimum.at(first, codes, _np.arange(n))
+    present = _np.flatnonzero(first < n)
+    return present[_np.argsort(first[present], kind="stable")].tolist()
 
 
 def _shared_floats(values) -> List[float]:

@@ -474,10 +474,11 @@ class AIWorkflowService:
     def submit_trace(self, arrivals, **options):
         """Serve a whole arrival trace through the batched-admission path.
 
-        ``arrivals`` is a sequence of
-        :class:`~repro.workloads.arrival.JobArrival` (see
+        ``arrivals`` is an :class:`~repro.workloads.arrival.ArrivalColumns`
+        or a sequence of :class:`~repro.workloads.arrival.JobArrival` (see
         ``repro.workloads.arrival`` for Poisson/uniform/bursty/diurnal
-        generators).  Jobs are grouped by
+        generators), which the load generator converts to columns once.
+        Jobs are grouped by
         ``(workload, constraints, quality_target)`` so each group is planned
         once and simulated to steady state, after which completions are
         accounted incrementally on the shared engine instead of re-running

@@ -23,7 +23,8 @@ warm-cache passthrough) but partitions admission across N worker engines:
   ``backend="inline"`` hosts every shard service in-process (sequential),
   for tests, debugging, and platforms without usable multiprocessing.
 
-* **Merging**: the parent ships workload specs + arrival columns to the
+* **Merging**: the parent ships workload specs plus each shard's
+  :class:`~repro.workloads.arrival.ArrivalColumns` sub-trace (arrays) to the
   shards and folds the returned :class:`~repro.loadgen.TraceReport`\\ s and
   :class:`~repro.service.ServiceStats` into one exact global view via their
   ``merge()`` layers, with per-shard provenance counters.  A 1-shard
@@ -50,14 +51,19 @@ import bisect
 import hashlib
 import time as _wall_time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.job import Job, JobResult
 from repro.loadgen import TraceJobIds, TraceReport, WorkloadRegistry, default_registry
 from repro.policies.bundles import PolicyBundle, PolicyLike, resolve_bundle
 from repro.service import AIWorkflowService, ServiceStats
 from repro.warmstate import shard_dir_name
-from repro.workloads.arrival import JobArrival
+from repro.workloads.arrival import ArrivalColumns, JobArrival, index_dtype
+
+if TYPE_CHECKING:  # multiprocessing is imported only once a process shard starts
+    from concurrent.futures import Future
 
 
 # --------------------------------------------------------------------- #
@@ -118,27 +124,24 @@ class ShardRouter:
         else by its natural-language description."""
         return self.shard_for(job.spec_digest or job.description)
 
-    def partition_arrivals(
-        self, arrivals: Sequence[JobArrival]
-    ) -> Dict[int, Tuple[List[int], List[JobArrival]]]:
+    def partition(self, arrivals: ArrivalColumns) -> Dict[int, np.ndarray]:
         """Split a trace by tenant (workload name), preserving order.
 
-        Returns ``{shard: (global_indices, sub_arrivals)}``; each shard's
-        sub-trace keeps the arrivals in their original relative order with
-        their original trace indices, so merged job ids match an unsharded
-        serving of the same trace.
+        Returns ``{shard: global_indices}`` for every shard that owns an
+        arrival, in shard order, each an ascending array of trace indices
+        (in the compact :func:`~repro.workloads.arrival.index_dtype`):
+        ``arrivals.take(indices)`` is that shard's sub-trace in its original
+        relative order, and its indices name its jobs as an unsharded
+        serving of the same trace would.  Each workload name is routed once.
         """
-        owner: Dict[str, int] = {}
-        assignment: Dict[int, Tuple[List[int], List[JobArrival]]] = {}
-        for index, arrival in enumerate(arrivals):
-            shard = owner.get(arrival.workload)
-            if shard is None:
-                shard = self.shard_for(arrival.workload)
-                owner[arrival.workload] = shard
-            indices, subset = assignment.setdefault(shard, ([], []))
-            indices.append(index)
-            subset.append(arrival)
-        return assignment
+        owner = np.array([self.shard_for(name) for name in arrivals.names], dtype=np.intp)
+        shard_of = owner[arrivals.codes]
+        counts = np.bincount(shard_of, minlength=self.shards)
+        dtype = index_dtype(len(arrivals))
+        return {
+            shard: np.flatnonzero(shard_of == shard).astype(dtype)
+            for shard in np.flatnonzero(counts).tolist()
+        }
 
 
 # --------------------------------------------------------------------- #
@@ -438,13 +441,13 @@ class ShardedService:
             "job": job,
         }
         try:
-            future = self._executor(shard).submit(shardworker.serve_job, payload)
+            future = self._submit(shard, shardworker.serve_job, payload)
         except TypeError as error:  # unpicklable job payload
             raise TypeError(
                 "this job cannot cross a process boundary (unpicklable "
                 "inputs/constraints); use backend='inline' for it"
             ) from error
-        outcome = future.result()
+        outcome = self._results({shard: future})[shard]
         self._absorb(outcome)
         return outcome["result"]
 
@@ -466,7 +469,7 @@ class ShardedService:
     # ------------------------------------------------------------------ #
     def submit_trace(
         self,
-        arrivals: Sequence[JobArrival],
+        arrivals: Union[ArrivalColumns, Sequence[JobArrival]],
         registry: Optional[WorkloadRegistry] = None,
         mode: str = "grouped",
         max_per_job_records: Optional[int] = 256,
@@ -478,6 +481,12 @@ class ShardedService:
         multiplex_window: Optional[int] = None,
     ) -> TraceReport:
         """Serve a whole arrival trace across the shards and merge.
+
+        ``arrivals`` is an :class:`~repro.workloads.arrival.ArrivalColumns`
+        or a sequence of :class:`~repro.workloads.arrival.JobArrival`,
+        converted to columns once, here; shards receive their sub-traces as
+        columns (arrays, on the process backend) and never rebuild arrival
+        objects.
 
         ``admission`` (an :class:`~repro.admission.AdmissionConfig` or its
         dict form) installs the admission ladder on every shard: each shard
@@ -503,7 +512,8 @@ class ShardedService:
         field-for-field identical to an unsharded one.
         """
         self._check_open()
-        if not arrivals:
+        arrivals = ArrivalColumns.of(arrivals)
+        if not len(arrivals):
             raise ValueError("at least one arrival is required")
         if mode not in ("grouped", "multiplex"):
             raise ValueError(f"unknown mode {mode!r}; expected 'grouped' or 'multiplex'")
@@ -513,7 +523,10 @@ class ShardedService:
             self.attach_dynamics(dynamics)
         registry = registry or self.registry
         started = _wall_time.perf_counter()
-        assignment = self.router.partition_arrivals(arrivals)
+        assignment = {
+            shard: (indices, arrivals.take(indices))
+            for shard, indices in self.router.partition(arrivals).items()
+        }
         options = {
             "mode": mode,
             "max_per_job_records": max_per_job_records,
@@ -558,7 +571,7 @@ class ShardedService:
             if job_ids is None:
                 naming = TraceJobIds(indices)
             else:
-                naming = lambda local, workload, _indices=indices: job_ids(  # noqa: E731
+                naming = lambda local, workload, _indices=indices.tolist(): job_ids(  # noqa: E731
                     _indices[local], workload
                 )
             report = service.submit_trace(
@@ -572,7 +585,7 @@ class ShardedService:
     ) -> List[Tuple[int, TraceReport]]:
         from repro import shardworker
 
-        futures: Dict[int, object] = {}
+        futures: Dict[int, Future] = {}
         for shard in sorted(assignment):
             indices, subset = assignment[shard]
             payload = {
@@ -580,35 +593,75 @@ class ShardedService:
                 "config": self._shard_config(),
                 "warm_cache": self.shard_warm_dir(shard),
                 "specs": self._spec_payload(registry, subset),
-                "times": [arrival.arrival_time for arrival in subset],
-                "workloads": [arrival.workload for arrival in subset],
+                "arrivals": subset,
                 "indices": indices,
                 "options": options,
             }
-            futures[shard] = self._executor(shard).submit(
-                shardworker.serve_trace, payload
-            )
+            futures[shard] = self._submit(shard, shardworker.serve_trace, payload)
         outcomes: List[Tuple[int, TraceReport]] = []
-        for shard in sorted(futures):
-            outcome = futures[shard].result()
+        for shard, outcome in self._results(futures).items():
             self._absorb(outcome)
             outcomes.append((shard, outcome["report"]))
         return outcomes
 
     @staticmethod
-    def _spec_payload(
-        registry: WorkloadRegistry, subset: Sequence[JobArrival]
-    ) -> Dict[str, str]:
+    def _spec_payload(registry: WorkloadRegistry, subset: ArrivalColumns) -> Dict[str, str]:
         """Serialized specs for every workload in a shard's sub-trace.
 
         The spec IR is the unit of dispatch: workers rebuild the workload
         (validation, input materialization — deterministic per spec) from
         JSON.
         """
-        return {
-            name: registry.spec(name).to_json()
-            for name in sorted({arrival.workload for arrival in subset})
-        }
+        return {name: registry.spec(name).to_json() for name in sorted(subset.names)}
+
+    def _submit(self, shard: int, fn, *args) -> Future:
+        """Dispatch ``fn(*args)`` to the shard's worker.  A worker already
+        found dead gives a future holding that error, so :meth:`_results`
+        reports every loss the same way."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            return self._executor(shard).submit(fn, *args)
+        except BrokenProcessPool as error:
+            failed: Future = Future()
+            failed.set_exception(error)
+            return failed
+
+    def _results(self, futures: Dict[int, Future]) -> Dict[int, object]:
+        """Every shard's outcome, in shard order.
+
+        Waits for every shard before failing, so a dead worker does not
+        leave the others' outcomes unread; then raises :meth:`_lost` for the
+        shards whose workers died.
+        """
+        from concurrent.futures.process import BrokenProcessPool
+
+        outcomes: Dict[int, object] = {}
+        lost: List[int] = []
+        error: Optional[BaseException] = None
+        for shard in sorted(futures):
+            try:
+                outcomes[shard] = futures[shard].result()
+            except BrokenProcessPool as broken:
+                lost.append(shard)
+                error = error or broken
+        if lost:
+            raise self._lost(lost) from error
+        return outcomes
+
+    def _lost(self, shards: List[int]) -> RuntimeError:
+        """Discard the broken executors of ``shards`` (the next dispatch to
+        each spawns a fresh worker) and describe the loss."""
+        for shard in shards:
+            executor = self._executors.pop(shard, None)
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
+        names = ", ".join(f"shard {shard}" for shard in shards)
+        return RuntimeError(
+            f"{names}: worker process died before returning its outcome; "
+            "the next dispatch to it starts a fresh worker"
+        )
 
     # ------------------------------------------------------------------ #
     # Merged accounting and telemetry
@@ -629,8 +682,9 @@ class ShardedService:
         return ServiceStats.merged(snapshots, shard_ids=shard_ids)
 
     def warm_cache_counters(self) -> Dict[str, int]:
-        """Hit/miss/invalid/store counters summed across every shard cache."""
-        totals = {"hits": 0, "misses": 0, "invalid": 0, "stores": 0}
+        """Hit/miss/invalid/store/store-failure counters summed across every
+        shard cache."""
+        totals = {"hits": 0, "misses": 0, "invalid": 0, "stores": 0, "store_failures": 0}
         if self.backend == "inline":
             sources = [
                 service.warm_cache.counters()
@@ -725,25 +779,27 @@ class ShardedService:
         """Tear down every shard (warm state saved) and release workers."""
         if self._closed:
             return
+        self._closed = True
         if self.backend == "inline":
             for service in self._inline.values():
                 service.shutdown()
-        else:
+            return
+        try:
             self._dispatch_shutdown(save_only=False)
+        finally:
+            # Even when a worker died, release every other one.
             for executor in self._executors.values():
                 executor.shutdown(wait=True)
             self._executors.clear()
-        self._closed = True
 
     def _dispatch_shutdown(self, save_only: bool) -> None:
         from repro import shardworker
 
         futures = {
-            shard: executor.submit(shardworker.shutdown_service, save_only)
-            for shard, executor in self._executors.items()
+            shard: self._submit(shard, shardworker.shutdown_service, save_only)
+            for shard in sorted(self._executors)
         }
-        for shard in sorted(futures):
-            outcome = futures[shard].result()
+        for shard, outcome in self._results(futures).items():
             cache = outcome.get("cache")
             if cache:
                 self._cache_counters[shard] = cache

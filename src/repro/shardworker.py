@@ -12,7 +12,11 @@ Everything that crosses the boundary is plain serializable data:
 
 * **in**: a config recipe (keep-warm flag, policy bundle *name*, shard-local
   warm-cache directory), workload specs as :class:`~repro.spec.ir.WorkflowSpec`
-  JSON, and arrival columns (times, workload names, global trace indices);
+  JSON, and the shard's sub-trace as arrays: an
+  :class:`~repro.workloads.arrival.ArrivalColumns` (float64 times, integer
+  workload codes, the names they index) plus an integer array of each
+  arrival's global trace index.  The worker serves the columns as they
+  arrive; no per-arrival object is built on either side of the boundary;
 * **out**: the shard's :class:`~repro.loadgen.TraceReport`, a
   :class:`~repro.service.ServiceStats` snapshot, and warm-cache counters —
   the parent folds these into the global view.
@@ -26,7 +30,7 @@ to the parent's registry).
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 #: The worker process's persistent state: one service (plus the registry of
 #: workloads it has been shipped) for the life of the process.
@@ -116,27 +120,21 @@ def _outcome(shard: int, service) -> Dict[str, object]:
 def serve_trace(payload: Dict[str, object]) -> Dict[str, object]:
     """Serve one shard's sub-trace on the persistent worker service.
 
+    ``payload['arrivals']`` is the sub-trace's
+    :class:`~repro.workloads.arrival.ArrivalColumns`, served as is.
     ``payload['indices']`` carries each arrival's *global* trace index, and
     job ids are derived from it — so the shard's job ids (and therefore its
     report's job summaries) are exactly the ones an unsharded serving of
     the full trace would have produced for these arrivals.
     """
     from repro.loadgen import TraceJobIds
-    from repro.workloads.arrival import JobArrival
 
     service = _configure(payload["config"], payload.get("warm_cache"))
     registry = _registry(payload["specs"])
-    times: List[float] = payload["times"]
-    workloads: List[str] = payload["workloads"]
-    indices: List[int] = payload["indices"]
-    arrivals = [
-        JobArrival(arrival_time=time, workload=workload)
-        for time, workload in zip(times, workloads)
-    ]
     report = service.submit_trace(
-        arrivals,
+        payload["arrivals"],
         registry=registry,
-        job_ids=TraceJobIds(indices),
+        job_ids=TraceJobIds(payload["indices"]),
         **payload["options"],
     )
     outcome = _outcome(payload["shard"], service)

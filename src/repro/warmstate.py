@@ -36,9 +36,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Bump when any persisted payload shape changes; every existing cache file
-#: then misses (cold fallback) instead of being misinterpreted.
-SCHEMA_VERSION = 1
+import numpy as np
+
+#: Bump when any persisted payload shape or key changes; every existing cache
+#: file then misses (cold fallback) instead of being misinterpreted.  Version
+#: 2 keys trace recordings by a digest of the workload-code sequence and the
+#: arrival times.
+SCHEMA_VERSION = 2
 
 #: Leading bytes of every cache file (format sanity check before hashing).
 _MAGIC = b"RPROWARM"
@@ -121,7 +125,9 @@ class TraceRecording:
 def trace_context_key(
     library_fingerprint: object,
     policy_fingerprint: str,
-    workload_sequence: Sequence[str],
+    workload_codes,
+    workload_names: Tuple[str, ...],
+    arrival_times,
     spec_digests: Tuple[Tuple[str, str], ...],
     cluster_fingerprint: tuple,
     pool_signature: tuple,
@@ -130,16 +136,22 @@ def trace_context_key(
 ) -> tuple:
     """The full validity key of a trace recording.
 
-    The workload *sequence* (not just the set) is in the key: steady-state
-    convergence decisions depend on how groups interleave, so only a trace
-    admitting the same workloads in the same order replays identically.
+    The trace itself is in the key, in admission order: its workload
+    *sequence* (not just the set), as integer ``workload_codes`` into
+    ``workload_names``, and its ``arrival_times``.  Steady-state
+    convergence decisions depend on how groups interleave, and a recording
+    pins its probes' simulated finishes, so only a trace admitting the same
+    workloads in the same order at the same times replays identically.
     """
+    sequence = hashlib.sha256(np.ascontiguousarray(workload_codes, dtype="<i8").tobytes())
+    sequence.update(repr(tuple(workload_names)).encode("utf-8"))
+    sequence.update(np.ascontiguousarray(arrival_times, dtype="<f8").tobytes())
     return (
         "trace",
         SCHEMA_VERSION,
         fingerprint_digest(library_fingerprint),
         policy_fingerprint,
-        fingerprint_digest(tuple(workload_sequence)),
+        sequence.hexdigest()[:16],
         spec_digests,
         cluster_fingerprint,
         pool_signature,
@@ -182,6 +194,9 @@ class WarmStateCache:
         #: fingerprint mismatch) — these also count as misses.
         self.invalid = 0
         self.stores = 0
+        #: Stores that raised (an unpicklable payload, an unwritable root)
+        #: and left nothing on disk.
+        self.store_failures = 0
 
     # ------------------------------------------------------------------ #
     # Core load/store
@@ -232,9 +247,10 @@ class WarmStateCache:
     def store(self, kind: str, key: tuple, payload) -> bool:
         """Persist ``payload`` under ``(kind, key)`` atomically.
 
-        Returns ``False`` (without raising) when the payload cannot be
-        pickled or the directory is unwritable — a broken cache must never
-        take the serving path down.
+        Returns ``False`` (without raising, counted in
+        :attr:`store_failures`) when the payload cannot be pickled or the
+        directory is unwritable — a broken cache must never take the serving
+        path down.
         """
         try:
             body = pickle.dumps(
@@ -254,6 +270,7 @@ class WarmStateCache:
                     pass
                 raise
         except Exception:
+            self.store_failures += 1
             return False
         self.stores += 1
         return True
@@ -379,6 +396,7 @@ class WarmStateCache:
             "misses": self.misses,
             "invalid": self.invalid,
             "stores": self.stores,
+            "store_failures": self.store_failures,
         }
 
 

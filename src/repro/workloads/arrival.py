@@ -10,13 +10,19 @@ traffic would.
 All generators are deterministic under a fixed ``seed`` and produce strictly
 monotonically non-decreasing timestamps, so a recorded trace can be replayed
 bit-for-bit by ``AIWorkflowService.submit_trace``.
+
+A served trace travels as :class:`ArrivalColumns`: the arrival times as one
+float64 array, the workloads as integer codes into a tuple of names.  The
+serving entry points convert a :class:`JobArrival` sequence once, at their
+boundary; everything behind it (admission order, shard partitioning, the
+shard process payload, the warm-cache key) works on the columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,8 +39,97 @@ class JobArrival:
     workload: str
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be non-negative")
+        # One chained comparison rejects negative, NaN and infinite times.
+        if not 0.0 <= self.arrival_time < math.inf:
+            raise ValueError(
+                f"arrival_time must be finite and non-negative, got {self.arrival_time!r}"
+            )
+
+
+class ArrivalColumns:
+    """A whole arrival trace as columns, validated once.
+
+    ``times`` is a float64 array of trace-relative arrival times, ``codes``
+    an unsigned integer array (the smallest dtype that holds every code,
+    see :func:`index_dtype`) giving each arrival's workload as an index into
+    ``names``, a tuple of distinct workload names.  Every time is finite and
+    non-negative.  The arrays are not copied when they already have the
+    right dtype; treat them as read-only.  Compact codes keep a trace small
+    where it is copied: into shard sub-traces and across the shard process
+    boundary.
+
+    Per-arrival Python loops read the columns through ``.tolist()`` so no
+    numpy scalar reaches a job id, a report field or a recording.
+    """
+
+    __slots__ = ("times", "codes", "names")
+
+    def __init__(self, times, codes, names: Sequence[str]) -> None:
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        codes = np.asarray(codes)
+        names = tuple(names)
+        if times.ndim != 1 or codes.shape != times.shape:
+            raise ValueError("times and codes must be 1-d arrays of one length")
+        if times.size and not (times.min() >= 0.0 and times.max() < math.inf):
+            raise ValueError("arrival times must be finite and non-negative")
+        if len(set(names)) != len(names) or not all(isinstance(n, str) for n in names):
+            raise ValueError("names must be distinct workload names")
+        if codes.size and (
+            codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(names)
+        ):
+            raise ValueError("every code must be an integer that indexes names")
+        self.times = times
+        self.codes = np.ascontiguousarray(codes, dtype=index_dtype(len(names)))
+        self.names: Tuple[str, ...] = names
+
+    @classmethod
+    def from_arrivals(cls, arrivals: Sequence[JobArrival]) -> "ArrivalColumns":
+        """The columns of a :class:`JobArrival` sequence; names are numbered
+        in order of first appearance."""
+        code_of: dict = {}
+        n = len(arrivals)
+        codes = np.fromiter(
+            (code_of.setdefault(arrival.workload, len(code_of)) for arrival in arrivals),
+            dtype=np.intp,
+            count=n,
+        )
+        times = np.fromiter(
+            (arrival.arrival_time for arrival in arrivals), dtype=np.float64, count=n
+        )
+        return cls(times, codes, code_of)
+
+    @classmethod
+    def of(cls, arrivals: Union["ArrivalColumns", Sequence[JobArrival]]) -> "ArrivalColumns":
+        """``arrivals`` as columns: itself when it already is."""
+        if isinstance(arrivals, cls):
+            return arrivals
+        return cls.from_arrivals(arrivals)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def admission_order(self) -> np.ndarray:
+        """Trace indices by arrival time, ties in trace order: the stable
+        sort on time, which is the (time, index) order."""
+        return np.argsort(self.times, kind="stable")
+
+    def take(self, indices) -> "ArrivalColumns":
+        """The sub-trace at ``indices`` (in their order), naming only the
+        workloads it holds, in their order in :attr:`names`."""
+        codes = self.codes[indices]
+        present = np.flatnonzero(np.bincount(codes, minlength=len(self.names)))
+        remap = np.zeros(len(self.names), dtype=codes.dtype)
+        remap[present] = np.arange(len(present))
+        names = self.names
+        return ArrivalColumns(
+            self.times[indices], remap[codes], [names[code] for code in present.tolist()]
+        )
+
+
+def index_dtype(count: int) -> np.dtype:
+    """The smallest unsigned integer dtype that holds every index below
+    ``count``."""
+    return np.min_scalar_type(max(count - 1, 0))
 
 
 def _check_common(horizon_s: float, workloads: Sequence[str]) -> None:

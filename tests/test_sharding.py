@@ -17,7 +17,7 @@ from repro.service import AIWorkflowService, ServiceStats
 from repro.sharding import ShardRouter, ShardedService, stable_key_hash
 from repro.telemetry.metrics import ThroughputMeter
 from repro.warmstate import WarmStateCache, shard_dir_name
-from repro.workloads.arrival import JobArrival, uniform_arrivals
+from repro.workloads.arrival import ArrivalColumns, JobArrival, uniform_arrivals
 
 # --------------------------------------------------------------------------- #
 # Consistent-hash routing
@@ -101,14 +101,15 @@ def test_partition_preserves_order_and_tenant_affinity():
     arrivals = uniform_arrivals(
         count=20, interval_s=1.0, workloads=("newsfeed", "document-qa", "chain-of-thought")
     )
-    assignment = ShardRouter(shards=3).partition_arrivals(arrivals)
+    columns = ArrivalColumns.from_arrivals(arrivals)
+    assignment = ShardRouter(shards=3).partition(columns)
     seen = []
-    for shard, (indices, subset) in assignment.items():
+    for shard, indices in assignment.items():
+        indices = indices.tolist()
         assert indices == sorted(indices)  # original relative order kept
-        assert len(indices) == len(subset)
         # every arrival of a workload lands on exactly this shard
-        for arrival in subset:
-            assert ShardRouter(shards=3).shard_for(arrival.workload) == shard
+        for index in indices:
+            assert ShardRouter(shards=3).shard_for(arrivals[index].workload) == shard
         seen.extend(indices)
     assert sorted(seen) == list(range(20))
 
@@ -491,6 +492,29 @@ def test_process_backend_end_to_end(tmp_path):
     assert all(name.startswith("shard-") for name in shard_dirs)
 
 
+def test_dead_worker_names_its_shard_and_is_respawned(monkeypatch):
+    import shard_faults
+
+    from repro import shardworker
+
+    registry = default_registry()
+    arrivals = uniform_arrivals(
+        count=8, interval_s=2.0, workloads=("newsfeed", "video-understanding")
+    )
+    with ShardedService(shards=2, backend="inline") as reference:
+        expected = reference.submit_trace(arrivals, registry=registry).canonical_dict()
+    with ShardedService(shards=2, backend="process") as sharded:
+        with monkeypatch.context() as patch:
+            patch.setattr(shardworker, "serve_trace", shard_faults.die)
+            with pytest.raises(RuntimeError, match="shard 0.*shard 1.*worker process died"):
+                sharded.submit_trace(arrivals, registry=registry)
+        # Both broken executors were discarded: the same service respawns
+        # its workers and serves the trace correctly.
+        assert sharded._executors == {}
+        report = sharded.submit_trace(arrivals, registry=registry)
+        assert report.canonical_dict() == expected
+
+
 # --------------------------------------------------------------------------- #
 # Warm generations: shard job ids are the unsharded serving's
 # --------------------------------------------------------------------------- #
@@ -541,7 +565,11 @@ def test_warm_generation_matches_unsharded_serving(
         try:
             merged = sharded.submit_trace(arrivals, registry=registry)
             reports = dict(sharded._last_reports)
-            partition = sharded.router.partition_arrivals(arrivals)
+            columns = ArrivalColumns.from_arrivals(arrivals)
+            partition = {
+                shard: (indices.tolist(), columns.take(indices))
+                for shard, indices in sharded.router.partition(columns).items()
+            }
             if backend == "inline":
                 inline = {shard: sharded._inline_shard(shard) for shard in partition}
                 stats = {shard: service.stats for shard, service in inline.items()}

@@ -85,7 +85,50 @@ def test_store_and_load_round_trip(tmp_path):
     key = ("unit", 1, "abc")
     assert cache.store("unit", key, {"payload": [1, 2, 3]})
     assert cache.load("unit", key) == {"payload": [1, 2, 3]}
-    assert cache.counters() == {"hits": 1, "misses": 0, "invalid": 0, "stores": 1}
+    assert cache.counters() == {
+        "hits": 1, "misses": 0, "invalid": 0, "stores": 1, "store_failures": 0
+    }
+
+
+def test_unpicklable_payload_counts_a_store_failure(tmp_path):
+    cache = WarmStateCache(tmp_path)
+    assert cache.store("unit", ("unit", "lambda"), lambda: None) is False
+    counters = cache.counters()
+    assert (counters["stores"], counters["store_failures"]) == (0, 1)
+    assert list(tmp_path.iterdir()) == []  # no stray temporary file
+
+
+def test_cache_root_under_a_regular_file_counts_store_failures(tmp_path, registry):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    cache = WarmStateCache(blocker / "cache")
+    assert cache.store("unit", ("unit", "k"), "payload") is False
+    assert cache.counters()["store_failures"] == 1
+    # A service on such a cache serves cold, and its failed saves show.
+    cold_snapshot, _ = _cold_reference(registry)
+    service = AIWorkflowService(warm_cache=blocker / "cache")
+    report = _serve(service, registry)
+    assert _snapshot(service, report) == cold_snapshot
+    counters = service.warm_cache.counters()
+    assert counters["stores"] == 0 and counters["store_failures"] >= 1
+
+
+def test_sharded_counters_sum_store_failures(tmp_path, registry):
+    from repro.sharding import ShardedService
+
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory", encoding="utf-8")
+    arrivals = uniform_arrivals(8, 1.0, workloads=("newsfeed", "video-understanding"))
+    with ShardedService(shards=2, backend="inline", warm_cache=blocker / "cache") as sharded:
+        sharded.submit_trace(arrivals, registry=registry)
+        per_shard = [
+            service.warm_cache.counters()["store_failures"]
+            for service in sharded._inline.values()
+        ]
+        totals = sharded.warm_cache_counters()
+    assert len(per_shard) == 2 and all(per_shard)
+    assert totals["store_failures"] == sum(per_shard)
+    assert totals["stores"] == 0
 
 
 def test_load_missing_file_is_a_miss(tmp_path):
@@ -267,6 +310,61 @@ def test_schema_bump_falls_back_to_cold_run(tmp_path, registry, monkeypatch):
     assert _snapshot(service, report) == cold_snapshot
 
 
+def _schema1_trace_key(
+    library_fingerprint,
+    policy_fingerprint,
+    workload_codes,
+    workload_names,
+    arrival_times,
+    spec_digests,
+    cluster_fingerprint,
+    pool_signature,
+    store_version,
+    epoch,
+):
+    """The schema-1 recording key: the repr digest of the workload-name
+    sequence, where schema 2 digests the code array and the times."""
+    sequence = tuple(workload_names[code] for code in workload_codes.tolist())
+    return (
+        "trace",
+        1,
+        warmstate.fingerprint_digest(library_fingerprint),
+        policy_fingerprint,
+        warmstate.fingerprint_digest(sequence),
+        spec_digests,
+        cluster_fingerprint,
+        pool_signature,
+        store_version,
+        epoch,
+    )
+
+
+def test_schema_1_cache_is_served_cold(tmp_path, registry, monkeypatch):
+    import repro.loadgen as loadgen
+
+    assert warmstate.SCHEMA_VERSION == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(warmstate, "SCHEMA_VERSION", 1)
+        patch.setattr(loadgen, "trace_context_key", _schema1_trace_key)
+        old = AIWorkflowService(warm_cache=tmp_path)
+        assert not _serve(old, registry).warm_trace
+        old.shutdown()
+        assert {entry.kind for entry in WarmStateCache(tmp_path).entries()} >= {"trace"}
+        # Under schema 1 the cache was warm: the recording replays there.
+        rerun = AIWorkflowService(warm_cache=tmp_path)
+        assert _serve(rerun, registry).warm_trace
+        rerun.shutdown()
+
+    cold_snapshot, _ = _cold_reference(registry)
+    service = AIWorkflowService(warm_cache=tmp_path)
+    report = _serve(service, registry)
+    counters = service.warm_cache.counters()
+    assert report.warm_trace is False
+    assert counters["hits"] == 0
+    assert counters["misses"] >= 3  # profiles, plans and the trace recording
+    assert _snapshot(service, report) == cold_snapshot
+
+
 def test_malformed_warm_payloads_fall_back_cold_and_count_invalid(tmp_path, registry):
     from repro.agents.library import default_library
 
@@ -325,6 +423,22 @@ def test_policy_fingerprint_keys_trace_recordings(tmp_path, registry):
     report = _serve(service, registry)
     assert report.warm_trace is False
     assert report.simulated_jobs > 0
+
+
+def test_arrival_times_key_trace_recordings(tmp_path, registry):
+    first = AIWorkflowService(warm_cache=tmp_path)
+    _serve(first, registry)
+
+    # Same workload sequence at other times: the recording's pinned probe
+    # finishes belong to the old times, so it must not replay.
+    retimed = uniform_arrivals(8, 50.0, workloads=("newsfeed",))
+    cold = AIWorkflowService()
+    cold_report = cold.submit_trace(retimed, registry=registry)
+    service = AIWorkflowService(warm_cache=tmp_path)
+    report = service.submit_trace(retimed, registry=registry)
+    assert report.warm_trace is False
+    assert min(report.latency_s) > 0
+    assert _snapshot(service, report) == _snapshot(cold, cold_report)
 
 
 def test_broken_cache_directory_never_breaks_serving(tmp_path, registry):
