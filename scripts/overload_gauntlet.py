@@ -124,6 +124,22 @@ def overload_arrivals(makespan_s: float) -> List[JobArrival]:
     ]
 
 
+def overload_config(calibration: dict) -> AdmissionConfig:
+    """The admission ladder installed at exactly the measured capacity."""
+    makespan = calibration["makespan_s"]
+    return AdmissionConfig(
+        rate_per_s=1.0 / makespan,
+        burst=2.0,
+        max_defer_s=2.0 * makespan,
+        degrade=True,
+        degraded_quality=0.0,
+        degraded_constraint="min_latency",
+        default_deadline_s=4.0 * makespan,
+        estimate_prior_s=makespan,
+        degraded_prior_s=calibration["degraded_makespan_s"],
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -144,17 +160,7 @@ def main() -> int:
         f"{capacity:.3f} jobs/s; offering {OVERLOAD_FACTOR:.0f}x"
     )
 
-    config = AdmissionConfig(
-        rate_per_s=capacity,
-        burst=2.0,
-        max_defer_s=2.0 * makespan,
-        degrade=True,
-        degraded_quality=0.0,
-        degraded_constraint="min_latency",
-        default_deadline_s=4.0 * makespan,
-        estimate_prior_s=makespan,
-        degraded_prior_s=calibration["degraded_makespan_s"],
-    )
+    config = overload_config(calibration)
     arrivals = overload_arrivals(makespan)
 
     service = AIWorkflowService()

@@ -1,4 +1,4 @@
-"""Pinned schedule cases: three runs whose every scheduling decision is
+"""Pinned schedule cases: four runs whose every scheduling decision is
 fingerprinted by a golden file under ``tests/data/schedules/``.
 
 Each case serves a fixed workload and returns ``{"checksum", "events_fired",
@@ -14,6 +14,8 @@ intentional change of the simulated schedule.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
 from typing import Callable, Dict, List
 
 from repro.capture import payload_checksum
@@ -181,8 +183,55 @@ def node_loss_dynamics() -> Dict[str, object]:
     }
 
 
+def _overload_gauntlet():
+    """``scripts/overload_gauntlet.py``, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "overload_gauntlet.py"
+    spec = importlib.util.spec_from_file_location("overload_gauntlet", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def overload_qoe() -> Dict[str, object]:
+    """The overload gauntlet's tenants, trace and admission ladder, served
+    once in grouped and once in multiplex mode with a QoE collector: both
+    reports and every QoE record (rejected, deferred and degraded arrivals
+    included) are pinned."""
+    from repro.service import AIWorkflowService
+
+    gauntlet = _overload_gauntlet()
+    calibration = gauntlet.measure_capacity()
+    config = gauntlet.overload_config(calibration)
+    arrivals = gauntlet.overload_arrivals(calibration["makespan_s"])
+    outputs: list = []
+    events = 0
+    with _CountingAllocations() as allocations:
+        for mode in ("grouped", "multiplex"):
+            records: list = []
+            service = AIWorkflowService()
+            try:
+                report = service.submit_trace(
+                    arrivals,
+                    registry=gauntlet.gauntlet_registry(),
+                    mode=mode,
+                    admission=config,
+                    collector=records.append,
+                )
+            finally:
+                service.shutdown()
+            events += service.runtime.engine.events_fired
+            outputs.append([mode, report.canonical_dict(), records])
+    return {
+        "arrivals": len(arrivals),
+        "checksum": payload_checksum(outputs),
+        "events_fired": events,
+        "allocate_calls": allocations.calls,
+    }
+
+
 CASES: Dict[str, Callable[[], Dict[str, object]]] = {
     "multiplex_fidelity": multiplex_fidelity,
     "keep_warm_session": keep_warm_session,
     "node_loss_dynamics": node_loss_dynamics,
+    "overload_qoe": overload_qoe,
 }

@@ -1,4 +1,4 @@
-"""Schedule goldens: three pinned runs must reproduce their recorded
+"""Schedule goldens: four pinned runs must reproduce their recorded
 fingerprint exactly (see ``tests/schedule_cases.py``).
 
 Regenerate with ``python scripts/update_schedule_goldens.py`` only after an
