@@ -21,15 +21,17 @@ examples-smoke:
 ## golden JSON surfaces under tests/data/fabrics/ (regenerate with
 ## scripts/update_fabric_goldens.py after an intentional profile change).
 ## The networkx check keeps networkx and the unoptimized reference oracle
-## (repro.baselines.unoptimized, the one module that imports networkx) out
-## of the serving stack: only the tests may import them.  The last check
+## (repro.baselines.unoptimized, the one module that imports networkx, and
+## home of the per-event trace-serving reference) out of the serving stack,
+## sharding, shard workers, capture and the CLI: only the tests may import
+## them.  The last check
 ## resolves every name in repro.__all__ and repro.workflows.__all__, so an
 ## export cannot outlive the definition it names.
 lint:
 	$(PYTHON) -W error::SyntaxWarning -m compileall -q -f src tests benchmarks scripts examples
 	$(PYTHON) -c "from repro.policies import validate_registry; validate_registry()"
 	$(PYTHON) -c "from repro.fabric import validate_profiles; validate_profiles('tests/data/fabrics')"
-	$(PYTHON) -c "import sys, repro, repro.service, repro.loadgen, repro.client; assert 'repro.baselines.unoptimized' not in sys.modules, 'the serving stack imports the reference oracle'; assert 'networkx' not in sys.modules, 'the serving stack imports networkx'"
+	$(PYTHON) -c "import sys, repro, repro.service, repro.loadgen, repro.client, repro.sharding, repro.shardworker, repro.capture, repro.cli; assert 'repro.baselines.unoptimized' not in sys.modules, 'the serving stack imports the reference oracle'; assert 'networkx' not in sys.modules, 'the serving stack imports networkx'"
 	$(PYTHON) -c "import repro, repro.workflows; missing = [f'{m.__name__}.{n}' for m in (repro, repro.workflows) for n in m.__all__ if not hasattr(m, n)]; assert not missing, f'__all__ names what does not exist: {missing}'"
 
 ## Run the micro-benchmarks, append BENCH_<n>.json to the perf trajectory,

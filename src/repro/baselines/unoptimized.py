@@ -1,9 +1,10 @@
 """The unoptimized reference path for the orchestration hot-path overhaul.
 
 The indexed profile store, memoized profiling, plan cache, cached DAG
-structure, decomposition templates, tuple-heap event loop, and incremental
-executor dispatch are pure performance work: they must not change a single scheduling decision, plan
-assignment, or event ordering.  This module reproduces the original
+structure, decomposition templates, tuple-heap event loop, incremental
+executor dispatch, and column accounting of replayed trace jobs are pure
+performance work: they must not change a single scheduling decision, plan
+assignment, event ordering, or accounted value.  This module reproduces the original
 (pre-optimization) behaviour of every layer so benchmarks and tests can run
 the same job down both paths and assert
 
@@ -20,17 +21,21 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.agents.base import AgentInterface
 from repro.agents.library import AgentLibrary, default_library
 from repro.core.dag import TaskGraph
 from repro.core.decomposer import JobDecomposer
 from repro.core.execution import WorkflowExecutor
-from repro.core.job import Job
+from repro.core.job import Job, JobResult
 from repro.core.runtime import MurakkabRuntime
 from repro.core.task import Task
 from repro.llm.orchestrator_llm import ReActTrace
+from repro.loadgen import ServiceLoadGenerator, _ReplaySink, _ReplaySlot
 from repro.profiling.profiler import Profiler
+from repro.sim.energy import EnergyBreakdown
+from repro.sim.engine import SimulationEngine
 
 
 class UncachedTaskGraph(TaskGraph):
@@ -124,24 +129,27 @@ class RescanWorkflowExecutor(WorkflowExecutor):
         self._announce()
 
 
-def _stepwise_run(engine, until: Optional[float] = None, max_events: Optional[int] = None):
-    """The original engine loop: peek/step method calls per event."""
-    fired = 0
-    while True:
-        if max_events is not None and fired >= max_events:
-            break
-        next_time = engine._queue.peek_time()
-        if next_time is None:
-            break
-        if until is not None and next_time > until:
-            engine._clock.advance_to(until)
-            break
-        if not engine.step():
-            break
-        fired += 1
-    if until is not None and engine.now < until and engine._queue.peek_time() is None:
-        engine._clock.advance_to(until)
-    return engine.now
+class StepwiseEngine(SimulationEngine):
+    """A :class:`SimulationEngine` driven by the original event loop: one
+    ``peek``/``step`` method call pair per event."""
+
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+        fired = 0
+        while True:
+            if max_events is not None and fired >= max_events:
+                break
+            next_time = self._queue.peek_time()
+            if next_time is None:
+                break
+            if until is not None and next_time > until:
+                self._clock.advance_to(until)
+                break
+            if not self.step():
+                break
+            fired += 1
+        if until is not None and self.now < until and self._queue.peek_time() is None:
+            self._clock.advance_to(until)
+        return self.now
 
 
 def unoptimized_runtime(library: Optional[AgentLibrary] = None) -> MurakkabRuntime:
@@ -150,7 +158,7 @@ def unoptimized_runtime(library: Optional[AgentLibrary] = None) -> MurakkabRunti
     * profiles the library from scratch (no memoized default store),
     * plans every submission without the plan cache,
     * decomposes every job from scratch into an :class:`UncachedTaskGraph`,
-    * drives the engine through the original step-wise event loop, and
+    * drives a :class:`StepwiseEngine`, and
     * executes every job, single submission or multi-job serving, on a
       :class:`RescanWorkflowExecutor`.
     """
@@ -158,14 +166,83 @@ def unoptimized_runtime(library: Optional[AgentLibrary] = None) -> MurakkabRunti
     runtime = MurakkabRuntime(
         library=library,
         profile_store=Profiler().profile_library(library),
+        engine=StepwiseEngine(),
     )
     runtime.orchestrator.planner.enable_plan_cache = False
     runtime.orchestrator.decomposer = UncachedJobDecomposer(
         runtime.orchestrator.decomposer.orchestrator_llm
     )
     runtime.executor_class = RescanWorkflowExecutor
-    engine = runtime.engine
-    runtime.engine.run = lambda until=None, max_events=None: _stepwise_run(
-        engine, until=until, max_events=max_events
-    )
     return runtime
+
+
+# --------------------------------------------------------------------- #
+# Trace serving: one engine event per replayed job
+# --------------------------------------------------------------------- #
+
+
+def stamp(slot: _ReplaySlot, job_id: str, started_at: float, finished_at: float) -> JobResult:
+    """A replayed completion of ``slot``'s confirmed result."""
+    source = slot.result
+    energy = source.energy
+    return JobResult(
+        job_id=job_id,
+        makespan_s=source.makespan_s,
+        started_at=started_at,
+        finished_at=finished_at,
+        energy=EnergyBreakdown(
+            idle_wh=energy.idle_wh,
+            dynamic_wh_by_category=dict(energy.dynamic_wh_by_category),
+            cpu_wh=energy.cpu_wh,
+        ),
+        cost=source.cost,
+        quality=source.quality,
+        plan=source.plan,
+        provisioned_gpus=source.provisioned_gpus,
+        transfer_s=source.transfer_s,
+        transferred_bytes=source.transferred_bytes,
+        cross_rack_bytes=source.cross_rack_bytes,
+        transfer_wh=source.transfer_wh,
+        transfer_events=source.transfer_events,
+    )
+
+
+class EventSink(_ReplaySink):
+    """A replay sink that schedules one engine completion event per row and
+    accounts each result as it fires, through ``ServiceStats.record`` and
+    ``TraceReport.account``."""
+
+    def _account(self, columns) -> None:
+        keys, *rest = (
+            column.tolist() if isinstance(column, np.ndarray) else list(column)
+            for column in columns
+        )
+        job_ids = keys if self.ids is None else self.ids.render(keys)
+        slots, complete = self.slots, self._complete_replay
+        self.generator.service.runtime.engine.schedule_at_batch(
+            (finish, complete, (stamp(slots[row], job_id, start, finish), arrived))
+            for job_id, arrived, start, finish, row in zip(job_ids, *rest)
+        )
+
+    def _complete_replay(self, result: JobResult, arrival_at: float) -> None:
+        """Fires on the shared engine at the job's completion watermark."""
+        service = self.generator.service
+        service.runtime.engine.mark(result.job_id)
+        service.stats.record(result)
+        self.report.account(result, arrival_at, simulated=False)
+
+
+class ReferenceLoadGenerator(ServiceLoadGenerator):
+    """A :class:`ServiceLoadGenerator` that serves every grouped arrival in
+    turn and accounts every replayed job as one engine event
+    (:class:`EventSink`): the reference the column accounting is checked
+    against byte for byte.  It never reads or writes warm recordings.
+
+    ``ReferenceLoadGenerator(service).run(arrivals, **options)`` takes the
+    options of :meth:`ServiceLoadGenerator.run`.
+    """
+
+    sink_class = EventSink
+
+    def _columnar(self, run) -> bool:
+        return False

@@ -18,14 +18,20 @@ all jobs of one workload are identical by construction.  Two modes:
   multiplexing); jobs are stamped from one compiled template per admission
   group.
 
-Both modes run every arrival through one admission step (the rate-limit /
-deadline-feasibility ladder of :mod:`repro.admission`, and one QoE record
-per arrival for the capture collector) and share one **confirm-then-replay
-core**: once a behaviour is confirmed — the same result twice under an
-unchanged serving context (warm pool, profile store, dynamics, policy) — it
-becomes a replay *slot* in a sink's slot table, and the later jobs it covers
-reach the sink as columns (job ids; arrival, start and finish floats; slot
-indices) instead of pipeline runs.  Three pattern sources feed the core:
+Both modes run every arrival through one admission step, which writes the
+run's admission record as columns in admission order (outcome code and ready
+time per arrival; start, finish, makespan and quality as jobs complete).
+With an admission controller (:mod:`repro.admission`) the rate-limit /
+deadline-feasibility ladder decides each arrival in turn; without one every
+arrival is admitted at its arrival time.  Shed counters, per-class latency
+and SLO violations are derived from the columns at the end of the run, and
+so is the one QoE record per arrival a capture collector receives.  Both
+modes share one **confirm-then-replay core**: once a behaviour is confirmed
+— the same result twice under an unchanged serving context (warm pool,
+profile store, dynamics, policy) — it becomes a replay *slot* in a sink's
+slot table, and the later jobs it covers reach the sink as columns (job
+keys; arrival, start and finish floats; slot indices) instead of pipeline
+runs.  Three pattern sources feed the core:
 
 * the **grouped memo**: one slot per group whose last two probes matched;
   any change of serving context makes the group re-converge;
@@ -36,19 +42,20 @@ indices) instead of pipeline runs.  Three pattern sources feed the core:
   :class:`~repro.warmstate.ReplayRecord` slots of an identical earlier
   trace, replayed with zero probes.
 
-The default sink accounts each batch of columns as numpy arrays.  An
-untracked run (no admission controller, no QoE collector) hands it whole
-batches: per replayed row only the FIFO start/finish recurrence stays a
-Python expression, and under the default :class:`TraceJobIds` naming the key
+The sink accounts each batch of columns as numpy arrays.  Grouped serving
+without a controller or dynamics hands it whole runs of replayed arrivals:
+per replayed row only the FIFO start/finish recurrence stays a Python
+expression, and under the default :class:`TraceJobIds` naming the key
 column holds trace indices, so job ids are rendered only for the rows the
-capped details keep.  A caller's ``job_ids`` is still called once per
-arrival, in admission order, and tracked runs go arrival by arrival.
-``vectorized=False`` schedules one engine completion event per row instead,
-the reference path the differential tests compare against.  Telemetry
-streams into bounded :class:`~repro.telemetry.metrics.StreamingAggregate`
+capped details keep.  A caller's ``job_ids`` is called once per arrival, in
+admission order, before the run starts.  The per-event reference the
+differential tests compare against (one engine completion event per
+replayed row) is the test oracle's
+``repro.baselines.unoptimized.ReferenceLoadGenerator``.  Telemetry streams
+into bounded :class:`~repro.telemetry.metrics.StreamingAggregate`
 accumulators (plus the service's capped
 :class:`~repro.service.ServiceStats`), so a 10k-job replay holds O(groups)
-state, not O(jobs).
+accounting state, not O(jobs).
 """
 
 from __future__ import annotations
@@ -57,18 +64,16 @@ import math
 import re
 import time as _wall_time
 from dataclasses import dataclass, field, replace as dataclass_replace
-from operator import attrgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Union
 
 import numpy as _np
 
 from repro.admission import AdmissionController, admission_of
-from repro.core.constraints import DEFAULT_PRIORITY
 from repro.core.execution import ExecutionError
 from repro.core.job import Job, JobResult
 from repro.core.multitenant import TenantSubmission
 from repro.core.planner import PlanningError
-from repro.sim.energy import EnergyBreakdown
 from repro.spec.compiler import check_spec, compile_spec, materialize_inputs
 from repro.telemetry.metrics import (
     StreamingAggregate,
@@ -333,9 +338,8 @@ class _ReplaySlot(NamedTuple):
     transferred_bytes, cross_rack_bytes, transfer_wh, transfer_events)``, or
     ``None`` when the result moved no costed bytes (every result, on
     fabric-free runs).  ``result`` is the confirmed
-    :class:`~repro.core.job.JobResult` the reference sink stamps completions
-    from; recording slots carry none (recordings replay only through the
-    vectorized sink).
+    :class:`~repro.core.job.JobResult`, which a per-event reference sink
+    stamps completions from; recording slots carry none.
     """
 
     values: Tuple[float, float, float, float]
@@ -358,31 +362,6 @@ class _ReplaySlot(NamedTuple):
         values = (result.makespan_s, result.energy_wh, result.cost, result.quality)
         return cls(values, transfer, result)
 
-    def stamp(self, job_id: str, started_at: float, finished_at: float) -> JobResult:
-        """A replayed completion of this slot, as the reference sink accounts it."""
-        source = self.result
-        energy = source.energy
-        return JobResult(
-            job_id=job_id,
-            makespan_s=source.makespan_s,
-            started_at=started_at,
-            finished_at=finished_at,
-            energy=EnergyBreakdown(
-                idle_wh=energy.idle_wh,
-                dynamic_wh_by_category=dict(energy.dynamic_wh_by_category),
-                cpu_wh=energy.cpu_wh,
-            ),
-            cost=source.cost,
-            quality=source.quality,
-            plan=source.plan,
-            provisioned_gpus=source.provisioned_gpus,
-            transfer_s=source.transfer_s,
-            transferred_bytes=source.transferred_bytes,
-            cross_rack_bytes=source.cross_rack_bytes,
-            transfer_wh=source.transfer_wh,
-            transfer_events=source.transfer_events,
-        )
-
 
 class _ReplaySink:
     """Where every pattern source sends its replayed completions, as columns.
@@ -391,10 +370,10 @@ class _ReplaySink:
     (:meth:`register`) and then either appends its rows one at a time into
     :attr:`columns`, in completion order, or hands over a whole batch of
     columns (lists or numpy arrays) with :meth:`add`.  ``flush()`` accounts
-    the buffered rows before the engine moves on (a probe, a disruption):
-    this sink as numpy arrays (:meth:`ServiceLoadGenerator._account_run`),
-    :class:`_EventSink` as one engine event per row.  ``close(last_finish)``
-    flushes, drains the engine, and leaves its clock at the last completion.
+    the buffered rows before the engine moves on (a probe, a disruption) as
+    numpy arrays (:meth:`ServiceLoadGenerator._account_run`); a reference
+    sink overrides :meth:`_account`.  ``close(last_finish)`` flushes, drains
+    the engine, and leaves its clock at the last completion.
 
     The key column holds job ids, or trace indices when the sink is given
     the run's :class:`_TraceIndexIds` (``ids``).
@@ -445,70 +424,31 @@ class _ReplaySink:
             engine.run(until=last_finish)
 
 
-class _EventSink(_ReplaySink):
-    """The ``vectorized=False`` reference: one engine event per replayed row."""
-
-    def _account(self, columns) -> None:
-        slots, complete = self.slots, self._complete_replay
-        rows = zip(
-            *(
-                column.tolist() if isinstance(column, _np.ndarray) else column
-                for column in columns
-            )
-        )
-        self.generator.service.runtime.engine.schedule_at_batch(
-            (finish, complete, (slots[row].stamp(job_id, start, finish), arrived))
-            for job_id, arrived, start, finish, row in rows
-        )
-
-    def _complete_replay(self, result: JobResult, arrival_at: float) -> None:
-        """Fires on the shared engine at the job's completion watermark."""
-        service = self.generator.service
-        service.runtime.engine.mark(result.job_id)
-        service.stats.record(result)
-        self.report.account(result, arrival_at, simulated=False)
-
-
 class _SteadyColumns:
-    """Columnar grouped serving for an untracked run without dynamics: the
-    runs of arrivals whose group replays a confirmed slot, found and
-    accounted as columns.
+    """Columnar grouped serving for a run without an admission controller
+    or dynamics: the runs of arrivals whose group replays a confirmed slot,
+    found and accounted as columns.
 
-    ``codes`` numbers each admission position's group; ``live`` holds, per
-    group code, the group whose confirmed slot replays under the current
-    serving context (``None``: it probes), and ``rows`` that slot's row
-    (``-1``: none).  Both are refreshed after every probe.  A run of
-    replayed arrivals ends at the first arrival whose group has no live
-    row, which is the next probe.
+    ``live`` holds, per workload code, the group whose confirmed slot
+    replays under the current serving context (``None``: it probes), and
+    ``rows`` that slot's row (``-1``: none).  Both are refreshed after every
+    probe.  A run of replayed arrivals ends at the first arrival whose group
+    has no live row, which is the next probe.
     """
 
     #: Positions :meth:`end_of_run` looks at first; it doubles the look
     #: ahead while every position replays, so finding a run costs O(run).
     _LOOKAHEAD = 64
 
-    def __init__(
-        self,
-        sink: _ReplaySink,
-        arrivals: ArrivalColumns,
-        order: _np.ndarray,
-        codes: _np.ndarray,
-        epoch: float,
-        job_ids: Callable[[int, str], str],
-    ) -> None:
+    def __init__(self, run: "_TraceRun", sink: _ReplaySink) -> None:
+        self.run = run
         self.sink = sink
-        self.names = arrivals.names
-        self.epoch = epoch
-        self.job_ids = job_ids
-        #: Trace indices, and their workload codes, in admission order.
-        self.indices = order
-        self.codes = codes
-        self.times = arrivals.times
-        self.live: List[Optional[GroupState]] = [None] * len(self.names)
-        self.rows = _np.full(len(self.names), -1, dtype=_np.intp)
+        self.live: List[Optional[GroupState]] = [None] * len(run.names)
+        self.rows = _np.full(len(run.names), -1, dtype=_np.intp)
 
     def refresh(self, groups: Dict[str, "GroupState"], context: tuple) -> None:
         """Recompute the live groups after a probe changed a group or the context."""
-        for code, name in enumerate(self.names):
+        for code, name in enumerate(self.run.names):
             group = groups.get(name)
             if group is None or group.steady is None or group.steady_context != context:
                 group = None
@@ -518,10 +458,11 @@ class _SteadyColumns:
     def end_of_run(self, position: int) -> int:
         """The first position from ``position`` on whose group has no live
         row (the end of the trace if every one has)."""
-        n = len(self.codes)
+        codes = self.run.codes
+        n = len(codes)
         step = self._LOOKAHEAD
         while position < n:
-            window = self.rows[self.codes[position : position + step]]
+            window = self.rows[codes[position : position + step]]
             misses = _np.flatnonzero(window < 0)
             if misses.size:
                 return position + int(misses[0])
@@ -538,26 +479,15 @@ class _SteadyColumns:
     ) -> Tuple[float, Optional[TraceRecording]]:
         """Hand the sink the replayed positions ``[start, end)`` as one batch.
 
-        The FIFO recurrence is the per-row loop's, operation for operation:
-        ``start = max(previous finish, arrival)``, ``finish = start +
-        makespan``.  Returns the last finish and the recording, ``None`` once
-        a row replays a slot the recording does not hold.
+        Returns the last finish and the recording, ``None`` once a row
+        replays a slot the recording does not hold.
         """
-        sink = self.sink
-        indices = self.indices[start:end]
-        codes = self.codes[start:end]
+        run, sink = self.run, self.sink
+        codes = run.codes[start:end]
         rows = self.rows[codes]
-        arrival_col = self.epoch + self.times[indices]
-        makespans = _np.array([slot.values[0] for slot in sink.slots])[rows]
-        finish = previous_finish
-        finish_col = [
-            finish := (finish if finish > arrival else arrival) + makespan
-            for arrival, makespan in zip(arrival_col.tolist(), makespans.tolist())
-        ]
-        before = _np.empty(len(finish_col))
-        before[0] = previous_finish
-        before[1:] = finish_col[:-1]
-        start_col = _np.where(before > arrival_col, before, arrival_col)
+        arrival_col = run.arrival_at[start:end]
+        makespans, qualities = _np.array([slot.values[::3] for slot in sink.slots])[rows].T
+        start_col, finish_col, finish = _fifo(arrival_col, makespans.tolist(), previous_finish)
         counts = _np.bincount(codes, minlength=len(self.live)).tolist()
         for group, count in zip(self.live, counts):
             if count:
@@ -567,16 +497,44 @@ class _SteadyColumns:
         if recording is not None:
             records = [-1 if group is None else group.steady_record for group in self.live]
             recording.script.extend(_np.array(records)[codes].tolist())
-        if sink.ids is not None:
-            keys = indices
-        else:
-            names, job_ids = self.names, self.job_ids
-            keys = [
-                job_ids(index, names[code])
-                for index, code in zip(indices.tolist(), codes.tolist())
-            ]
-        sink.add(keys, arrival_col, start_col, finish_col, rows)
+        sink.add(run.keys[start:end], arrival_col, start_col, finish_col, rows)
+        run.record(_np.arange(start, end), start_col, finish_col, makespans, qualities)
         return finish, recording
+
+
+def _fifo(
+    arrival_col: _np.ndarray,
+    makespans: List[float],
+    previous_finish: float,
+    pinned: Optional[List[Optional[float]]] = None,
+) -> Tuple[_np.ndarray, List[float], float]:
+    """The FIFO recurrence of a batch of replayed rows served back to back
+    after ``previous_finish``, operation for operation the per-row loop's:
+    ``start = max(previous finish, arrival)``, ``finish = start + makespan``.
+
+    A row whose ``pinned`` finish is not ``None`` (a recorded probe, whose
+    ``start + makespan`` would not round-trip bit-exactly) finishes there
+    instead.  Returns the start column, the finish column (a list) and the
+    last finish.
+    """
+    finish = previous_finish
+    arrivals = arrival_col.tolist()
+    if pinned is None:
+        finish_col = [
+            finish := (finish if finish > arrival else arrival) + makespan
+            for arrival, makespan in zip(arrivals, makespans)
+        ]
+    else:
+        finish_col = [
+            finish := (finish if finish > arrival else arrival) + makespan
+            if pin is None
+            else pin
+            for arrival, makespan, pin in zip(arrivals, makespans, pinned)
+        ]
+    before = _np.empty(len(finish_col))
+    before[0] = previous_finish
+    before[1:] = finish_col[:-1]
+    return _np.where(before > arrival_col, before, arrival_col), finish_col, finish
 
 
 @dataclass
@@ -987,31 +945,20 @@ class TraceReport:
 
 
 # --------------------------------------------------------------------- #
-# The admission step, completion accounting and QoE records
+# The admission record, and the QoE records derived from it
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class _Entry:
-    """One admitted arrival: identity, SLO, and QoE bookkeeping.
-
-    ``group`` is the admission group the job is compiled under (the
-    workload, plus :data:`DEGRADED_SUFFIX` when the ladder degraded it);
-    ``ready_at`` is the absolute admission time after any defer; ``qoe`` is
-    the entry's position in the run's QoE record buffer.
-    """
-
-    workload: str
-    group: str
-    job_id: str
-    arrival_s: float
-    arrival_at: float
-    ready_at: float
-    priority: str = DEFAULT_PRIORITY
-    outcome: str = "admit"
-    deadline_s: Optional[float] = None
-    deadline_at: Optional[float] = None
-    qoe: Optional[int] = None
+#: The admission ladder's outcomes, by the code :attr:`_TraceRun.outcome`
+#: holds.
+_OUTCOMES = ("admit", "defer", "degrade", "reject")
+_OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
+_DEFER, _DEGRADE, _REJECT = 1, 2, 3
+#: The keys of a QoE record, in order.
+_QOE_KEYS = (
+    "job_id", "workload", "priority", "outcome", "arrival_s", "started_s", "finished_s",
+    "queue_delay_s", "makespan_s", "latency_s", "quality", "deadline_s", "slo_met",
+)
 
 
 class _Submission(TenantSubmission):
@@ -1032,51 +979,24 @@ class _Submission(TenantSubmission):
         return self._job
 
 
-def _qoe_record(
-    entry: _Entry,
-    outcome: str,
-    started_s: Optional[float] = None,
-    finished_s: Optional[float] = None,
-    makespan_s: Optional[float] = None,
-    quality: Optional[float] = None,
-    slo_met: Optional[bool] = None,
-) -> Dict[str, object]:
-    """One per-arrival QoE record for the capture collector.
-
-    Timings are trace-relative (the trace epoch is subtracted before this is
-    called), so captures taken against a warm, long-lived service match
-    those from a cold one byte for byte.  Rejected and failed arrivals keep
-    ``None`` timing fields.
-    """
-    arrival_s = entry.arrival_s
-    if slo_met is None and entry.deadline_s is not None:
-        if outcome in ("reject", "failed"):
-            slo_met = False
-    return {
-        "job_id": entry.job_id,
-        "workload": entry.workload,
-        "priority": entry.priority,
-        "outcome": outcome,
-        "arrival_s": arrival_s,
-        "started_s": started_s,
-        "finished_s": finished_s,
-        "queue_delay_s": started_s - arrival_s if started_s is not None else None,
-        "makespan_s": makespan_s,
-        "latency_s": finished_s - arrival_s if finished_s is not None else None,
-        "quality": quality,
-        "deadline_s": entry.deadline_s,
-        "slo_met": slo_met,
-    }
-
-
 class _TraceRun:
-    """Per-run state both serving modes share: the admission step, the
-    completion accounting of admitted jobs, and the QoE record buffer."""
+    """One trace run's admission record, as columns in admission order.
+
+    Position ``p`` is the ``p``-th arrival in admission order: trace index
+    ``order[p]``, workload code ``codes[p]``, absolute arrival time
+    ``arrival_at[p]`` and job key ``keys[p]`` (the trace index under
+    :class:`TraceJobIds` naming, else the caller's job id).  :meth:`admit`
+    writes each position's outcome code and ready time; :meth:`record`
+    writes start, finish, makespan and quality, and the completion order,
+    as jobs complete.  :meth:`emit` derives the shed counters, SLO
+    violations and per-class latency from the columns, and the QoE records.
+    """
 
     def __init__(
         self,
         report: "TraceReport",
         registry: WorkloadRegistry,
+        arrivals: ArrivalColumns,
         job_ids: Callable[[int, str], str],
         epoch: float,
         controller: Optional[AdmissionController],
@@ -1084,155 +1004,144 @@ class _TraceRun:
     ) -> None:
         self.report = report
         self.registry = registry
-        self.job_ids = job_ids
+        self.controller = controller
+        self.collector = collector
         #: Trace timestamps are trace-relative; a long-lived service's engine
         #: clock has already advanced past earlier work, so arrivals are
         #: rebased onto this epoch (0 for a fresh service).
         self.epoch = epoch
-        self.controller = controller
-        self.collector = collector
-        #: One QoE record per offered arrival, in arrival order (``None``
-        #: without a collector).  Rejections are recorded at once; an
-        #: admitted arrival holds its entry until it completes, and one still
-        #: held at the end was lost to the cluster.  Emission waits for the
-        #: end so the collector sees arrival order however completions
-        #: interleave.
-        self.qoe: Optional[list] = [] if collector is not None else None
-        #: Whether completions need per-class or QoE accounting at all.
-        self.tracks = controller is not None or collector is not None
-        self._slo: Dict[str, Tuple[str, Optional[float]]] = {}
+        self.arrivals = arrivals
+        self.names = arrivals.names
+        self.order = arrivals.admission_order()
+        self.codes = arrivals.codes[self.order]
+        self.arrival_at = epoch + arrivals.times[self.order]
+        n = len(self.order)
+        self.naming = job_ids if isinstance(job_ids, TraceJobIds) else None
+        self.keys = self.order
+        if self.naming is None:
+            # A caller's job_ids is called once per arrival, in admission order.
+            workloads = map(self.names.__getitem__, self.codes.tolist())
+            ids = map(job_ids, self.order.tolist(), workloads)
+            self.keys = _np.fromiter(ids, dtype=object, count=n)
+        self.outcome = _np.zeros(n, dtype=_np.int8)
+        #: Written by the ladder only: without one, every arrival is ready
+        #: at its arrival time.
+        self.ready_at = self.arrival_at.copy() if controller is not None else self.arrival_at
+        #: The completion columns, kept only when a ladder or a collector
+        #: reads them.  ``seq`` numbers completions (-1: never completed).
+        self.seq = self.start = self.finish = self.makespan = self.quality = None
+        if controller is not None or collector is not None:
+            self.seq = _np.full(n, -1, dtype=_np.intp)
+            self.start, self.finish, self.makespan, self.quality = _np.empty((4, n))
+        self.completed = 0
+        self._slos: List[Optional[tuple]] = [None] * len(self.names)
         self._degraded: Dict[str, tuple] = {}
+
+    def slo(self, code: int) -> Tuple[str, Optional[float], Optional[float]]:
+        """``(priority, deadline_s, admitted deadline_s)`` of a workload code:
+        the spec's priority and deadline, and the deadline an admitted job
+        is held to (the controller's default when the spec declares none)."""
+        slo = self._slos[code]
+        if slo is None:
+            spec = self.registry.spec(self.names[code])
+            admitted = spec.deadline_s
+            if admitted is None and self.controller is not None:
+                admitted = self.controller.config.default_deadline_s
+            slo = self._slos[code] = (spec.priority, spec.deadline_s, admitted)
+        return slo
+
+    def job_id(self, position: int) -> str:
+        if self.naming is None:
+            return self.keys[position]
+        return self.naming(self.order.item(position), self.names[self.codes.item(position)])
 
     def admit(
         self,
-        index: int,
-        workload: str,
-        arrival_s: float,
+        position: int,
         backlog_until: float,
         groups: Optional[Dict[str, "GroupState"]] = None,
-    ) -> Optional[_Entry]:
-        """Run one arrival (trace index, workload, trace-relative arrival
-        time) through the admission ladder.
+    ) -> Optional[Tuple[str, float]]:
+        """Run the arrival at ``position`` through the admission ladder.
 
-        Returns the admitted entry, or ``None`` once a rejection is counted
-        and recorded.  The ladder runs before any engine state is touched, so
-        rejected arrivals cost nothing downstream.  ``groups`` supplies the
-        observed makespan estimates (grouped serving); without it the ladder
-        runs on the config's cost priors.
+        Returns its admission group (the workload, plus
+        :data:`DEGRADED_SUFFIX` when the ladder degraded it) and absolute
+        ready time, or ``None`` when it is rejected.  The ladder runs before
+        any engine state is touched, so rejected arrivals cost nothing
+        downstream.  ``groups`` supplies the observed makespan estimates
+        (grouped serving); without it the ladder runs on the config's cost
+        priors.
         """
-        arrival_at = self.epoch + arrival_s
-        entry = _Entry(
-            workload,
-            workload,
-            self.job_ids(index, workload),
-            arrival_s,
-            arrival_at,
-            arrival_at,
-        )
-        if not self.tracks:
-            return entry
-        entry.priority, entry.deadline_s = self._workload_slo(workload)
+        code = self.codes.item(position)
+        workload = self.names[code]
+        arrival_at = self.arrival_at.item(position)
         controller = self.controller
-        if controller is not None:
-            full = degraded = None
-            if groups is not None:
-                full = groups.get(workload)
-                degraded = groups.get(workload + DEGRADED_SUFFIX)
-            decision = controller.decide(
-                tenant=workload,
-                priority=entry.priority,
-                arrival_at=arrival_at,
-                deadline_s=entry.deadline_s,
-                estimate_s=full.estimate if full is not None else None,
-                degraded_estimate_s=degraded.estimate if degraded is not None else None,
-                backlog_until=backlog_until,
-            )
-            report = self.report
-            counters = report.class_counters(entry.priority)
-            if not decision.admitted:
-                report.rejected_jobs += 1
-                counters["rejected"] += 1
-                if self.qoe is not None:
-                    self.qoe.append(_qoe_record(entry, "reject"))
-                return None
-            entry.outcome = decision.outcome
-            counters["jobs"] += 1
-            if decision.outcome == "degrade":
-                report.degraded_jobs += 1
-                counters["degraded"] += 1
-                entry.group = workload + DEGRADED_SUFFIX
-            elif decision.outcome == "defer":
-                report.deferred_jobs += 1
-                counters["deferred"] += 1
-                entry.ready_at = arrival_at + decision.wait_s
-            if entry.deadline_s is None:
-                entry.deadline_s = controller.config.default_deadline_s
-            if entry.deadline_s is not None:
-                entry.deadline_at = arrival_at + entry.deadline_s
-        if self.qoe is not None:
-            entry.qoe = len(self.qoe)
-            self.qoe.append(entry)
-        return entry
+        if controller is None:
+            return workload, arrival_at
+        priority, deadline_s, _ = self.slo(code)
+        groups = groups or {}
+        full, degraded = groups.get(workload), groups.get(workload + DEGRADED_SUFFIX)
+        decision = controller.decide(
+            tenant=workload,
+            priority=priority,
+            arrival_at=arrival_at,
+            deadline_s=deadline_s,
+            estimate_s=full.estimate if full is not None else None,
+            degraded_estimate_s=degraded.estimate if degraded is not None else None,
+            backlog_until=backlog_until,
+        )
+        outcome = self.outcome[position] = _OUTCOME_CODE[decision.outcome]
+        if outcome == _REJECT:
+            return None
+        ready_at = arrival_at + decision.wait_s if outcome == _DEFER else arrival_at
+        self.ready_at[position] = ready_at
+        return (workload + DEGRADED_SUFFIX if outcome == _DEGRADE else workload), ready_at
 
-    def complete(
-        self,
-        entry: _Entry,
-        start: float,
-        finish: float,
-        makespan_s: float,
-        quality: float,
-    ) -> None:
-        """Per-class latency, deadline SLO, and QoE record of one completion."""
-        deadline_at = entry.deadline_at
-        if self.controller is not None:
-            report = self.report
-            report.class_latency(entry.priority).add(finish - entry.arrival_at)
-            if deadline_at is not None and finish > deadline_at:
-                report.slo_violations += 1
-                report.class_counters(entry.priority)["slo_violations"] += 1
-        if entry.qoe is not None:
-            # ``slo_met`` is decided on absolute engine timestamps, exactly as
-            # the report's ``slo_violations`` counter is, so a job admitted
-            # with zero slack cannot disagree with the report over float
-            # rounding in the rebased timings.
-            self.qoe[entry.qoe] = _qoe_record(
-                entry,
-                entry.outcome,
-                started_s=start - self.epoch,
-                finished_s=finish - self.epoch,
-                makespan_s=makespan_s,
-                quality=quality,
-                slo_met=finish <= deadline_at if deadline_at is not None else None,
-            )
-
-    def emit(self) -> None:
-        """Hand every QoE record to the collector, in arrival order."""
-        if self.collector is None:
+    def admit_on_priors(self) -> None:
+        """The multiplex ladder: every arrival in turn, on the config's cost
+        priors.  Multiplexed jobs overlap, so there is no FIFO probe stream
+        to observe makespans from; the serial backlog watermark advances by
+        the prior of each admitted job, keeping every decision a pure
+        function of the arrival sequence (the capture/replay property)."""
+        controller = self.controller
+        if controller is None:
             return
-        for record in self.qoe:
-            if isinstance(record, _Entry):
-                # Admitted but never completed: lost to the cluster.
-                record = _qoe_record(record, "failed")
-            self.collector(record)
+        config = controller.config
+        backlog = self.epoch
+        for position in range(len(self.order)):
+            admitted = self.admit(position, backlog)
+            if admitted is not None:
+                degraded = self.outcome[position] == _DEGRADE
+                prior = config.degraded_prior_s if degraded else config.estimate_prior_s
+                backlog = max(admitted[1], backlog) + (prior or 0.0)
 
-    def _workload_slo(self, workload: str) -> Tuple[str, Optional[float]]:
-        """The (priority, deadline_s) a workload's spec declares."""
-        slo = self._slo.get(workload)
-        if slo is None:
-            spec = self.registry.spec(workload)
-            slo = self._slo[workload] = (spec.priority, spec.deadline_s)
-        return slo
+    def record(self, positions, starts, finishes, makespans, qualities) -> None:
+        """Note the completions of ``positions`` (one position, or an index
+        array in completion order) with their absolute start and finish
+        times, makespans and qualities."""
+        if self.seq is None:
+            return
+        first = self.completed
+        self.completed += _np.size(positions)
+        self.seq[positions] = (
+            _np.arange(first, self.completed) if _np.ndim(positions) else first
+        )
+        self.start[positions] = starts
+        self.finish[positions] = finishes
+        self.makespan[positions] = makespans
+        self.quality[positions] = qualities
 
-    def build_job(self, entry: _Entry) -> Job:
-        """The job an admitted entry runs.
+    def build_job(self, position: int) -> Job:
+        """The job an admitted position runs.
 
-        A degraded entry compiles the degraded-quality variant of its
+        A degraded position compiles the degraded-quality variant of its
         workload, once per run and sharing the workload's materialized
         inputs, so degraded jobs stay deterministic per workload.
         """
-        if entry.outcome != "degrade":
-            return self.registry.build(entry.workload, entry.job_id)
-        variant = self._degraded.get(entry.workload)
+        workload = self.names[self.codes.item(position)]
+        job_id = self.job_id(position)
+        if self.outcome[position] != _DEGRADE:
+            return self.registry.build(workload, job_id)
+        variant = self._degraded.get(workload)
         if variant is None:
             config = self.controller.config
             overrides: Dict[str, object] = {"quality_target": config.degraded_quality}
@@ -1240,12 +1149,107 @@ class _TraceRun:
                 from repro.core.constraints import Constraint
 
                 overrides["constraints"] = Constraint(config.degraded_constraint)
-            variant = self._degraded[entry.workload] = (
-                self.registry.spec(entry.workload).with_overrides(**overrides),
-                self.registry.materialized_inputs(entry.workload),
+            variant = self._degraded[workload] = (
+                self.registry.spec(workload).with_overrides(**overrides),
+                self.registry.materialized_inputs(workload),
             )
         spec, inputs = variant
-        return compile_spec(spec, inputs=inputs, job_id=entry.job_id)
+        return compile_spec(spec, inputs=inputs, job_id=job_id)
+
+    def emit(self) -> None:
+        """Derive the run's admission accounting into the report, then hand
+        every QoE record to the collector, in admission order."""
+        if self.controller is not None:
+            self._account_admission()
+        if self.collector is not None:
+            for record in self._qoe_records():
+                self.collector(record)
+
+    def _account_admission(self) -> None:
+        """Shed counters, per-class counters and SLO violations by
+        ``np.bincount``; per-class latency in completion order."""
+        report, codes = self.report, self.codes
+        slos = {code: self.slo(code) for code in _first_seen(codes, len(self.names))}
+        classes = list(dict.fromkeys(priority for priority, _, _ in slos.values()))
+        class_of = _np.zeros(len(self.names), dtype=_np.intp)
+        deadline = _np.full(len(self.names), _np.nan)
+        for code, (priority, _, admitted) in slos.items():
+            class_of[code] = classes.index(priority)
+            deadline[code] = _np.nan if admitted is None else admitted
+        position_class = class_of[codes]
+        table = _np.bincount(
+            position_class * len(_OUTCOMES) + self.outcome,
+            minlength=len(classes) * len(_OUTCOMES),
+        ).reshape(len(classes), len(_OUTCOMES))
+        _, report.deferred_jobs, report.degraded_jobs, report.rejected_jobs = (
+            table.sum(axis=0).tolist()
+        )
+        done = _np.flatnonzero(self.seq >= 0)
+        done = done[_np.argsort(self.seq[done])]
+        done_class = position_class[done]
+        arrival_at, finish = self.arrival_at[done], self.finish[done]
+        # NaN (no deadline) compares false: such a job never violates.
+        late = finish > arrival_at + deadline[codes[done]]
+        violations = _np.bincount(done_class[late], minlength=len(classes)).tolist()
+        report.slo_violations = sum(violations)
+        for priority, (admit, defer, degrade, reject), late_jobs in zip(
+            classes, table.tolist(), violations
+        ):
+            counters = report.class_counters(priority)
+            counters["jobs"] += admit + defer + degrade
+            counters["degraded"] += degrade
+            counters["deferred"] += defer
+            counters["rejected"] += reject
+            counters["slo_violations"] += late_jobs
+        latency = finish - arrival_at
+        for index in _first_seen(done_class, len(classes)):
+            report.class_latency(classes[index]).add_sequence(latency[done_class == index])
+
+    def _qoe_records(self) -> Iterator[Dict[str, object]]:
+        """One record per offered arrival, in admission order.
+
+        Timings are trace-relative (the epoch is subtracted), so captures
+        taken against a warm, long-lived service match those from a cold one
+        byte for byte.  Rejected and failed arrivals keep ``None`` timing
+        fields.  ``slo_met`` is decided on absolute engine timestamps,
+        exactly as the report's ``slo_violations`` counter is, so a job
+        admitted with zero slack cannot disagree with the report over float
+        rounding in the rebased timings.
+        """
+        epoch, times = self.epoch, self.arrivals.times
+        columns = (self.order, self.codes, self.outcome, self.seq, self.arrival_at)
+        columns += (self.start, self.finish, self.makespan, self.quality)
+        for position, (index, code, outcome, seq, arrival_at, *completion) in enumerate(
+            zip(*(column.tolist() for column in columns))
+        ):
+            priority, declared, deadline_s = self.slo(code)
+            arrival_s = times.item(index)
+            record = dict.fromkeys(_QOE_KEYS)
+            record.update(
+                job_id=self.job_id(position),
+                workload=self.names[code],
+                priority=priority,
+                outcome=_OUTCOMES[outcome] if seq >= 0 or outcome == _REJECT else "failed",
+                arrival_s=arrival_s,
+                deadline_s=declared if outcome == _REJECT else deadline_s,
+            )
+            if seq < 0:
+                # Rejected, or admitted but lost to the cluster.
+                record["slo_met"] = False if record["deadline_s"] is not None else None
+            else:
+                start, finish, makespan, quality = completion
+                started_s, finished_s = start - epoch, finish - epoch
+                record.update(
+                    started_s=started_s,
+                    finished_s=finished_s,
+                    queue_delay_s=started_s - arrival_s,
+                    makespan_s=makespan,
+                    latency_s=finished_s - arrival_s,
+                    quality=quality,
+                )
+                if self.controller is not None and deadline_s is not None:
+                    record["slo_met"] = finish <= arrival_at + deadline_s
+            yield record
 
 
 # --------------------------------------------------------------------- #
@@ -1254,7 +1258,14 @@ class _TraceRun:
 
 
 class ServiceLoadGenerator:
-    """Batched admission of an arrival trace onto one AIWaaS endpoint."""
+    """Batched admission of an arrival trace onto one AIWaaS endpoint.
+
+    A subclass may swap :attr:`sink_class` and override :meth:`_columnar`;
+    the test oracle's per-event reference does.
+    """
+
+    #: Where replayed completions go: accounted as columns.
+    sink_class = _ReplaySink
 
     def __init__(self, service, registry: Optional[WorkloadRegistry] = None) -> None:
         self.service = service
@@ -1281,7 +1292,6 @@ class ServiceLoadGenerator:
         job_ids: Optional[Callable[[int, str], str]] = None,
         dynamics=None,
         policy=None,
-        vectorized: bool = True,
         admission=None,
         collector: Optional[Callable[[Dict[str, object]], None]] = None,
         multiplex_window: Optional[int] = None,
@@ -1315,20 +1325,15 @@ class ServiceLoadGenerator:
         the bundle fingerprint, so traces served under different policies
         never share memoized results.
 
-        ``vectorized=False`` forces the per-arrival reference path: for
-        grouped serving every steady-state completion is scheduled and
-        accounted one engine event at a time; for multiplex serving every
-        steady-window replay completion is.  The default vectorized path
-        streams replayed rows to its sink as columns and accounts each batch
-        as numpy arrays; its :class:`TraceReport` aggregates and the
-        service's stats are byte-identical to the reference path (asserted
-        differentially in the test suite).  On an untracked run (no
-        admission controller, no collector) replayed jobs reach the sink as
-        whole batches: per replayed job only the FIFO start/finish recurrence
-        is a Python expression, the multiplex tail builds no per-arrival
-        objects, and under the default naming job ids are rendered only for
-        the rows the capped per-job details keep.  Tracked runs serve
-        arrival by arrival.
+        Replayed jobs reach the report as columns and are accounted as numpy
+        arrays, byte-identical to one engine completion event per job (the
+        test oracle's ``ReferenceLoadGenerator``, asserted differentially in
+        the test suite).  Grouped serving without an admission controller or
+        dynamics hands over whole runs of replayed jobs: per replayed job
+        only the FIFO start/finish recurrence is a Python expression, and
+        under the default naming job ids are rendered only for the rows the
+        capped per-job details keep.  The multiplex replayed tail builds no
+        per-arrival objects.
 
         ``admission`` serves the trace behind an admission controller (an
         :class:`~repro.admission.AdmissionConfig` or its dict form; the
@@ -1391,22 +1396,15 @@ class ServiceLoadGenerator:
                 feedback(None)
         if max_per_job_records is not None:
             self.service.stats.limit_per_job_records(max_per_job_records)
-        job_ids = job_ids or TraceJobIds()
         started = _wall_time.perf_counter()
+        report = TraceReport(mode=mode, admission_controlled=controller is not None)
+        epoch = self.service.runtime.engine.now
+        job_ids = job_ids or TraceJobIds()
+        run = _TraceRun(report, registry, arrivals, job_ids, epoch, controller, collector)
         if mode == "grouped":
-            report = self._run_grouped(
-                arrivals, registry, job_ids, vectorized, controller, collector
-            )
+            self._run_grouped(run)
         else:
-            report = self._run_multiplexed(
-                arrivals,
-                registry,
-                job_ids,
-                vectorized,
-                controller,
-                collector,
-                multiplex_window,
-            )
+            self._run_multiplexed(run, multiplex_window)
         report.wall_seconds = _wall_time.perf_counter() - started
         if self._dynamics is not None:
             report.disruptions = self._dynamics.log.counters()
@@ -1434,98 +1432,66 @@ class ServiceLoadGenerator:
             self._policy_fp,
         )
 
-    def _sink(
-        self,
-        vectorized: bool,
-        report: TraceReport,
-        ids: Optional[_TraceIndexIds] = None,
-    ) -> _ReplaySink:
-        if not vectorized:
-            return _EventSink(self, report)
-        return _ReplaySink(self, report, ids)
+    def _sink(self, run: _TraceRun, by_index: bool = True) -> _ReplaySink:
+        """The run's replay sink, built before the run touches the engine.
 
-    def _index_ids(
-        self, run: "_TraceRun", arrivals: ArrivalColumns
-    ) -> Optional[_TraceIndexIds]:
-        """The run's ids, rendered on demand, when it names its jobs with
-        :class:`TraceJobIds`; ``None`` when a caller's ``job_ids`` names them
-        (called once per arrival, in admission order).  Call it before the
-        run touches the engine."""
-        if not isinstance(run.job_ids, TraceJobIds):
-            return None
-        mappings = (
-            self.service.runtime.engine.watermarks,
-            self.service.stats.per_job,
-            run.report.job_summaries,
-        )
-        return _TraceIndexIds(run.job_ids, arrivals, mappings)
+        With ``by_index`` under :class:`TraceJobIds` naming its key column
+        holds trace indices, rendered only where needed
+        (:class:`_TraceIndexIds`); otherwise it holds job ids.
+        """
+        ids = None
+        if by_index and run.naming is not None:
+            service = self.service
+            mappings = (
+                service.runtime.engine.watermarks,
+                service.stats.per_job,
+                run.report.job_summaries,
+            )
+            ids = _TraceIndexIds(run.naming, run.arrivals, mappings)
+        return self.sink_class(self, run.report, ids)
+
+    def _columnar(self, run: _TraceRun) -> bool:
+        """Whether grouped serving replays runs of arrivals as columns: not
+        when a ladder or dynamics must see every arrival in turn."""
+        return run.controller is None and self._dynamics is None
 
     # ------------------------------------------------------------------ #
     # Grouped (steady-state memoized) serving
     # ------------------------------------------------------------------ #
-    def _run_grouped(
-        self,
-        arrivals: ArrivalColumns,
-        registry: WorkloadRegistry,
-        job_ids: Callable[[int, str], str],
-        vectorized: bool = True,
-        controller: Optional[AdmissionController] = None,
-        collector: Optional[Callable[[Dict[str, object]], None]] = None,
-    ) -> TraceReport:
+    def _run_grouped(self, run: _TraceRun) -> None:
         service = self.service
         engine = service.runtime.engine
         dynamics = self._dynamics
-        report = TraceReport(mode="grouped")
-        report.admission_controlled = controller is not None
-        run = _TraceRun(report, registry, job_ids, engine.now, controller, collector)
+        report = run.report
         groups: Dict[str, GroupState] = {}
         context = self._context()
-        order = arrivals.admission_order()
-        #: Workload codes in admission order.
-        codes = arrivals.codes[order]
-        names = arrivals.names
-        tracks = run.tracks
-        #: Untracked vectorized runs without dynamics serve each run of
-        #: replayed arrivals as one batch of columns (:class:`_SteadyColumns`);
-        #: the rest go arrival by arrival.
-        columnar = vectorized and not tracks and dynamics is None
+        # The per-arrival loop renders each id once, as it replays the row.
+        columnar = self._columnar(run)
+        sink = self._sink(run, by_index=columnar)
+        steady = _SteadyColumns(run, sink) if columnar else None
+        n = len(run.order)
 
         # Persistent warm state: when a cache is attached and the serving
         # context matches a recorded one exactly, the whole trace replays
-        # from the recording with zero probe simulations.
+        # from the recording with zero probe simulations.  A run with a
+        # collector serves cold, so a capture's report never depends on the
+        # cache.
         cache = getattr(service, "warm_cache", None)
         recording: Optional[TraceRecording] = None
         recording_key: Optional[tuple] = None
-        if columnar and cache is not None:
-            recording_key = self._trace_context_key(
-                registry, codes, names, arrivals.times[order], context, run.epoch
-            )
+        if steady is not None and cache is not None and run.collector is None:
+            recording_key = self._trace_context_key(run, context)
             if recording_key is not None:
-                cached = cache.load_trace_recording(recording_key, len(order))
+                cached = cache.load_trace_recording(recording_key, n)
                 if cached is not None:
-                    return self._replay_recording(cached, arrivals, order, codes, run)
+                    self._replay_recording(cached, run, sink)
+                    return
                 recording = TraceRecording(store_version=context[1], epoch=run.epoch)
 
-        sink = self._sink(
-            vectorized, report, self._index_ids(run, arrivals) if columnar else None
-        )
-        ids, arrivals_at, starts, finishes, rows = sink.columns
-        epoch = previous_finish = run.epoch
-        steady = (
-            _SteadyColumns(sink, arrivals, order, codes, epoch, job_ids)
-            if columnar
-            else None
-        )
-        # The loop below reads plain Python values: whole columns as lists
-        # when it visits every arrival, single items when a columnar run
-        # visits only its probes (no per-arrival objects are built then).
-        if steady is None:
-            time_of, index_of, code_of = (
-                column.tolist().__getitem__ for column in (arrivals.times, order, codes)
-            )
-        else:
-            time_of, index_of, code_of = arrivals.times.item, order.item, codes.item
-        position, n = 0, len(order)
+        keys, arrivals_at, starts, finishes, rows = sink.columns
+        previous_finish = run.epoch
+        arrival_of = run.arrival_at.item
+        position = 0
         while position < n:
             if steady is not None:
                 end = steady.end_of_run(position)
@@ -1536,21 +1502,12 @@ class ServiceLoadGenerator:
                     position = end
                     if position == n:
                         break
-            index = index_of(position)
-            workload = names[code_of(position)]
+            at = position
             position += 1
-            if tracks:
-                entry = run.admit(index, workload, time_of(index), previous_finish, groups)
-                if entry is None:
-                    continue
-                key, job_id = entry.group, entry.job_id
-                arrival_at, ready_at = entry.arrival_at, entry.ready_at
-            else:
-                # Nothing sheds, defers or records an untracked arrival: its
-                # workload, id and arrival time are all the loop needs.
-                key = workload
-                job_id = job_ids(index, key)
-                arrival_at = ready_at = epoch + time_of(index)
+            admitted = run.admit(at, previous_finish, groups)
+            if admitted is None:
+                continue
+            key, ready_at = admitted
             group = groups.get(key)
             if group is None:
                 group = groups[key] = GroupState(key)
@@ -1569,13 +1526,11 @@ class ServiceLoadGenerator:
             if slot is not None and group.steady_context == context:
                 # Steady state: replay the confirmed slot instead of running
                 # the pipeline.
-                finish = service_start + slot.values[0]
-                if tracks:
-                    run.complete(
-                        entry, service_start, finish, slot.values[0], slot.values[3]
-                    )
-                ids.append(job_id)
-                arrivals_at.append(arrival_at)
+                makespan = slot.values[0]
+                finish = service_start + makespan
+                run.record(at, service_start, finish, makespan, slot.values[3])
+                keys.append(run.job_id(at))
+                arrivals_at.append(arrival_of(at))
                 starts.append(service_start)
                 finishes.append(finish)
                 rows.append(group.steady_row)
@@ -1592,9 +1547,8 @@ class ServiceLoadGenerator:
             sink.flush()
             if service_start > engine.now:
                 engine.run(until=service_start)
-            job = run.build_job(entry) if tracks else registry.build(key, job_id)
             try:
-                result = service.submit_job(job)
+                result = service.submit_job(run.build_job(at))
             except (ExecutionError, PlanningError) as error:
                 if dynamics is None:
                     raise
@@ -1610,19 +1564,14 @@ class ServiceLoadGenerator:
                 group.steady = None
                 continue
             self.last_probe_result = result
-            report.account(result, arrival_at, simulated=True)
+            report.account(result, arrival_of(at), simulated=True)
             group.simulated += 1
             group.estimate = result.makespan_s
             previous_finish = result.finished_at
             context = self._context()
-            if tracks:
-                run.complete(
-                    entry,
-                    result.started_at,
-                    result.finished_at,
-                    result.makespan_s,
-                    result.quality,
-                )
+            run.record(
+                at, result.started_at, result.finished_at, result.makespan_s, result.quality
+            )
             slot = _ReplaySlot.of(result)
             if recording is not None:
                 recording.records.append(
@@ -1649,31 +1598,21 @@ class ServiceLoadGenerator:
             recording is not None
             and recording_key is not None
             and report.failed_jobs == 0
-            and len(recording.script) == len(order)
+            and len(recording.script) == n
         ):
             cache.save_trace_recording(recording_key, recording)
-        return report
 
     # ------------------------------------------------------------------ #
     # Persistent trace recordings (warm-state cache)
     # ------------------------------------------------------------------ #
-    def _trace_context_key(
-        self,
-        registry: WorkloadRegistry,
-        codes: _np.ndarray,
-        names: Tuple[str, ...],
-        times: _np.ndarray,
-        context: tuple,
-        epoch: float,
-    ) -> Optional[tuple]:
+    def _trace_context_key(self, run: _TraceRun, context: tuple) -> Optional[tuple]:
         """The exact-match cache key for recording/replaying this trace, or
         ``None`` when a costed fabric makes recordings unsafe.
 
-        ``codes`` are the trace's workload codes into ``names`` and
-        ``times`` its arrival times, both in admission order.  The key holds
-        the code sequence renumbered by sorted workload name, so it depends
-        on the workloads admitted, their order and their times, never on how
-        a caller numbered its names."""
+        The key holds the run's workload code sequence renumbered by sorted
+        workload name, and its arrival times, both in admission order, so
+        it depends on the workloads admitted, their order and their times,
+        never on how a caller numbered its names."""
         runtime = self.service.runtime
         fabric = getattr(runtime, "fabric", None)
         if fabric is not None and not fabric.is_zero_cost():
@@ -1683,12 +1622,14 @@ class ServiceLoadGenerator:
             # (A zero-cost fabric is byte-identical to no fabric at all —
             # proven differentially — so its recordings are safely shared.)
             return None
-        present = _np.flatnonzero(_np.bincount(codes, minlength=len(names))).tolist()
-        ranked = sorted(present, key=names.__getitem__)
+        codes, names = run.codes, run.names
+        ranked = sorted(_first_seen(codes, len(names)), key=names.__getitem__)
         rank = _np.zeros(len(names), dtype=_np.intp)
         rank[ranked] = _np.arange(len(ranked))
         workload_names = tuple(names[code] for code in ranked)
-        spec_digests = tuple((name, registry.spec(name).digest()) for name in workload_names)
+        spec_digests = tuple(
+            (name, run.registry.spec(name).digest()) for name in workload_names
+        )
         cluster_fingerprint = tuple(
             (
                 node.node_id,
@@ -1704,22 +1645,17 @@ class ServiceLoadGenerator:
             policy_fingerprint=policy_fingerprint,
             workload_codes=rank[codes],
             workload_names=workload_names,
-            arrival_times=times,
+            arrival_times=run.arrivals.times[run.order],
             spec_digests=spec_digests,
             cluster_fingerprint=cluster_fingerprint,
             pool_signature=pool_signature,
             store_version=store_version,
-            epoch=epoch,
+            epoch=run.epoch,
         )
 
     def _replay_recording(
-        self,
-        recording: TraceRecording,
-        arrivals: ArrivalColumns,
-        order: _np.ndarray,
-        codes: _np.ndarray,
-        run: _TraceRun,
-    ) -> TraceReport:
+        self, recording: TraceRecording, run: _TraceRun, sink: _ReplaySink
+    ) -> None:
         """Serve the whole trace from a persistent recording: zero probes.
 
         Every completion — including positions that were probe simulations
@@ -1727,53 +1663,32 @@ class ServiceLoadGenerator:
         records carry their exact simulated ``finished_at`` (pinned), because
         ``start + makespan`` does not round-trip bit-exactly; steady records
         recompute ``finish = start + makespan`` exactly as live replay does.
-        The whole trace is one batch of columns: its keys are the admission
-        order itself (or the caller's ids), its slot rows the recording's
-        script.  The resulting aggregates, service stats, and watermarks are
-        byte-identical to a cold serving of the same trace in the same
-        context.
+        The whole trace is one batch of columns: its keys are the run's, its
+        slot rows the recording's script.  The resulting aggregates, service
+        stats, and watermarks are byte-identical to a cold serving of the
+        same trace in the same context.  Only runs without a ladder or a
+        collector get here, so no completion is recorded on the run.
         """
         report = run.report
         records = recording.records
-        sink = _ReplaySink(self, report, self._index_ids(run, arrivals))
         sink.register(
             [_ReplaySlot((r.makespan_s, r.energy_wh, r.cost, r.quality)) for r in records]
         )
-        makespans = [record.makespan_s for record in records]
-        pinned = [record.pinned_finish for record in records]
         script = recording.script
-        epoch = run.epoch
-        arrival_col = epoch + arrivals.times[order]
-        finish = epoch
-        finish_col = [
-            finish := (
-                (arrival if arrival > finish else finish) + makespans[step]
-                if pinned[step] is None
-                else pinned[step]
-            )
-            for arrival, step in zip(arrival_col.tolist(), script)
-        ]
-        before = _np.empty(len(finish_col))
-        before[0] = epoch
-        before[1:] = finish_col[:-1]
-        start_col = _np.where(arrival_col > before, arrival_col, before)
-        names = arrivals.names
-        if sink.ids is not None:
-            keys = order
-        else:
-            keys = [
-                run.job_ids(index, names[code])
-                for index, code in zip(order.tolist(), codes.tolist())
-            ]
-        sink.add(keys, arrival_col, start_col, finish_col, script)
+        makespans = _np.array([record.makespan_s for record in records])[script]
+        pinned = _np.array([record.pinned_finish for record in records], dtype=object)
+        start_col, finish_col, finish = _fifo(
+            run.arrival_at, makespans.tolist(), run.epoch, pinned[script].tolist()
+        )
+        sink.add(run.keys, run.arrival_at, start_col, finish_col, script)
         sink.close(finish)
         report.warm_trace = True
+        codes, names = run.codes, run.names
         counts = _np.bincount(codes, minlength=len(names)).tolist()
         report.groups = {
             names[code]: {"simulated": 0, "replayed": counts[code]}
             for code in _first_seen(codes, len(names))
         }
-        return report
 
     def _pool_signature(self) -> Tuple[Tuple[str, str], ...]:
         pool = getattr(self.service, "_pool", None)
@@ -1782,120 +1697,58 @@ class ServiceLoadGenerator:
     # ------------------------------------------------------------------ #
     # Multiplexed (full shared-engine interleaving) serving
     # ------------------------------------------------------------------ #
-    def _run_multiplexed(
-        self,
-        arrivals: ArrivalColumns,
-        registry: WorkloadRegistry,
-        job_ids: Callable[[int, str], str],
-        vectorized: bool = True,
-        controller: Optional[AdmissionController] = None,
-        collector: Optional[Callable[[Dict[str, object]], None]] = None,
-        window: Optional[int] = None,
-    ) -> TraceReport:
+    def _run_multiplexed(self, run: _TraceRun, window: Optional[int] = None) -> None:
         from repro.core.multitenant import SubmissionSchedule, run_submissions
 
         service = self.service
-        report = TraceReport(mode="multiplex")
-        report.admission_controlled = controller is not None
-        run = _TraceRun(
-            report, registry, job_ids, service.runtime.engine.now, controller, collector
-        )
-        order = arrivals.admission_order()
-        names = arrivals.names
-        indices = order.tolist()
-        workloads = [names[code] for code in arrivals.codes[order].tolist()]
-        entries: Optional[List[_Entry]] = None
-        index_ids: Optional[_TraceIndexIds] = None
-        if vectorized and not run.tracks:
-            # Nothing sheds, defers or records an untracked arrival, so its
-            # admission entry is its trace index, workload and ready time,
-            # kept as columns in admission order (ready times are already
-            # sorted: the epoch shift is monotone).
-            groups = workloads
-            ready_col = arrival_col = run.epoch + arrivals.times[order]
-            ready = arrivals_at = ready_col.tolist()
-            index_ids = self._index_ids(run, arrivals)
-            if index_ids is not None:
-                keys = order
-                naming = index_ids.naming
-
-                def job_id(position: int) -> str:
-                    return naming(indices[position], groups[position])
-
-            else:
-                keys = [job_ids(index, group) for index, group in zip(indices, groups)]
-                job_id = keys.__getitem__
-        else:
-            entries = []
-            #: Serial backlog watermark fed to the deadline-feasibility rung.
-            #: Multiplexed jobs overlap, so there is no FIFO probe stream to
-            #: observe makespans from: the ladder runs on the config's cost
-            #: priors, keeping every decision a pure function of the arrival
-            #: sequence (the capture/replay property).
-            backlog = run.epoch
-            times = arrivals.times.tolist()
-            for index, workload in zip(indices, workloads):
-                entry = run.admit(index, workload, times[index], backlog)
-                if entry is None:
-                    continue
-                if controller is not None:
-                    config = controller.config
-                    prior = (
-                        config.degraded_prior_s
-                        if entry.outcome == "degrade"
-                        else config.estimate_prior_s
-                    )
-                    backlog = max(entry.ready_at, backlog) + (prior or 0.0)
-                entries.append(entry)
-
-            if not entries:
-                # Every arrival was shed; nothing touches the engine.
-                run.emit()
-                return report
-
-            # Deferred admissions shift ready times, so re-sort (stably):
-            # run_submissions serves in (arrival_time, position) order, which
-            # after this sort is the identity — entry i is served as
-            # submission i, so the steady-window replay plan's ``resume_at``
-            # indexes straight into these columns.
-            entries.sort(key=attrgetter("ready_at"))
-            groups = [entry.group for entry in entries]
-            ready = [entry.ready_at for entry in entries]
-            ready_col = _np.array(ready)
-            arrivals_at = [entry.arrival_at for entry in entries]
-            arrival_col = _np.array(arrivals_at)
-            keys = [entry.job_id for entry in entries]
-            job_id = keys.__getitem__
-        if index_ids is None:
-            _require_distinct(keys)
+        report = run.report
+        run.admit_on_priors()
+        served = _np.flatnonzero(run.outcome != _REJECT)
+        if not len(served):
+            # Every arrival was shed; nothing touches the engine.
+            run.emit()
+            return
+        # Deferred admissions shift ready times, so serve in (ready time,
+        # position) order: run_submissions serves in (arrival_time,
+        # submission) order, which is then the identity — served position i
+        # is submission i, so the steady-window replay plan's ``resume_at``
+        # indexes straight into these columns.
+        served = served[_np.argsort(run.ready_at[served], kind="stable")]
+        ready_col = run.ready_at[served]
+        ready = ready_col.tolist()
+        names = run.names
+        group_names = names + tuple(name + DEGRADED_SUFFIX for name in names)
+        group_codes = run.codes[served] + len(names) * (run.outcome[served] == _DEGRADE)
+        groups = [group_names[code] for code in group_codes.tolist()]
+        pattern = (ready, groups, (ready_col, group_codes))
+        sink = self._sink(run)
+        if run.naming is None:
+            _require_distinct(run.keys[served])
+        positions = served.tolist()
 
         # Template compilation: one Job per admission group, cloned with a
         # fresh job_id only when run_submissions admits the submission (the
         # replayed tail is never even built).  Clones share the template's
         # materialized inputs and spec digest, so the digest-keyed plan
         # cache plans each group once no matter how many arrivals it has.
-        templates: Dict[str, Job] = {}
-        for group in dict.fromkeys(groups):
-            first = groups.index(group)
-            templates[group] = (
-                run.build_job(entries[first])
-                if entries is not None
-                else registry.build(group, job_id(first))
-            )
+        templates = {
+            group: run.build_job(positions[groups.index(group)])
+            for group in dict.fromkeys(groups)
+        }
         group_counts = {group: {"simulated": 0, "replayed": 0} for group in templates}
-        #: Position of every built submission, by job id.
+        #: Serve order of every built submission, by job id.
         by_job_id: Dict[str, int] = {}
 
-        def submission(position: int) -> _Submission:
-            name = job_id(position)
-            by_job_id[name] = position
-            return _Submission(ready[position], templates[groups[position]], name)
+        def submission(served_at: int) -> _Submission:
+            name = run.job_id(positions[served_at])
+            by_job_id[name] = served_at
+            return _Submission(ready[served_at], templates[groups[served_at]], name)
 
         period: Optional[int] = None
         if window != 0 and self._dynamics is None:
             if window is None:
-                period = _detect_multiplex_period(ready, groups)
-            elif _pattern_holds(ready, groups, window):
+                period = _detect_multiplex_period(*pattern)
+            elif _pattern_holds(*pattern, window):
                 # An explicit window that the arrival pattern does not
                 # actually repeat at (or a too-short trace) falls back to
                 # full per-event serving rather than mis-replaying.
@@ -1904,23 +1757,22 @@ class ServiceLoadGenerator:
         stats = service.stats
 
         def on_result(result: JobResult) -> None:
-            position = by_job_id.get(result.job_id)
-            if position is None:
+            served_at = by_job_id.get(result.job_id)
+            if served_at is None:
                 raise ValueError(
                     f"multiplex completion for unknown job id {result.job_id!r}; "
                     "job_ids must return the id each submission was admitted under"
                 )
             stats.record(result)
-            report.account(result, arrivals_at[position], simulated=True)
-            group_counts[groups[position]]["simulated"] += 1
-            if run.tracks:
-                run.complete(
-                    entries[position],
-                    result.started_at,
-                    result.finished_at,
-                    result.makespan_s,
-                    result.quality,
-                )
+            report.account(result, run.arrival_at.item(positions[served_at]), simulated=True)
+            group_counts[groups[served_at]]["simulated"] += 1
+            run.record(
+                positions[served_at],
+                result.started_at,
+                result.finished_at,
+                result.makespan_s,
+                result.quality,
+            )
 
         tenant_report = run_submissions(
             service.runtime,
@@ -1936,71 +1788,61 @@ class ServiceLoadGenerator:
             resume = plan.resume_at
             self._replay_windows(
                 run,
-                self._sink(vectorized, report, index_ids),
+                sink,
                 plan,
-                ready_col[resume:],
-                arrival_col[resume:],
-                keys[resume:],
+                served[resume:],
                 groups[resume : resume + plan.period],
                 group_counts,
-                entries[resume:] if run.tracks else None,
             )
         report.groups = group_counts
         run.emit()
-        return report
 
     @staticmethod
     def _replay_windows(
         run: _TraceRun,
         sink: _ReplaySink,
         plan,
-        ready,
-        arrivals_at,
-        keys,
+        positions: _np.ndarray,
         groups: List[str],
         group_counts: Dict[str, Dict[str, int]],
-        entries: Optional[List[_Entry]] = None,
     ) -> None:
         """Replay the unsimulated tail from the confirmed window pattern.
 
-        ``ready``, ``arrivals_at`` and ``keys`` are the tail's columns in
-        admission order, ``groups`` the admission groups of its first
-        window, and ``entries`` the tail's admission entries on a tracked
-        run.  Remaining row ``i`` replays pattern slot ``i % period``: its
-        start is its own window's first ready time plus the slot's offset
-        from the confirmed window's base (clamped to the row's own ready
-        time, as the engine would), and its finish adds the slot's exact
-        makespan.  Rows reach the sink stably sorted by finish, which is the
-        (finish, position) order of the shared engine's (time, sequence)
-        queue.
+        ``positions`` are the tail's admission positions in serve order and
+        ``groups`` the admission groups of its first window.  Remaining row
+        ``i`` replays pattern slot ``i % period``: its start is its own
+        window's first ready time plus the slot's offset from the confirmed
+        window's base (clamped to the row's own ready time, as the engine
+        would), and its finish adds the slot's exact makespan.  Rows reach
+        the sink stably sorted by finish, which is the (finish, position)
+        order of the shared engine's (time, sequence) queue.
         """
         period = plan.period
         pattern = plan.pattern
         base_row = sink.register([_ReplaySlot.of(result) for result in pattern])
         offsets = _np.array([result.started_at - plan.base for result in pattern])
         makespans = _np.array([result.makespan_s for result in pattern])
-        positions = _np.arange(len(ready))
-        slot_of = positions % period
-        starts = ready[positions - slot_of] + offsets[slot_of]
+        qualities = _np.array([result.quality for result in pattern])
+        ready = run.ready_at[positions]
+        rows = _np.arange(len(ready))
+        slot_of = rows % period
+        starts = ready[rows - slot_of] + offsets[slot_of]
         starts = _np.where(starts < ready, ready, starts)
         finishes = starts + makespans[slot_of]
         order = _np.argsort(finishes, kind="stable")
-        if isinstance(keys, _np.ndarray):
-            keys = keys[order]
-        else:
-            keys = [keys[position] for position in order.tolist()]
+        positions, slot_of = positions[order], slot_of[order]
         start_col, finish_col = starts[order], finishes[order]
-        rows = slot_of[order] + base_row
-        sink.add(keys, arrivals_at[order], start_col, finish_col, rows)
+        sink.add(
+            run.keys[positions],
+            run.arrival_at[positions],
+            start_col,
+            finish_col,
+            slot_of + base_row,
+        )
+        run.record(positions, start_col, finish_col, makespans[slot_of], qualities[slot_of])
         replayed = _np.bincount(slot_of, minlength=period).tolist()
-        for position, group in enumerate(groups):
-            group_counts[group]["replayed"] += replayed[position]
-        if entries is not None:
-            for position, start, finish, row in zip(
-                order.tolist(), start_col.tolist(), finish_col.tolist(), rows.tolist()
-            ):
-                values = sink.slots[row].values
-                run.complete(entries[position], start, finish, values[0], values[3])
+        for slot, group in enumerate(groups):
+            group_counts[group]["replayed"] += replayed[slot]
         sink.close(float(finish_col[-1]))
 
     # ------------------------------------------------------------------ #
@@ -2016,8 +1858,8 @@ class ServiceLoadGenerator:
         renders ids only for the rows a capped detail keeps.  The float
         and index columns are lists or 1-d numpy arrays.
 
-        Byte-identical to one engine event per row through
-        :class:`_EventSink`: every streaming aggregate receives the same
+        Byte-identical to one engine event per row (the per-event reference
+        sink of the test oracle): every streaming aggregate receives the same
         values in the same order (totals accumulate in sequential IEEE-754
         order, see :func:`~repro.telemetry.metrics.sequential_sum`), the
         bounded detail dicts end in the same state with the same eviction
@@ -2133,15 +1975,15 @@ _PATTERN_PREFIX = 16
 
 
 def _pattern_holds(
-    ready: List[float], groups: List[str], period: int, arrays: Optional[tuple] = None
+    ready: List[float], groups: List[str], arrays: tuple, period: int
 ) -> bool:
     """Whether the admitted arrivals repeat with ``period``: the same
     admission-group sequence and a constant positive window-to-window
     ready-time shift.
 
     ``ready`` and ``groups`` are the arrivals' ready times and admission
-    groups in admission order; ``arrays`` is their :func:`_pattern_arrays`
-    form, when the caller already has it.  Requires at least ``2 * period +
+    groups in admission order, and ``arrays`` the same as numpy arrays
+    (ready times, integer group codes).  Requires at least ``2 * period +
     1`` arrivals — the steady-window detector needs two complete windows to
     compare plus at least one arrival to replay.
     """
@@ -2164,23 +2006,16 @@ def _pattern_holds(
             checked = shift
     if head == n:
         return True
-    times, codes = arrays or _pattern_arrays(ready, groups)
+    times, codes = arrays
     if not _np.array_equal(codes[head:], codes[head - period : n - period]):
         return False
     shifts = times[head:] - times[head - period : n - period]
     return all(round_sig(shift) == span for shift in _np.unique(shifts).tolist())
 
 
-def _pattern_arrays(ready: List[float], groups: List[str]) -> tuple:
-    """``ready`` as floats and ``groups`` as integer codes, as numpy arrays."""
-    codes = {group: code for code, group in enumerate(dict.fromkeys(groups))}
-    return (
-        _np.array(ready),
-        _np.fromiter(map(codes.__getitem__, groups), dtype=_np.intp, count=len(groups)),
-    )
-
-
-def _detect_multiplex_period(ready: List[float], groups: List[str]) -> Optional[int]:
+def _detect_multiplex_period(
+    ready: List[float], groups: List[str], arrays: tuple
+) -> Optional[int]:
     """Smallest period the admitted arrival pattern repeats at, if any.
 
     Aperiodic traces reject each candidate within a few comparisons (the
@@ -2188,13 +2023,8 @@ def _detect_multiplex_period(ready: List[float], groups: List[str]) -> Optional[
     effectively linear in practice.
     """
     first = groups[0]
-    arrays = None
     for period in range(1, (len(groups) - 1) // 2 + 1):
-        if groups[period] != first:
-            continue
-        if arrays is None and len(groups) > period + _PATTERN_PREFIX:
-            arrays = _pattern_arrays(ready, groups)
-        if _pattern_holds(ready, groups, period, arrays):
+        if groups[period] == first and _pattern_holds(ready, groups, arrays, period):
             return period
     return None
 

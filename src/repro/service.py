@@ -498,7 +498,7 @@ class AIWorkflowService:
         serve the trace under — ``dynamics``, which runs the trace under
         a spot-preemption/failure schedule and fills
         :attr:`~repro.loadgen.TraceReport.disruptions`, ``admission``,
-        ``collector``, ``vectorized``, and ``multiplex_window``).
+        ``collector``, ``job_ids`` and ``multiplex_window``).
         """
         return ServiceLoadGenerator(self).run(arrivals, **options)
 

@@ -476,7 +476,6 @@ class ShardedService:
         job_ids: Optional[Callable[[int, str], str]] = None,
         dynamics=None,
         policy: PolicyLike = None,
-        vectorized: bool = True,
         admission=None,
         multiplex_window: Optional[int] = None,
     ) -> TraceReport:
@@ -527,11 +526,7 @@ class ShardedService:
             shard: (indices, arrivals.take(indices))
             for shard, indices in self.router.partition(arrivals).items()
         }
-        options = {
-            "mode": mode,
-            "max_per_job_records": max_per_job_records,
-            "vectorized": vectorized,
-        }
+        options = {"mode": mode, "max_per_job_records": max_per_job_records}
         if multiplex_window is not None:
             options["multiplex_window"] = multiplex_window
         if admission is None:

@@ -4,8 +4,8 @@ The tentpole contracts:
 
 * the ``uniform`` profile (and any zero-cost topology) is **byte-identical**
   to running with no fabric attached — proven differentially on a 100-job
-  newsfeed trace through both the vectorized and pure-Python accounting
-  paths;
+  newsfeed trace through both the column accounting and the per-event
+  reference (the oracle's ``ReferenceLoadGenerator``);
 * routing is deterministic (inverse-bandwidth Dijkstra with lexicographic
   tie-breaks, sha256 node hashing) and JSON round-trips fingerprint-exactly;
 * on the ``congested`` profile the ``locality_aware`` bundle moves strictly
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.unoptimized import ReferenceLoadGenerator
 from repro.cluster.cluster import paper_testbed
 from repro.core.runtime import MurakkabRuntime
 from repro.fabric import (
@@ -41,6 +42,7 @@ from repro.fabric import (
     get_fabric,
     validate_profiles,
 )
+from repro.loadgen import ServiceLoadGenerator
 from repro.service import AIWorkflowService, ServiceStats
 from repro.spec import InputsSpec, compile_spec
 from repro.workflows.newsfeed import newsfeed_spec
@@ -340,7 +342,7 @@ def test_transfer_intervals_do_not_inflate_compute_energy(congested_runs):
 # --------------------------------------------------------------------- #
 
 
-def _newsfeed_trace_report(fabric, vectorized, posts):
+def _newsfeed_trace_report(fabric, generator, posts):
     from repro.loadgen import WorkloadRegistry
 
     registry = WorkloadRegistry()
@@ -349,17 +351,21 @@ def _newsfeed_trace_report(fabric, vectorized, posts):
     )
     service = AIWorkflowService(fabric=fabric)
     arrivals = [JobArrival(0.5 * i, "newsfeed") for i in range(100)]
-    report = service.submit_trace(arrivals, registry=registry, vectorized=vectorized)
+    report = generator(service).run(arrivals, registry=registry)
     stats = service.stats
     service.shutdown()
     return report, stats
 
 
-@pytest.mark.parametrize("vectorized", [True, False], ids=["numpy", "pure-python"])
-def test_uniform_fabric_is_byte_identical_to_no_fabric(vectorized):
+@pytest.mark.parametrize(
+    "generator",
+    [ServiceLoadGenerator, ReferenceLoadGenerator],
+    ids=["numpy", "pure-python"],
+)
+def test_uniform_fabric_is_byte_identical_to_no_fabric(generator):
     posts = generate_posts(8, seed=5)
-    without, stats_without = _newsfeed_trace_report(None, vectorized, posts)
-    uniform, stats_uniform = _newsfeed_trace_report("uniform", vectorized, posts)
+    without, stats_without = _newsfeed_trace_report(None, generator, posts)
+    uniform, stats_uniform = _newsfeed_trace_report("uniform", generator, posts)
     assert uniform.canonical_dict() == without.canonical_dict()
     # summary() includes wall_jobs_per_second, a host wall-clock rate that
     # varies run to run; every simulated quantity must match exactly.

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.admission import AdmissionConfig
+from repro.baselines.unoptimized import ReferenceLoadGenerator
 from repro.loadgen import (
     ServiceLoadGenerator,
     TraceReport,
@@ -405,10 +406,9 @@ def _differential_reports(
     )
     ref_collector, vec_collector = collectors or (None, None)
     reference_service = AIWorkflowService(**(service_options or {}))
-    reference = reference_service.submit_trace(
+    reference = ReferenceLoadGenerator(reference_service).run(
         arrivals,
         registry=registry,
-        vectorized=False,
         collector=ref_collector,
         **options,
     )
@@ -469,8 +469,8 @@ def test_vectorized_accounting_with_duplicate_job_ids(registry):
     job_ids = lambda index, workload: f"dup-{index % 3}"  # noqa: E731
 
     ref_service = AIWorkflowService()
-    reference = ref_service.submit_trace(
-        arrivals, registry=registry, vectorized=False, job_ids=job_ids
+    reference = ReferenceLoadGenerator(ref_service).run(
+        arrivals, registry=registry, job_ids=job_ids
     )
     vec_service = AIWorkflowService()
     vectorized = vec_service.submit_trace(arrivals, registry=registry, job_ids=job_ids)
@@ -548,9 +548,9 @@ def small_caps(monkeypatch):
     return crossed
 
 
-def _serve_capped(registry, arrivals, mode, **options):
+def _serve_capped(registry, arrivals, mode, generator=ServiceLoadGenerator, **options):
     service = AIWorkflowService(**options.pop("service_options", {}))
-    report = service.submit_trace(
+    report = generator(service).run(
         arrivals,
         registry=registry,
         mode=mode,
@@ -587,7 +587,9 @@ def test_caps_crossed_inside_one_batch_are_byte_identical(
 
         monkeypatch.setattr(metrics, "_NUMPY_MIN_BATCH", sys.maxsize)
     arrivals = _capped_arrivals(mode)
-    reference, ref_snapshot = _serve_capped(registry, arrivals, mode, vectorized=False)
+    reference, ref_snapshot = _serve_capped(
+        registry, arrivals, mode, generator=ReferenceLoadGenerator
+    )
     assert not small_caps, "the reference path never batches"
     vectorized, vec_snapshot = _serve_capped(registry, arrivals, mode)
     assert small_caps == set(CAPS)
@@ -656,28 +658,27 @@ def test_default_ids_colliding_with_held_keys_are_byte_identical(
     monkeypatch.setattr(loadgen._TraceIndexIds, "fresh", spy)
     grouped, burst = _colliding_traces()
 
-    def serve(vectorized):
+    def serve(generator):
         service = AIWorkflowService()
         snapshots = []
         held = set()
         for arrivals, mode in ((grouped, "grouped"), (burst, "multiplex")):
             engine = service.runtime.engine
             held = set(engine.watermarks) | set(service.stats.per_job)
-            report = service.submit_trace(
+            report = generator(service).run(
                 arrivals,
                 registry=registry,
                 mode=mode,
                 max_per_job_records=CAPS["per_job"],
-                vectorized=vectorized,
             )
             snapshot = _accounting_snapshot(service, report)
             _assert_plain_numbers(snapshot)
             snapshots.append(snapshot)
         return snapshots, held, report
 
-    ref_snapshots, _, reference = serve(False)
+    ref_snapshots, _, reference = serve(ReferenceLoadGenerator)
     assert not small_caps and not fresh
-    vec_snapshots, held, vectorized = serve(True)
+    vec_snapshots, held, vectorized = serve(ServiceLoadGenerator)
     assert small_caps == set(CAPS)
     assert reference.replay_runs == 0 and vectorized.replay_runs == 1
     # The burst replays rows whose default ids the grouped run left held in
@@ -731,29 +732,28 @@ def test_caller_job_ids_are_called_once_per_arrival_in_admission_order(
     ]
     serve_mode = "multiplex" if mode == "multiplex" else "grouped"
 
-    def serve(vectorized, warm_cache=None):
+    def serve(generator, warm_cache=None):
         service = AIWorkflowService(warm_cache=warm_cache)
         job_ids = _NumberingIds()
-        report = service.submit_trace(
+        report = generator(service).run(
             arrivals,
             registry=registry,
             mode=serve_mode,
             job_ids=job_ids,
-            vectorized=vectorized,
         )
         assert job_ids.calls == expected
         return report, _accounting_snapshot(service, report)
 
-    reference, ref_snapshot = serve(False)
+    reference, ref_snapshot = serve(ReferenceLoadGenerator)
     if mode == "warm":
-        cold, cold_snapshot = serve(True, tmp_path)
-        vectorized, vec_snapshot = serve(True, tmp_path)
+        cold, cold_snapshot = serve(ServiceLoadGenerator, tmp_path)
+        vectorized, vec_snapshot = serve(ServiceLoadGenerator, tmp_path)
         assert not cold.warm_trace and vectorized.warm_trace
         assert cold_snapshot == ref_snapshot
         for snapshot in (ref_snapshot, vec_snapshot):
             del snapshot["jobs"], snapshot["groups"]
     else:
-        vectorized, vec_snapshot = serve(True)
+        vectorized, vec_snapshot = serve(ServiceLoadGenerator)
     assert vectorized.replay_runs >= 1 and reference.replay_runs == 0
     assert vec_snapshot == ref_snapshot
 
@@ -766,15 +766,14 @@ def test_multiplex_rejects_a_repeated_job_id_before_serving(registry):
         # Far apart in time, so the two jobs never overlap.
         (lambda index, workload: f"job-{index % 30}", "job-0"),
     ):
-        for vectorized in (True, False):
+        for generator in (ServiceLoadGenerator, ReferenceLoadGenerator):
             service = AIWorkflowService()
             with pytest.raises(ValueError, match=repr(repeated)):
-                service.submit_trace(
+                generator(service).run(
                     _burst_arrivals(),
                     registry=registry,
                     mode="multiplex",
                     job_ids=job_ids,
-                    vectorized=vectorized,
                 )
             assert service.runtime.engine.events_fired == 0
             assert service.stats.jobs_completed == 0

@@ -4,7 +4,7 @@ batched replay byte-identity, and capture/admission parity.
 The acceptance bar mirrors the grouped vectorized-accounting suite: on a
 frozen periodic trace the fast path (vectorized batched replay) must land on
 byte-identical reports, stats, and engine watermarks as the per-event
-reference path (``vectorized=False``), under numpy and pure-Python
+reference (the oracle's ``ReferenceLoadGenerator``), under numpy and pure-Python
 accounting alike, while ``multiplex_window=0`` preserves the exact
 pre-detector per-event serving behaviour.
 """
@@ -17,6 +17,7 @@ import pytest
 from test_loadgen import DIFFERENTIAL_CASES, DIFFERENTIAL_PARAMS, _accounting_snapshot
 
 from repro.admission import AdmissionConfig
+from repro.baselines.unoptimized import ReferenceLoadGenerator
 from repro.capture import (
     TraceCapture,
     capture_trace,
@@ -49,9 +50,9 @@ def _burst_arrivals(windows=12, span=40.0):
     return arrivals
 
 
-def _serve(registry, service_options=None, **options):
+def _serve(registry, service_options=None, generator=ServiceLoadGenerator, **options):
     service = AIWorkflowService(**(service_options or {}))
-    report = service.submit_trace(
+    report = generator(service).run(
         _burst_arrivals(), registry=registry, mode="multiplex", **options
     )
     return service, report
@@ -166,7 +167,7 @@ def test_multiplex_fast_path_is_byte_identical(
     ref_service, reference = _serve(
         registry,
         service_options,
-        vectorized=False,
+        generator=ReferenceLoadGenerator,
         collector=ref_records.append,
         **options,
     )
