@@ -223,7 +223,9 @@ class AdmissionDecision:
 
     #: ``admit`` | ``degrade`` | ``defer`` | ``reject``.
     outcome: str
-    #: Token wait absorbed before the job may start (defer outcome only).
+    #: Token wait the job must absorb before it may start: positive on a
+    #: defer, and on a degrade whose token was spent into debt (zero on a
+    #: plain admit and on a reject).
     wait_s: float = 0.0
     #: Why the arrival was shed: ``rate`` or ``deadline`` (empty on admit).
     reason: str = ""

@@ -953,7 +953,7 @@ class TraceReport:
 #: holds.
 _OUTCOMES = ("admit", "defer", "degrade", "reject")
 _OUTCOME_CODE = {outcome: code for code, outcome in enumerate(_OUTCOMES)}
-_DEFER, _DEGRADE, _REJECT = 1, 2, 3
+_DEGRADE, _REJECT = 2, 3
 #: The keys of a QoE record, in order.
 _QOE_KEYS = (
     "job_id", "workload", "priority", "outcome", "arrival_s", "started_s", "finished_s",
@@ -1092,7 +1092,9 @@ class _TraceRun:
         outcome = self.outcome[position] = _OUTCOME_CODE[decision.outcome]
         if outcome == _REJECT:
             return None
-        ready_at = arrival_at + decision.wait_s if outcome == _DEFER else arrival_at
+        # A degraded job may also have spent its token into debt: its
+        # deadline check assumed it starts no earlier than after the wait.
+        ready_at = arrival_at + decision.wait_s
         self.ready_at[position] = ready_at
         return (workload + DEGRADED_SUFFIX if outcome == _DEGRADE else workload), ready_at
 

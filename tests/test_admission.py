@@ -363,6 +363,46 @@ def test_report_without_admission_keeps_its_shape(overload_registry):
     assert "rejected_jobs" not in report.provenance()
 
 
+@pytest.mark.parametrize("mode", ["grouped", "multiplex"])
+def test_degraded_admissions_wait_for_their_tokens(monkeypatch, mode):
+    """A degrade decision can spend its token into debt (``wait_s > 0``), and
+    its deadline check assumed the job starts no earlier than arrival plus
+    that wait: the job must not jump the rate limit."""
+    from schedule_cases import _overload_gauntlet
+
+    gauntlet = _overload_gauntlet()
+    calibration = gauntlet.measure_capacity()
+    decisions = []
+    decide = AdmissionController.decide
+
+    def spy(controller, **kwargs):
+        decisions.append(decide(controller, **kwargs))
+        return decisions[-1]
+
+    monkeypatch.setattr(AdmissionController, "decide", spy)
+    records = []
+    service = AIWorkflowService()
+    service.submit_trace(
+        gauntlet.overload_arrivals(calibration["makespan_s"]),
+        registry=gauntlet.gauntlet_registry(),
+        mode=mode,
+        admission=gauntlet.overload_config(calibration),
+        collector=records.append,
+    )
+    service.shutdown()
+    assert len(decisions) == len(records)
+    waited = [
+        (decision.wait_s, record)
+        for decision, record in zip(decisions, records)
+        if decision.outcome == "degrade" and decision.wait_s > 0.0
+    ]
+    assert waited, "the gauntlet trace makes degrade decisions that wait"
+    for wait_s, record in waited:
+        assert record["outcome"] == "degrade"
+        # A fresh service's epoch is 0, so trace-relative times are exact.
+        assert record["started_s"] >= record["arrival_s"] + wait_s
+
+
 # --------------------------------------------------------------------------- #
 # Interactive submit path
 # --------------------------------------------------------------------------- #
