@@ -4,9 +4,9 @@ The indexed profile store, memoized profiling, plan cache, cached DAG
 structure, decomposition templates, tuple-heap event loop, incremental
 executor dispatch, and column accounting of replayed trace jobs are pure
 performance work: they must not change a single scheduling decision, plan
-assignment, event ordering, or accounted value.  This module reproduces the original
-(pre-optimization) behaviour of every layer so benchmarks and tests can run
-the same job down both paths and assert
+assignment, event ordering, or accounted value.  This module reproduces the
+original (pre-optimization) behaviour of every layer so benchmarks and tests
+can run the same job down both paths and assert
 
 * byte-identical execution plans and traces, and
 * the speedup the optimized path claims.

@@ -206,6 +206,27 @@ def test_capture_without_admission_still_records():
     assert replays_identically(capture, replayed)
 
 
+def test_capture_on_a_warm_cache_serves_cold(tmp_path):
+    """A capture's report must not depend on a warm cache: a run with a
+    collector replays runs of arrivals as columns but never serves from (or
+    writes) a warm trace recording, so a capture taken on a warm service
+    replays identically on a cold one."""
+    captures = []
+    for _ in range(2):
+        service = AIWorkflowService(warm_cache=tmp_path)
+        try:
+            capture, report = capture_trace(
+                service, _arrivals(24, interval=5.0), registry=_registry()
+            )
+        finally:
+            service.shutdown()
+        assert not report.warm_trace and report.replayed_jobs > 0
+        captures.append(capture)
+    assert replays_identically(*captures)
+    replayed, _ = replay_capture(captures[1])
+    assert replays_identically(captures[1], replayed)
+
+
 def test_capture_covers_every_default_workload():
     """Every servable workload is spec-registered, so a trace over all the
     shipped workloads captures and replays byte-identically."""
