@@ -188,6 +188,16 @@ class Allocator:
         """Whether the request would fit right now (without allocating)."""
         return bool(self._candidate_nodes(request))
 
+    def can_ever_satisfy(self, request: ResourceRequest) -> bool:
+        """Whether the request would fit some node if that node were empty."""
+        generation = request.gpu_generation if request.gpus else None
+        return any(
+            node.total_gpus >= request.gpus
+            and node.total_cpu_cores >= request.cpu_cores
+            and (generation is None or node.gpu_generation is generation)
+            for node in self.cluster
+        )
+
     def gpu_fragmentation(self) -> float:
         """Fraction of free GPUs stranded on nodes that cannot host the
         largest single-node GPU request (node GPU count).

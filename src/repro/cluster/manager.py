@@ -112,6 +112,9 @@ class ClusterManager:
     def can_satisfy(self, request: ResourceRequest) -> bool:
         return self.allocator.can_satisfy(request)
 
+    def can_ever_satisfy(self, request: ResourceRequest) -> bool:
+        return self.allocator.can_ever_satisfy(request)
+
     @property
     def allocation_events(self) -> List[AllocationEvent]:
         """The last :attr:`EVENT_LOG_CAP` allocate/release/reclaim events,

@@ -21,8 +21,9 @@ the rigid imperative execution the paper compares against.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.agents.base import (
     AgentImplementation,
@@ -94,6 +95,13 @@ class ServerHandle:
     #: whose tasks all target a busy shared instance is woken by *another*
     #: workflow's completion instead of stalling forever.
     waiters: List[object] = field(default_factory=list)
+    #: Interface values (``AgentInterface.value``) of every assignment the
+    #: pool handed this instance to: the announced demand that protects it
+    #: from eviction (see :meth:`ServerPool.evict_idle_for`).
+    interfaces: Set[str] = field(default_factory=set)
+    #: Pool-wide use stamp of the last :meth:`ServerPool.ensure` that
+    #: returned this handle; lower is less recently used.
+    last_used: int = 0
 
     @property
     def gpu_ids(self) -> Tuple[str, ...]:
@@ -125,15 +133,33 @@ class ServerPool:
         self.cluster_manager = cluster_manager
         self.library = library
         self._handles: Dict[Tuple[str, str], ServerHandle] = {}
+        self._uses = itertools.count(1)
+
+    def _key(self, assignment: PlanAssignment) -> Tuple[str, str]:
+        group = self.library.get(assignment.agent_name).deployment_group
+        return group, assignment.config.describe()
+
+    def get(self, assignment: PlanAssignment) -> Optional[ServerHandle]:
+        """The deployed instance for ``assignment``, or ``None``.
+
+        A returned handle is stamped as used, for the least-recently-used
+        order of :meth:`evict_idle_for`.
+        """
+        handle = self._handles.get(self._key(assignment))
+        if handle is not None:
+            self._stamp(handle, assignment)
+        return handle
 
     def ensure(self, assignment: PlanAssignment) -> ServerHandle:
-        """Return (deploying if necessary) the instance for an assignment."""
-        implementation = self.library.get(assignment.agent_name)
-        group = implementation.deployment_group
-        key = (group, assignment.config.describe())
-        handle = self._handles.get(key)
+        """Return (deploying if necessary) the instance for an assignment.
+
+        Raises:
+            RuntimeError: if a new instance does not fit the cluster.
+        """
+        handle = self.get(assignment)
         if handle is not None:
             return handle
+        key = group, config_key = self._key(assignment)
         instance = self.cluster_manager.deploy_model(
             agent_name=group,
             gpus=assignment.config.gpus,
@@ -142,12 +168,27 @@ class ServerPool:
         )
         handle = ServerHandle(
             group=group,
-            assignment_config_key=assignment.config.describe(),
+            assignment_config_key=config_key,
             instance=instance,
             slots=assignment.max_concurrency,
         )
         self._handles[key] = handle
+        self._stamp(handle, assignment)
         return handle
+
+    def _stamp(self, handle: ServerHandle, assignment: PlanAssignment) -> None:
+        handle.interfaces.add(assignment.interface.value)
+        handle.last_used = next(self._uses)
+
+    def request_for(self, assignment: PlanAssignment) -> ResourceRequest:
+        """The resource request a deployment of ``assignment`` makes."""
+        config = assignment.config
+        return ResourceRequest(
+            owner=f"{MODEL_OWNER_PREFIX}{self._key(assignment)[0]}",
+            gpus=config.gpus,
+            cpu_cores=config.cpu_cores,
+            gpu_generation=config.gpu_generation,
+        )
 
     def handles(self) -> List[ServerHandle]:
         return list(self._handles.values())
@@ -183,28 +224,34 @@ class ServerPool:
         """Tear down idle instances until ``assignment`` could deploy.
 
         The paper's reclamation example (§3.2): give Whisper's idle GPU to
-        Llama once no Speech-to-Text work is running.  Idle handles are
-        evicted in deterministic key order, stopping as soon as the cluster
-        can satisfy the assignment's shape; returns whether it now can.
-        Evicted handles are flagged :attr:`ServerHandle.dead` so lanes still
-        holding them redeploy instead of scheduling onto released devices.
+        Llama once no Speech-to-Text work is running.  Idle handles go in
+        order of announced demand, then recency: first those with no pending
+        task of any interface they have served in any announced workflow DAG
+        (:meth:`~repro.cluster.manager.ClusterManager.aggregate_upcoming_demand`),
+        then the rest; least recently used first within each.  Demand
+        orders but never forbids, so a job whose only idle instance is still
+        wanted can take it.  Eviction stops as soon as the cluster can
+        satisfy the assignment's shape; returns whether it now can.  Evicted
+        handles are flagged :attr:`ServerHandle.dead` so lanes still holding
+        them redeploy instead of scheduling onto released devices.
         """
-        request = ResourceRequest(
-            owner=f"{MODEL_OWNER_PREFIX}{assignment.agent_name}",
-            gpus=assignment.config.gpus,
-            cpu_cores=assignment.config.cpu_cores,
-            gpu_generation=assignment.config.gpu_generation,
-        )
-        for key in sorted(self._handles):
-            if self.cluster_manager.can_satisfy(request):
-                break
-            handle = self._handles[key]
-            if handle.active or handle.dead:
-                continue
+        manager = self.cluster_manager
+        request = self.request_for(assignment)
+        if manager.can_satisfy(request):
+            return True
+        demand = manager.aggregate_upcoming_demand()
+        idle = []
+        for key, handle in self._handles.items():
+            if not handle.active and not handle.dead:
+                wanted = any(demand.get(name, 0) > 0 for name in handle.interfaces)
+                idle.append((wanted, handle.last_used, key))
+        for _wanted, _used, key in sorted(idle):
+            handle = self._handles.pop(key)
             handle.dead = True
-            del self._handles[key]
-            self.cluster_manager.teardown_model(handle.instance)
-        return self.cluster_manager.can_satisfy(request)
+            manager.teardown_model(handle.instance)
+            if manager.can_satisfy(request):
+                return True
+        return False
 
     def teardown_all(self) -> None:
         for handle in self._handles.values():
@@ -359,9 +406,11 @@ class WorkflowExecutor:
             self._pending_preds[task.task_id] = degree
             if degree == 0 and task.state is TaskState.PENDING:
                 self._ready_pool.append(task)
-        self._build_lanes(graph)
+        # Announce before deploying: the job's own pending stages then
+        # protect the lanes it deploys first from eviction by its later ones.
         if self.announce:
             self._announce()
+        self._build_lanes(graph)
         self.engine.schedule(delay, self._begin)
 
     def execute(self, graph: TaskGraph, delay: float = 0.0) -> Dict[str, AgentResult]:
@@ -397,18 +446,13 @@ class WorkflowExecutor:
             lanes: List[_Lane] = []
             for assignment in assignments:
                 implementation = self.library.get(assignment.agent_name)
-                server = None
-                if assignment.uses_gpu:
-                    if self.replanner is not None:
-                        # Elastic mode: the cluster may have shrunk since
-                        # planning, so a full up-front deployment can be
-                        # collectively infeasible.  Deploy what fits now
-                        # (evicting idle instances if needed) and leave the
-                        # rest to the dispatch-time repair path, which
-                        # redeploys or replans stage by stage.
-                        server = self._try_deploy(assignment)
-                    else:
-                        server = self.server_pool.ensure(assignment)
+                # The whole plan need not fit at once: idle warm instances
+                # or other jobs may hold the devices, or (in elastic mode)
+                # the cluster may have shrunk since planning.  Deploy what
+                # fits now, evicting idle instances if needed, and leave the
+                # rest to the dispatch-time repair path, which deploys (or
+                # replans) stage by stage as devices free up.
+                server = self._try_deploy(assignment) if assignment.uses_gpu else None
                 lanes.append(
                     _Lane(assignment=assignment, implementation=implementation, server=server)
                 )
@@ -673,14 +717,16 @@ class WorkflowExecutor:
             self.engine.schedule(0.0, self._resume_after_server_release)
 
     def _repair_lane(self, lane: _Lane) -> bool:
-        """Re-acquire a serving instance for a lane whose server was lost.
+        """Acquire a serving instance for a lane that has none.
 
-        First redeploys the planned configuration (evicting idle instances
-        if that is what it takes — the paper's reclamation lever); if the
-        shrunken cluster cannot fit it, asks :attr:`replanner` (when
-        provided) for a fresh assignment against current cluster stats.
-        Returns ``False`` when neither works — the caller retries after
-        ``ALLOCATION_RETRY_S``.
+        A lane has none when its deployment was deferred at start (the
+        devices were busy), or when its server was lost to a preemption, a
+        failure or an eviction.  First deploys the planned configuration
+        (evicting idle instances if that is what it takes — the paper's
+        reclamation lever); if that does not fit, asks :attr:`replanner`
+        (when provided) for a fresh assignment against current cluster
+        stats.  Returns ``False`` when neither works — the caller retries
+        after ``ALLOCATION_RETRY_S``, or when one of its own tasks finishes.
         """
         server = self._try_deploy(lane.assignment)
         if server is not None:
@@ -710,17 +756,29 @@ class WorkflowExecutor:
         return True
 
     def _try_deploy(self, assignment: PlanAssignment) -> Optional[ServerHandle]:
-        """Deploy ``assignment``, evicting idle instances if needed."""
-        try:
-            return self.server_pool.ensure(assignment)
-        except RuntimeError:
-            pass
-        if not self.server_pool.evict_idle_for(assignment):
-            return None
-        try:
-            return self.server_pool.ensure(assignment)
-        except RuntimeError:
-            return None
+        """The instance for ``assignment``, deploying it (and evicting idle
+        instances to make room) if needed; ``None`` when it does not fit yet.
+
+        Without a replanner the cluster is fixed, so a shape no node could
+        hold even when empty raises at once instead of polling forever.
+        """
+        pool = self.server_pool
+        handle = pool.get(assignment)
+        if handle is not None:
+            return handle
+        manager = self.cluster_manager
+        request = pool.request_for(assignment)
+        if not manager.can_satisfy(request):
+            if self.replanner is None and not manager.can_ever_satisfy(request):
+                group = self.library.get(assignment.agent_name).deployment_group
+                raise self._execution_error(
+                    f"cannot deploy {group!r}: "
+                    f"request for {request.gpus} GPUs / {request.cpu_cores} cores "
+                    f"exceeds every node of the cluster"
+                )
+            if not pool.evict_idle_for(assignment):
+                return None
+        return pool.ensure(assignment)
 
     def _is_next_in_order(self, task: Task) -> bool:
         """In sequential (baseline) mode, only the globally next pending task

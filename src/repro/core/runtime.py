@@ -27,7 +27,7 @@ from repro.cluster.manager import ClusterManager
 from repro.policies.base import PlacementPolicy
 from repro.policies.placement import WorkflowAwarePolicy
 from repro.core.constraints import ConstraintSet
-from repro.core.execution import ExecutionError, ServerPool, WorkflowExecutor
+from repro.core.execution import ServerPool, WorkflowExecutor
 from repro.core.job import Job, JobResult
 from repro.core.orchestrator import OrchestrationResult, WorkflowOrchestrator
 from repro.core.planner import PlannerOverride
@@ -288,11 +288,12 @@ class MurakkabRuntime:
         executor, orchestration, delay = self.launch(job, overrides, pool)
         try:
             executor.execute(orchestration.graph, delay=delay)
-        except ExecutionError:
-            # Give up cleanly: cancel the workflow's in-flight events and
-            # release everything it holds, so later jobs on the shared
-            # engine never see its zombies; tear down the per-job pool
-            # exactly as the success path would.
+        except BaseException:
+            # Give up cleanly, whatever failed (an unrunnable workflow, or a
+            # shape no node can hold): cancel the workflow's in-flight
+            # events and release everything it holds, so later jobs on the
+            # shared engine never see its zombies; tear down the per-job
+            # pool exactly as the success path would.
             executor.abort()
             if self.dynamics is not None:
                 self.dynamics.job_failed(executor)

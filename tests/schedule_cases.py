@@ -104,8 +104,8 @@ def multiplex_fidelity() -> Dict[str, object]:
 def keep_warm_session() -> Dict[str, object]:
     """32 closed-loop calls on one warm-pool client: every (workflow,
     constraint, quality target) combination once, in a fixed shuffled order.
-    Idle warm instances eventually hold every GPU, so some calls fail to
-    deploy; the failures are part of the pinned output."""
+    Idle warm instances eventually hold every GPU, so later calls deploy by
+    evicting them; a call that still failed would be pinned as ``failed``."""
     import random
 
     from repro.client import MurakkabClient

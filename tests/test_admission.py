@@ -403,6 +403,34 @@ def test_degraded_admissions_wait_for_their_tokens(monkeypatch, mode):
         assert record["started_s"] >= record["arrival_s"] + wait_s
 
 
+def test_fidelity_ladder_with_cost_priors_serves_the_whole_trace():
+    """With cost priors the ladder degrades, and the degraded recompiles
+    need instances the admitted jobs' idle ones hold: the trace completes
+    with no failed job instead of aborting on a full cluster."""
+    from repro.loadgen import default_registry
+    from repro.workloads.arrival import poisson_arrivals
+    from schedule_cases import FIDELITY_ADMISSION, WORKFLOWS
+
+    arrivals = poisson_arrivals(
+        rate_per_s=0.15, horizon_s=2000.0, workloads=WORKFLOWS, seed=7
+    )[:200]
+    service = AIWorkflowService()
+    try:
+        report = service.submit_trace(
+            arrivals,
+            registry=default_registry(),
+            mode="multiplex",
+            admission=AdmissionConfig(
+                **FIDELITY_ADMISSION, estimate_prior_s=14.0, degraded_prior_s=6.0
+            ),
+        )
+    finally:
+        service.shutdown()
+    assert len(arrivals) == 200
+    assert (report.jobs, report.degraded_jobs, report.rejected_jobs) == (113, 13, 87)
+    assert report.failed_jobs == 0
+
+
 # --------------------------------------------------------------------------- #
 # Interactive submit path
 # --------------------------------------------------------------------------- #

@@ -266,3 +266,31 @@ def test_client_context_manager_shuts_down():
     with MurakkabClient() as scoped:
         scoped.submit("chain-of-thought", job_id="ctx")
     assert scoped.stats.jobs_completed == 1
+
+
+@pytest.mark.parametrize("nodes", [None, 1], ids=["paper-testbed", "one-node"])
+def test_keep_warm_session_serves_every_combination(nodes):
+    """A warm pool that never gives devices back fails once idle instances
+    hold every GPU; one that yields serves every (workflow, constraint,
+    quality target) combination, even on a single node."""
+    import itertools
+
+    from repro.cluster.cluster import paper_testbed
+    from repro.core.runtime import MurakkabRuntime
+    from repro.loadgen import default_registry
+
+    combinations = itertools.product(
+        ("video-understanding", "newsfeed", "document-qa", "chain-of-thought"),
+        (None, "min_latency", "min_energy", "min_cost"),
+        (None, 0.9),
+    )
+    runtime = MurakkabRuntime(cluster=paper_testbed(node_count=nodes))
+    with MurakkabClient(runtime=runtime, registry=default_registry()) as client:
+        for workflow, constraint, quality in combinations:
+            handle = client.submit(
+                workflow,
+                constraints=Constraint(constraint) if constraint else None,
+                quality_target=quality,
+            )
+            assert handle.result.makespan_s > 0
+        assert client.stats.jobs_completed == 32

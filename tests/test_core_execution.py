@@ -255,3 +255,139 @@ def test_allocation_retry_limit_still_stops_unrunnable_workflow(
     with pytest.raises(ExecutionError, match="after 3 retries"):
         executor.execute(graph)
     assert len(attempts) == 4
+
+
+# --------------------------------------------------------------------- #
+# Idle-instance eviction: announced demand first, then recency
+# --------------------------------------------------------------------- #
+
+
+def _gpu_assignment(library, agent_name, gpus=1):
+    from repro.agents.base import HardwareConfig
+    from repro.core.planner import PlanAssignment
+    from repro.profiling.profiler import Profiler
+
+    implementation = library.get(agent_name)
+    config = HardwareConfig(gpus=gpus)
+    mode = implementation.supported_modes()[0]
+    return PlanAssignment(
+        interface=implementation.interface,
+        agent_name=agent_name,
+        config=config,
+        mode=mode,
+        profile=Profiler().profile_one(implementation, config, mode),
+    )
+
+
+def _full_pool(library, agents):
+    """A pool on one 4-GPU node filled, in ``agents`` order, with idle
+    one-GPU instances (so the first agent is the least recently used)."""
+    engine, cluster, manager = _environment(
+        library, Cluster([Node("n0", gpu_count=4, cpu_cores=32)])
+    )
+    pool = ServerPool(manager, library)
+    handles = {agent: pool.ensure(_gpu_assignment(library, agent)) for agent in agents}
+    assert cluster.free_gpus == 0
+    return manager, pool, handles
+
+
+def _announce(manager, workflow_id, **demand):
+    from repro.cluster.telemetry_exchange import WorkflowAnnouncement
+
+    manager.announce_workflow(
+        WorkflowAnnouncement(workflow_id=workflow_id, timestamp=0.0, upcoming_demand=demand)
+    )
+
+
+FOUR = ("whisper", "clip", "llama-sentiment", "nvlm-embedder")
+
+
+def test_evict_idle_prefers_instances_without_announced_demand(library):
+    manager, pool, handles = _full_pool(library, FOUR)
+    # Whisper and clip are the least recently used, but a DAG still needs
+    # speech-to-text and object detection.
+    _announce(manager, "other", speech_to_text=2, object_detection=1)
+    assert pool.evict_idle_for(_gpu_assignment(library, "llama-textgen"))
+    assert [agent for agent in FOUR if handles[agent].dead] == ["llama-sentiment"]
+    assert [h.group for h in pool.handles()] == ["whisper", "clip", "nvlm-embedder"]
+
+
+def test_evict_idle_goes_least_recently_used_first_and_stops_once_it_fits(library):
+    manager, pool, handles = _full_pool(library, FOUR)
+    # Using clip again leaves whisper and llama-sentiment the least recently used.
+    assert pool.ensure(_gpu_assignment(library, "clip")) is handles["clip"]
+    assert pool.evict_idle_for(_gpu_assignment(library, "llama-textgen", gpus=2))
+    assert [agent for agent in FOUR if handles[agent].dead] == ["whisper", "llama-sentiment"]
+    assert manager.cluster.free_gpus == 2
+    # A request that already fits evicts nothing.
+    assert pool.evict_idle_for(_gpu_assignment(library, "llama-textgen", gpus=2))
+    assert len(pool.handles()) == 2
+
+
+def test_evict_idle_never_touches_active_or_dead_instances(library):
+    manager, pool, handles = _full_pool(library, FOUR)
+    handles["whisper"].active = 1
+    handles["clip"].dead = True
+    assert not pool.evict_idle_for(_gpu_assignment(library, "llama-textgen", gpus=4))
+    assert [h.group for h in pool.handles()] == ["whisper", "clip"]
+    assert not handles["whisper"].dead
+    # Nothing tore the dead handle's instance down a second time.
+    assert manager.instances_for("clip") == [handles["clip"].instance]
+    assert manager.cluster.free_gpus == 2
+
+
+def test_evict_idle_takes_demanded_instances_when_nothing_else_is_idle(library):
+    manager, pool, handles = _full_pool(library, FOUR)
+    _announce(
+        manager,
+        "other",
+        speech_to_text=1,
+        object_detection=1,
+        sentiment_analysis=1,
+        embedding=1,
+    )
+    # Every idle instance is wanted; the least recently used goes first.
+    assert pool.evict_idle_for(_gpu_assignment(library, "llama-textgen", gpus=2))
+    assert [agent for agent in FOUR if handles[agent].dead] == ["whisper", "clip"]
+
+
+def test_job_deploys_over_an_idle_instance_another_dag_still_wants(
+    library, profile_store, videos
+):
+    engine, cluster, manager = _environment(library, paper_testbed(node_count=1))
+    pool = ServerPool(manager, library)
+    warm = pool.ensure(_gpu_assignment(library, "llama-textgen", gpus=8))
+    _announce(manager, "other", text_generation=3)
+    graph, plan = _plan_and_graph(library, profile_store, videos, "exec-yield")
+    executor = WorkflowExecutor(
+        engine, manager, library, plan, server_pool=pool, workflow_id="exec-yield"
+    )
+    executor.execute(graph)
+    assert graph.is_complete()
+    assert warm.dead
+    assert warm not in pool.handles()
+
+
+def test_deferred_lanes_deploy_stage_by_stage_on_a_small_cluster(
+    library, profile_store, videos
+):
+    # NVLM (8 GPUs) and its embedder (2 GPUs) never fit one 8-GPU node
+    # together: lanes that do not fit at start deploy at dispatch time.
+    engine, cluster, manager = _environment(library, paper_testbed(node_count=1))
+    graph, plan = _plan_and_graph(library, profile_store, videos, "exec-defer")
+    executor = WorkflowExecutor(engine, manager, library, plan, workflow_id="exec-defer")
+    executor.execute(graph)
+    assert graph.is_complete()
+    executor.server_pool.teardown_all()
+    assert cluster.free_gpus == cluster.total_gpus
+
+
+def test_oversized_deployment_raises_at_once(library, profile_store, videos):
+    # NVLM wants 8 GPUs; no 4-GPU node could ever hold it.
+    nodes = [Node(name, gpu_count=4, cpu_cores=96) for name in ("a", "b")]
+    engine, _, manager = _environment(library, Cluster(nodes))
+    graph, plan = _plan_and_graph(library, profile_store, videos, "exec-huge")
+    executor = WorkflowExecutor(engine, manager, library, plan, workflow_id="exec-huge")
+    with pytest.raises(ExecutionError, match="^cannot deploy 'nvlm-72b'"):
+        executor.execute(graph)
+    assert engine.events_fired == 0

@@ -145,3 +145,51 @@ def test_orchestration_tool_calls_are_built_lazily_once(runtime, videos):
     assert calls == runtime.orchestrator.mapper.map_graph(
         orchestration.graph, orchestration.plan.chosen_agents()
     )
+
+
+@pytest.mark.parametrize("workflow", ["video-understanding", "chain-of-thought"])
+def test_failed_submit_releases_what_its_per_job_pool_deployed(workflow):
+    # Two 4-GPU nodes: the planner sizes NVLM by the cluster's 8 free GPUs,
+    # a shape no single node can hold.
+    from repro.client import MurakkabClient
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.node import Node
+    from repro.core.constraints import Constraint
+    from repro.core.execution import ExecutionError
+    from repro.loadgen import default_registry
+
+    nodes = [Node(name, gpu_count=4, cpu_cores=96) for name in ("a", "b")]
+    runtime = MurakkabRuntime(cluster=Cluster(nodes))
+    with MurakkabClient(runtime=runtime, keep_warm=False, registry=default_registry()) as client:
+        with pytest.raises(ExecutionError, match="^cannot deploy 'nvlm-72b'"):
+            client.submit(workflow, constraints=Constraint("min_latency"))
+        # Raised before the job's first event, instead of polling for
+        # capacity that can never appear.
+        assert runtime.engine.events_fired == 0
+        assert runtime.cluster_manager.total_deployed_gpus() == 0
+        assert runtime.cluster.free_gpus == runtime.cluster.total_gpus
+        assert runtime.cluster_manager.aggregate_upcoming_demand() == {}
+        # The runtime stays usable.
+        assert client.submit("newsfeed").result.makespan_s > 0
+
+
+def test_submit_tears_its_pool_down_whatever_fails(videos, monkeypatch):
+    # The second deployment fails with a plain RuntimeError (as one a
+    # placement policy refused would): the first must not stay deployed.
+    runtime = MurakkabRuntime()
+    deploy = runtime.cluster_manager.deploy_model
+    calls = []
+
+    def refuse_second(*args, **kwargs):
+        calls.append(kwargs["agent_name"])
+        if len(calls) == 2:
+            raise RuntimeError("placement refused")
+        return deploy(*args, **kwargs)
+
+    monkeypatch.setattr(runtime.cluster_manager, "deploy_model", refuse_second)
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-refused")
+    with pytest.raises(RuntimeError, match="placement refused"):
+        runtime.submit(job)
+    assert runtime.cluster_manager.total_deployed_gpus() == 0
+    assert runtime.cluster.free_gpus == runtime.cluster.total_gpus
+    assert runtime.cluster_manager.aggregate_upcoming_demand() == {}

@@ -447,6 +447,44 @@ def test_vectorized_accounting_is_byte_identical(
     )
 
 
+def test_replay_reconfirms_after_warm_instances_are_evicted(registry, monkeypatch):
+    # One node cannot keep all four workflows' instances warm: groups evict
+    # each other's idle instances, every eviction changes the pool
+    # signature, and replay must re-confirm its pattern each time.
+    from repro.cluster.cluster import paper_testbed
+    from repro.core.execution import ServerPool
+    from repro.core.runtime import MurakkabRuntime
+
+    arrivals = poisson_arrivals(
+        rate_per_s=0.01,
+        horizon_s=40000.0,
+        workloads=("video-understanding", "newsfeed", "document-qa", "chain-of-thought"),
+        seed=3,
+    )
+    evictions = []
+    evict = ServerPool.evict_idle_for
+
+    def counting(pool, assignment):
+        evictions.append(assignment.agent_name)
+        return evict(pool, assignment)
+
+    monkeypatch.setattr(ServerPool, "evict_idle_for", counting)
+
+    def one_node_service():
+        return AIWorkflowService(runtime=MurakkabRuntime(cluster=paper_testbed(node_count=1)))
+
+    service = one_node_service()
+    report = service.submit_trace(arrivals, registry=registry)
+    assert (report.jobs, report.simulated_jobs, report.replayed_jobs) == (359, 183, 176)
+    assert report.failed_jobs == 0
+    assert len(evictions) == 765
+    reference_service = one_node_service()
+    reference = ReferenceLoadGenerator(reference_service).run(arrivals, registry=registry)
+    assert _accounting_snapshot(service, report) == _accounting_snapshot(
+        reference_service, reference
+    )
+
+
 @pytest.mark.parametrize("numpy_enabled", [True, False], ids=["numpy", "pure-python"])
 def test_vectorized_eviction_arithmetic_is_byte_identical(
     registry, monkeypatch, numpy_enabled
