@@ -4,7 +4,7 @@ The paper's reclamation lever (§3.2) in runnable form.  Because the runtime
 sees every job's DAG, the cluster manager knows which warm serving
 instances still have work coming.  When a stage does not fit, idle
 instances are torn down to make room.  Instances with no pending work in
-any announced DAG go first, then the least recently used.
+any announced DAG go first, then the rest.
 
 A keep-warm client on a single 8-GPU node submits every (workflow,
 constraint, quality target) combination once.  The node cannot keep all of

@@ -21,9 +21,8 @@ the rigid imperative execution the paper compares against.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.agents.base import (
     AgentImplementation,
@@ -95,13 +94,6 @@ class ServerHandle:
     #: whose tasks all target a busy shared instance is woken by *another*
     #: workflow's completion instead of stalling forever.
     waiters: List[object] = field(default_factory=list)
-    #: Interface values (``AgentInterface.value``) of every assignment the
-    #: pool handed this instance to: the announced demand that protects it
-    #: from eviction (see :meth:`ServerPool.evict_idle_for`).
-    interfaces: Set[str] = field(default_factory=set)
-    #: Pool-wide use stamp of the last :meth:`ServerPool.ensure` that
-    #: returned this handle; lower is less recently used.
-    last_used: int = 0
 
     @property
     def gpu_ids(self) -> Tuple[str, ...]:
@@ -133,33 +125,31 @@ class ServerPool:
         self.cluster_manager = cluster_manager
         self.library = library
         self._handles: Dict[Tuple[str, str], ServerHandle] = {}
-        self._uses = itertools.count(1)
 
-    def _key(self, assignment: PlanAssignment) -> Tuple[str, str]:
+    def _request(self, assignment: PlanAssignment) -> ResourceRequest:
+        """The request a deployment of ``assignment`` makes."""
+        config = assignment.config
         group = self.library.get(assignment.agent_name).deployment_group
-        return group, assignment.config.describe()
-
-    def get(self, assignment: PlanAssignment) -> Optional[ServerHandle]:
-        """The deployed instance for ``assignment``, or ``None``.
-
-        A returned handle is stamped as used, for the least-recently-used
-        order of :meth:`evict_idle_for`.
-        """
-        handle = self._handles.get(self._key(assignment))
-        if handle is not None:
-            self._stamp(handle, assignment)
-        return handle
+        return ResourceRequest(
+            owner=f"{MODEL_OWNER_PREFIX}{group}",
+            gpus=config.gpus,
+            cpu_cores=config.cpu_cores,
+            gpu_generation=config.gpu_generation,
+        )
 
     def ensure(self, assignment: PlanAssignment) -> ServerHandle:
         """Return (deploying if necessary) the instance for an assignment.
 
         Raises:
-            RuntimeError: if a new instance does not fit the cluster.
+            RuntimeError: if a new instance does not fit the cluster, or the
+                placement policy refuses it.
         """
-        handle = self.get(assignment)
+        implementation = self.library.get(assignment.agent_name)
+        group = implementation.deployment_group
+        key = (group, assignment.config.describe())
+        handle = self._handles.get(key)
         if handle is not None:
             return handle
-        key = group, config_key = self._key(assignment)
         instance = self.cluster_manager.deploy_model(
             agent_name=group,
             gpus=assignment.config.gpus,
@@ -168,27 +158,16 @@ class ServerPool:
         )
         handle = ServerHandle(
             group=group,
-            assignment_config_key=config_key,
+            assignment_config_key=assignment.config.describe(),
             instance=instance,
             slots=assignment.max_concurrency,
         )
         self._handles[key] = handle
-        self._stamp(handle, assignment)
         return handle
 
-    def _stamp(self, handle: ServerHandle, assignment: PlanAssignment) -> None:
-        handle.interfaces.add(assignment.interface.value)
-        handle.last_used = next(self._uses)
-
-    def request_for(self, assignment: PlanAssignment) -> ResourceRequest:
-        """The resource request a deployment of ``assignment`` makes."""
-        config = assignment.config
-        return ResourceRequest(
-            owner=f"{MODEL_OWNER_PREFIX}{self._key(assignment)[0]}",
-            gpus=config.gpus,
-            cpu_cores=config.cpu_cores,
-            gpu_generation=config.gpu_generation,
-        )
+    def fits_some_node(self, assignment: PlanAssignment) -> bool:
+        """Whether some node could hold ``assignment`` if it were empty."""
+        return self.cluster_manager.can_ever_satisfy(self._request(assignment))
 
     def handles(self) -> List[ServerHandle]:
         return list(self._handles.values())
@@ -224,28 +203,46 @@ class ServerPool:
         """Tear down idle instances until ``assignment`` could deploy.
 
         The paper's reclamation example (§3.2): give Whisper's idle GPU to
-        Llama once no Speech-to-Text work is running.  Idle handles go in
-        order of announced demand, then recency: first those with no pending
-        task of any interface they have served in any announced workflow DAG
+        Llama once no Speech-to-Text work is running.  Returns ``True`` at
+        once when ``assignment``'s instance is already deployed or its shape
+        fits.  Otherwise idle handles go in order of announced demand: first
+        those whose deployment group serves no interface with a pending task
+        in any announced workflow DAG
         (:meth:`~repro.cluster.manager.ClusterManager.aggregate_upcoming_demand`),
-        then the rest; least recently used first within each.  Demand
-        orders but never forbids, so a job whose only idle instance is still
-        wanted can take it.  Eviction stops as soon as the cluster can
-        satisfy the assignment's shape; returns whether it now can.  Evicted
-        handles are flagged :attr:`ServerHandle.dead` so lanes still holding
-        them redeploy instead of scheduling onto released devices.
+        then the rest; in key order within each.  Demand orders but never
+        forbids, so a job whose only idle instance is still wanted can take
+        it.  The order reads only the deployed set and the announced demand,
+        never use history: a replayed job, which never touches the pool,
+        leaves later evictions exactly as a simulated one would.  Eviction
+        stops as soon as the cluster can satisfy the assignment's shape;
+        returns whether it now can.  Nothing is evicted for a shape no node
+        could hold even when empty.  Evicted handles are flagged
+        :attr:`ServerHandle.dead` so lanes still holding them redeploy
+        instead of scheduling onto released devices.
         """
+        group = self.library.get(assignment.agent_name).deployment_group
+        if (group, assignment.config.describe()) in self._handles:
+            return True
         manager = self.cluster_manager
-        request = self.request_for(assignment)
+        request = self._request(assignment)
         if manager.can_satisfy(request):
             return True
+        if not manager.can_ever_satisfy(request):
+            return False
         demand = manager.aggregate_upcoming_demand()
-        idle = []
-        for key, handle in self._handles.items():
-            if not handle.active and not handle.dead:
-                wanted = any(demand.get(name, 0) > 0 for name in handle.interfaces)
-                idle.append((wanted, handle.last_used, key))
-        for _wanted, _used, key in sorted(idle):
+        library = self.library
+        wanted = {
+            implementation.deployment_group
+            for interface in library.interfaces()
+            if demand.get(interface.value, 0) > 0
+            for implementation in library.implementations_for(interface)
+        }
+        idle = sorted(
+            (key[0] in wanted, key)
+            for key, handle in self._handles.items()
+            if not handle.active and not handle.dead
+        )
+        for _wanted, key in idle:
             handle = self._handles.pop(key)
             handle.dead = True
             manager.teardown_model(handle.instance)
@@ -410,7 +407,13 @@ class WorkflowExecutor:
         # protect the lanes it deploys first from eviction by its later ones.
         if self.announce:
             self._announce()
-        self._build_lanes(graph)
+        try:
+            self._build_lanes(graph)
+        except BaseException:
+            # A job that never starts must not leave its demand announced.
+            if self.announce:
+                self.cluster_manager.retract_workflow(self.workflow_id)
+            raise
         self.engine.schedule(delay, self._begin)
 
     def execute(self, graph: TaskGraph, delay: float = 0.0) -> Dict[str, AgentResult]:
@@ -757,28 +760,27 @@ class WorkflowExecutor:
 
     def _try_deploy(self, assignment: PlanAssignment) -> Optional[ServerHandle]:
         """The instance for ``assignment``, deploying it (and evicting idle
-        instances to make room) if needed; ``None`` when it does not fit yet.
+        instances to make room) if needed; ``None`` when it does not fit yet
+        or the placement policy refuses it.
 
         Without a replanner the cluster is fixed, so a shape no node could
         hold even when empty raises at once instead of polling forever.
         """
         pool = self.server_pool
-        handle = pool.get(assignment)
-        if handle is not None:
-            return handle
-        manager = self.cluster_manager
-        request = pool.request_for(assignment)
-        if not manager.can_satisfy(request):
-            if self.replanner is None and not manager.can_ever_satisfy(request):
-                group = self.library.get(assignment.agent_name).deployment_group
-                raise self._execution_error(
-                    f"cannot deploy {group!r}: "
-                    f"request for {request.gpus} GPUs / {request.cpu_cores} cores "
-                    f"exceeds every node of the cluster"
-                )
-            if not pool.evict_idle_for(assignment):
+        if pool.evict_idle_for(assignment):
+            try:
+                return pool.ensure(assignment)
+            except RuntimeError:
                 return None
-        return pool.ensure(assignment)
+        if self.replanner is None and not pool.fits_some_node(assignment):
+            config = assignment.config
+            group = self.library.get(assignment.agent_name).deployment_group
+            raise self._execution_error(
+                f"cannot deploy {group!r}: "
+                f"request for {config.gpus} GPUs / {config.cpu_cores} cores "
+                f"exceeds every node of the cluster"
+            )
+        return None
 
     def _is_next_in_order(self, task: Task) -> bool:
         """In sequential (baseline) mode, only the globally next pending task

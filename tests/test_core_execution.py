@@ -258,7 +258,7 @@ def test_allocation_retry_limit_still_stops_unrunnable_workflow(
 
 
 # --------------------------------------------------------------------- #
-# Idle-instance eviction: announced demand first, then recency
+# Idle-instance eviction: announced demand first, then key order
 # --------------------------------------------------------------------- #
 
 
@@ -280,8 +280,7 @@ def _gpu_assignment(library, agent_name, gpus=1):
 
 
 def _full_pool(library, agents):
-    """A pool on one 4-GPU node filled, in ``agents`` order, with idle
-    one-GPU instances (so the first agent is the least recently used)."""
+    """A pool on one 4-GPU node filled with idle one-GPU instances."""
     engine, cluster, manager = _environment(
         library, Cluster([Node("n0", gpu_count=4, cpu_cores=32)])
     )
@@ -304,24 +303,36 @@ FOUR = ("whisper", "clip", "llama-sentiment", "nvlm-embedder")
 
 def test_evict_idle_prefers_instances_without_announced_demand(library):
     manager, pool, handles = _full_pool(library, FOUR)
-    # Whisper and clip are the least recently used, but a DAG still needs
-    # speech-to-text and object detection.
+    # Clip is first in key order, but a DAG still needs speech-to-text and
+    # object detection (which clip's group serves).
     _announce(manager, "other", speech_to_text=2, object_detection=1)
     assert pool.evict_idle_for(_gpu_assignment(library, "llama-textgen"))
     assert [agent for agent in FOUR if handles[agent].dead] == ["llama-sentiment"]
     assert [h.group for h in pool.handles()] == ["whisper", "clip", "nvlm-embedder"]
 
 
-def test_evict_idle_goes_least_recently_used_first_and_stops_once_it_fits(library):
+def test_evict_idle_goes_in_key_order_and_stops_once_it_fits(library):
     manager, pool, handles = _full_pool(library, FOUR)
-    # Using clip again leaves whisper and llama-sentiment the least recently used.
+    # Whisper was deployed first and nvlm-embedder last; neither matters,
+    # nor does use: only the (group, config) key orders equals.
     assert pool.ensure(_gpu_assignment(library, "clip")) is handles["clip"]
     assert pool.evict_idle_for(_gpu_assignment(library, "llama-textgen", gpus=2))
-    assert [agent for agent in FOUR if handles[agent].dead] == ["whisper", "llama-sentiment"]
+    assert [agent for agent in FOUR if handles[agent].dead] == ["clip", "llama-sentiment"]
     assert manager.cluster.free_gpus == 2
     # A request that already fits evicts nothing.
     assert pool.evict_idle_for(_gpu_assignment(library, "llama-textgen", gpus=2))
     assert len(pool.handles()) == 2
+
+
+def test_evict_idle_keeps_everything_for_a_deployed_or_impossible_shape(library):
+    manager, pool, handles = _full_pool(library, FOUR)
+    # The assignment's own instance is already up: nothing to make room for.
+    assert pool.evict_idle_for(_gpu_assignment(library, "whisper"))
+    # No 4-GPU node could ever hold eight GPUs: evicting would only lose
+    # warm instances.
+    assert not pool.evict_idle_for(_gpu_assignment(library, "llama-textgen", gpus=8))
+    assert not any(handle.dead for handle in handles.values())
+    assert manager.cluster.free_gpus == 0
 
 
 def test_evict_idle_never_touches_active_or_dead_instances(library):
@@ -346,9 +357,9 @@ def test_evict_idle_takes_demanded_instances_when_nothing_else_is_idle(library):
         sentiment_analysis=1,
         embedding=1,
     )
-    # Every idle instance is wanted; the least recently used goes first.
+    # Every idle instance is wanted; they go in key order.
     assert pool.evict_idle_for(_gpu_assignment(library, "llama-textgen", gpus=2))
-    assert [agent for agent in FOUR if handles[agent].dead] == ["whisper", "clip"]
+    assert [agent for agent in FOUR if handles[agent].dead] == ["clip", "llama-sentiment"]
 
 
 def test_job_deploys_over_an_idle_instance_another_dag_still_wants(

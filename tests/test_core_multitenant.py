@@ -181,3 +181,22 @@ def test_three_gpu_bound_tenants_do_not_stall():
     )
     assert len(report.job_results) == 3
     assert all(result.makespan_s > 0 for result in report.job_results.values())
+
+
+def test_multiplex_tenant_that_cannot_deploy_retracts_its_demand():
+    # NVLM sized for the cluster's 8 free GPUs fits no 4-GPU node: the
+    # admission fails before the job starts, and its announced DAG must not
+    # linger to skew later evictions and rebalancing.
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.node import Node
+    from repro.core.execution import ExecutionError
+    from repro.loadgen import default_registry
+    from repro.service import AIWorkflowService
+    from repro.workloads.arrival import uniform_arrivals
+
+    nodes = [Node(name, gpu_count=4, cpu_cores=96) for name in ("a", "b")]
+    service = AIWorkflowService(runtime=MurakkabRuntime(cluster=Cluster(nodes)))
+    arrivals = uniform_arrivals(2, interval_s=1.0, workloads=("chain-of-thought",))
+    with pytest.raises(ExecutionError, match="^cannot deploy 'nvlm-72b'"):
+        service.submit_trace(arrivals, registry=default_registry(), mode="multiplex")
+    assert service.runtime.cluster_manager.aggregate_upcoming_demand() == {}

@@ -4,8 +4,10 @@ import pytest
 
 from repro import MIN_COST, MIN_LATENCY, MurakkabRuntime
 from repro.agents.base import AgentInterface
+from repro.cluster.allocator import MODEL_OWNER_PREFIX
 from repro.core.job import Job
 from repro.experiments.configs import stt_override
+from repro.policies.placement import WorkflowAwarePolicy
 from repro.spec import compile_spec
 from repro.workflows.document_qa import document_qa_spec
 from repro.workflows.newsfeed import newsfeed_spec
@@ -174,22 +176,55 @@ def test_failed_submit_releases_what_its_per_job_pool_deployed(workflow):
 
 
 def test_submit_tears_its_pool_down_whatever_fails(videos, monkeypatch):
-    # The second deployment fails with a plain RuntimeError (as one a
-    # placement policy refused would): the first must not stay deployed.
+    # The second deployment fails with an error that is not an
+    # ExecutionError: the first must not stay deployed.
     runtime = MurakkabRuntime()
     deploy = runtime.cluster_manager.deploy_model
     calls = []
 
-    def refuse_second(*args, **kwargs):
+    def break_second(*args, **kwargs):
         calls.append(kwargs["agent_name"])
         if len(calls) == 2:
-            raise RuntimeError("placement refused")
+            raise ValueError("deployment broke")
         return deploy(*args, **kwargs)
 
-    monkeypatch.setattr(runtime.cluster_manager, "deploy_model", refuse_second)
-    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-refused")
-    with pytest.raises(RuntimeError, match="placement refused"):
+    monkeypatch.setattr(runtime.cluster_manager, "deploy_model", break_second)
+    job = compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-broken")
+    with pytest.raises(ValueError, match="deployment broke"):
         runtime.submit(job)
     assert runtime.cluster_manager.total_deployed_gpus() == 0
     assert runtime.cluster.free_gpus == runtime.cluster.total_gpus
     assert runtime.cluster_manager.aggregate_upcoming_demand() == {}
+
+
+class _RefuseFirstDeployment(WorkflowAwarePolicy):
+    """Refuses the first placement of every serving instance."""
+
+    def __init__(self):
+        super().__init__()
+        self.refused = []
+
+    def choose(self, request, candidates, active):
+        if request.owner.startswith(MODEL_OWNER_PREFIX) and request.owner not in self.refused:
+            self.refused.append(request.owner)
+            return None
+        return super().choose(request, candidates, active)
+
+
+@pytest.mark.parametrize("elastic", [False, True], ids=["fixed", "elastic"])
+def test_refused_placement_defers_the_lane_instead_of_failing(videos, elastic):
+    # The shape fits, but the placement policy says no: the lane starts
+    # without a server and deploys at dispatch time, when the policy agrees.
+    from repro.cluster.dynamics import DynamicsConfig
+
+    policy = _RefuseFirstDeployment()
+    runtime = MurakkabRuntime(placement_policy=policy)
+    if elastic:
+        runtime.attach_dynamics(DynamicsConfig())
+    result = runtime.submit(
+        compile_spec(video_understanding_spec(), inputs=videos, job_id="rt-refused")
+    )
+    assert all(task.state.value == "completed" for task in result.graph)
+    assert policy.refused
+    assert runtime.cluster_manager.total_deployed_gpus() == 0
+    assert runtime.cluster.free_gpus == runtime.cluster.total_gpus

@@ -465,8 +465,10 @@ def test_replay_reconfirms_after_warm_instances_are_evicted(registry, monkeypatc
     evict = ServerPool.evict_idle_for
 
     def counting(pool, assignment):
-        evictions.append(assignment.agent_name)
-        return evict(pool, assignment)
+        before = pool.handles()
+        fits = evict(pool, assignment)
+        evictions.extend(handle.group for handle in before if handle.dead)
+        return fits
 
     monkeypatch.setattr(ServerPool, "evict_idle_for", counting)
 
@@ -477,12 +479,58 @@ def test_replay_reconfirms_after_warm_instances_are_evicted(registry, monkeypatc
     report = service.submit_trace(arrivals, registry=registry)
     assert (report.jobs, report.simulated_jobs, report.replayed_jobs) == (359, 183, 176)
     assert report.failed_jobs == 0
-    assert len(evictions) == 765
+    assert len(evictions) == 838
     reference_service = one_node_service()
     reference = ReferenceLoadGenerator(reference_service).run(arrivals, registry=registry)
     assert _accounting_snapshot(service, report) == _accounting_snapshot(
         reference_service, reference
     )
+
+
+def test_evicting_grouped_trace_matches_serial_loop_exactly(registry):
+    # Replayed rows never touch the pool, so eviction must choose its
+    # victims from state the replay context captures: a grouped trace that
+    # evicts serves exactly what one submit_job per arrival would.  An
+    # 8+2-GPU cluster keeps two workflows' instances warm at once, so a
+    # replayed job sits between the simulated jobs that evict.
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.node import Node
+    from repro.core.runtime import MurakkabRuntime
+
+    arrivals = poisson_arrivals(
+        rate_per_s=0.01,
+        horizon_s=4000.0,
+        workloads=("video-understanding", "newsfeed", "document-qa", "chain-of-thought"),
+        seed=1,
+    )
+
+    def small_service():
+        nodes = [Node("a", gpu_count=8, cpu_cores=96), Node("b", gpu_count=2, cpu_cores=96)]
+        return AIWorkflowService(runtime=MurakkabRuntime(cluster=Cluster(nodes)))
+
+    loop_service = small_service()
+    for index, arrival in enumerate(arrivals):
+        loop_service.submit_job(registry.build(arrival.workload, f"job-{index}"))
+
+    trace_service = small_service()
+    report = trace_service.submit_trace(
+        arrivals,
+        registry=registry,
+        job_ids=lambda index, workload: f"job-{index}",
+        max_per_job_records=len(arrivals),
+    )
+    assert report.replayed_jobs > 0 and report.failed_jobs == 0
+    assert trace_service.stats.jobs_completed == loop_service.stats.jobs_completed
+    assert trace_service.stats.total_makespan_s == pytest.approx(
+        loop_service.stats.total_makespan_s
+    )
+    assert trace_service.stats.total_energy_wh == pytest.approx(
+        loop_service.stats.total_energy_wh
+    )
+    assert len(trace_service.stats.per_job) == len(arrivals)
+    for job_id, record in loop_service.stats.per_job.items():
+        assert trace_service.stats.per_job[job_id] == pytest.approx(record), job_id
+    assert trace_service._pool.signature() == loop_service._pool.signature()
 
 
 @pytest.mark.parametrize("numpy_enabled", [True, False], ids=["numpy", "pure-python"])
