@@ -63,7 +63,8 @@ overload-smoke:
 ## A/B one perfbench metric between a parent revision (exported with git
 ## archive into a temporary directory) and the working tree: alternating
 ## pairs, one seed per pair, no bytecode cache; prints medians, quartiles,
-## wins and the verdict, and fails if a sim_* metric or served_frac differs
+## wins and the verdict, then one traced run per side with every per-layer
+## metric side by side, and fails if a sim_* metric or served_frac differs
 ## within a seed.  Slow (two full perfbench runs per pair), so not part of
 ## ci.  Override AB_ARGS, e.g.
 ## make perfbench-ab AB_ARGS="--workload interactive --parent HEAD~1".

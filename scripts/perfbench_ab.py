@@ -16,6 +16,9 @@ at least nine tenths of the pairs (ties count for neither) and the medians
 differ by more than the parent's interquartile range.  Then prints every
 end-to-end metric of ``BENCHMARK.json`` with both medians, flagging each one
 whose change median is worse than the parent's by more than its bound.
+Last, runs one traced run (``--trace 1``) per side on the first seed and
+prints every per-layer metric of ``BENCHMARK.json`` side by side, so a
+change can name the layer its effect sits in.
 
 Exits 1 when a deterministic output (every ``sim_*`` metric and
 ``served_frac``) differs between the two runs of one seed, or when a run
@@ -137,13 +140,39 @@ def end_to_end_rows(
     return rows
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> Dict[str, float]:
+def layer_rows(
+    parent: Dict[str, float], change: Dict[str, float], specs: Sequence[dict]
+) -> List[dict]:
+    """One row per per-layer metric spec (``name``, ``unit``) that either
+    traced run reported, in spec order: both values and the change/parent
+    ratio (``None`` when the parent's value is zero)."""
+    rows = []
+    for spec in specs:
+        name = spec["name"]
+        if name not in parent and name not in change:
+            continue
+        before, after = parent.get(name, 0.0), change.get(name, 0.0)
+        rows.append(
+            {
+                "name": name,
+                "unit": spec.get("unit", ""),
+                "parent": before,
+                "change": after,
+                "ratio": after / before if before else None,
+            }
+        )
+    return rows
+
+
+def _run(
+    tree: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> Dict[str, float]:
     with tempfile.TemporaryDirectory(prefix="pycache-") as pycache:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
         env.pop("PYTHONPATH", None)
         completed = subprocess.run(
             [sys.executable, "-B", "perfbench/run.py", "--workload", workload,
-             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
             cwd=tree, env=env, capture_output=True, text=True,
         )
     if completed.returncode != 0:
@@ -217,6 +246,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 + (f"  OUTPUTS DIFFER: {', '.join(differing)}" if differing else ""),
                 flush=True,
             )
+        traced = {
+            name: _run(tree, args.workload, args.first_seed, args.seconds, trace=1)
+            for name, tree in (("parent", parent_tree), ("change", ROOT))
+        }
     finally:
         _remove_export(parent_tree)
 
@@ -241,6 +274,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"  {row['name']:24s} {row['parent']:.6g} -> {row['change']:.6g} {row['unit']}"
             f"  {100 * row['worse']:+.1f}%; {100 * row['bound']:.0f}%"
             + ("  WORSE BEYOND BOUND" if row["beyond_bound"] else "")
+        )
+    print(f"per-layer, one traced run per side (seed {args.first_seed}; parent -> change):")
+    for row in layer_rows(traced["parent"], traced["change"], spec["per_layer"]):
+        ratio = "" if row["ratio"] is None else f"  x{row['ratio']:.3f}"
+        print(
+            f"  {row['name']:36s} {row['parent']:.6g} -> {row['change']:.6g} "
+            f"{row['unit']}{ratio}"
         )
     if mismatched:
         print("deterministic outputs differ within a seed", file=sys.stderr)

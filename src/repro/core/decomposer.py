@@ -7,14 +7,24 @@ summarisation task per scene, one sentiment task per post, a single vector
 database insertion, a single final answer, ...), and wires dataflow
 dependencies between tasks at matching granularity.
 
-Each decomposer compiles every *distinct* job once.  A bounded FIFO memo on
-the decomposer remembers each job content it has seen: description, task
-hints, constraint description and inputs.  When the same content comes
-again, it is decomposed, wired, validated and topologically sorted one last
-time into a template.  That job and every later one with the same content
-get a *stamp* of the template: fresh :class:`Task` objects and a
+A process compiles every *distinct* job once.  A bounded FIFO memo
+remembers each job content it has seen: description, task hints,
+constraint description and inputs.  When the same content comes again, it
+is decomposed, wired, validated and topologically sorted one last time into
+a template.  That job and every later one with the same content get a
+*stamp* of the template: fresh :class:`Task` objects and a
 :meth:`TaskGraph.stamp` of its structure.  Content seen only once costs
 just its key, so a stream of distinct jobs builds no templates.
+
+Every decomposer a :class:`~repro.core.orchestrator.WorkflowOrchestrator`
+builds by default (:meth:`JobDecomposer.shared`) uses one process-wide
+memo, so runtimes over the same library share templates the way they share
+one profiled master store.  Its keys also hold everything
+:meth:`JobDecomposer.decompose_fresh` reads from the orchestrator LLM (the
+model and the rendered agent-schema lines), so two runtimes only ever share
+a template they would each have decomposed identically.  A
+``JobDecomposer()`` built directly keeps a private memo.
+``clear_default_profile_store_cache`` empties the shared one.
 
 The job id lives in exactly three places, and a stamp rewrites exactly
 those: the task ids (``{job_id}/{stage}/{n}``), the graph's
@@ -116,6 +126,15 @@ class _Template(NamedTuple):
         return self.graph.stamp(old_id, job_id, tasks)
 
 
+#: The template memo every :meth:`JobDecomposer.shared` decomposer uses.
+_SHARED_TEMPLATES: "Dict[tuple, Optional[_Template]]" = {}
+
+
+def clear_shared_templates() -> None:
+    """Empty the process-wide template memo."""
+    _SHARED_TEMPLATES.clear()
+
+
 class JobDecomposer:
     """Expands a :class:`~repro.core.job.Job` into a :class:`TaskGraph`."""
 
@@ -123,13 +142,28 @@ class JobDecomposer:
     #: reference path in repro.baselines.unoptimized).
     graph_factory = TaskGraph
 
-    #: FIFO bound on the per-decomposer template memo.
+    #: FIFO bound on a template memo.
     _MEMO_MAX = 256
 
     def __init__(self, orchestrator_llm: Optional[OrchestratorLLM] = None) -> None:
         self.orchestrator_llm = orchestrator_llm or OrchestratorLLM()
         #: content key -> template, or ``None`` for content seen only once.
         self._templates: Dict[tuple, Optional[_Template]] = {}
+        #: Leading key fields: empty for a private memo, the orchestrator
+        #: LLM's identity for the shared one.
+        self._scope: tuple = ()
+
+    @classmethod
+    def shared(cls, orchestrator_llm: OrchestratorLLM) -> "JobDecomposer":
+        """A decomposer on the process-wide template memo, scoped to what
+        :meth:`decompose_fresh` reads from ``orchestrator_llm``."""
+        decomposer = cls(orchestrator_llm)
+        decomposer._templates = _SHARED_TEMPLATES
+        decomposer._scope = (
+            orchestrator_llm.spec,
+            tuple(orchestrator_llm.agent_schema_lines),
+        )
+        return decomposer
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -164,7 +198,7 @@ class JobDecomposer:
             inputs = pickle.dumps(job.inputs, pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, TypeError, AttributeError):
             return None  # inputs pickle cannot encode are never memoized
-        return (
+        return self._scope + (
             job.description,
             tuple(job.tasks),
             job.constraint_set().describe(),

@@ -145,6 +145,13 @@ class ConfigurationPlanner:
     profile store changes (profile added, agent retired) via the store's
     mutation :attr:`~ProfileStore.version`, and can be dropped explicitly
     with :meth:`invalidate_cache`.
+
+    A planner over an unmodified copy of a memoized master store
+    (``default_profile_store``) uses that master's decision cache, shared by
+    every such planner in the process: each key embeds everything a decision
+    depends on, and the stores hold equal profiles.  Any other store gets a
+    private cache.  Invalidation detaches a planner to a new private cache;
+    it never clears the shared one.
     """
 
     #: Upper bound on memoized assignments (FIFO eviction beyond this).
@@ -176,7 +183,8 @@ class ConfigurationPlanner:
         #: ``MurakkabRuntime.set_fabric``); surfaced to policies through
         #: :class:`PlanContext` and folded into the decision-cache key.
         self.fabric = None
-        self._plan_cache: Dict[tuple, PlanAssignment] = {}
+        shared = profile_store.shared_decisions()
+        self._plan_cache: Dict[tuple, PlanAssignment] = {} if shared is None else shared
         self._plan_cache_store_version = profile_store.version
         self._plan_cache_hits = 0
         self._plan_cache_misses = 0
@@ -238,8 +246,12 @@ class ConfigurationPlanner:
         )
 
     def invalidate_cache(self) -> None:
-        """Drop memoized assignments (e.g. after out-of-band store edits)."""
-        self._plan_cache.clear()
+        """Drop memoized assignments (e.g. after out-of-band store edits).
+
+        The planner moves to a new private cache, so a shared one stays
+        intact for the other planners using it.
+        """
+        self._plan_cache = {}
         self._plan_cache_store_version = self.profile_store.version
 
     def export_plan_cache(self) -> List[tuple]:
@@ -250,22 +262,30 @@ class ConfigurationPlanner:
         digest, policy fingerprint, and spec digest it was decided under),
         so an exported entry can be re-imported into any planner over the
         same profile store and only ever hit for an identical decision.
+        A planner on a shared cache exports every shared entry, including
+        those other runtimes decided: all of them are valid over the same
+        store.
         """
         return list(self._plan_cache.items())
 
     def import_plan_cache(self, entries) -> int:
         """Seed the decision cache from :meth:`export_plan_cache` output.
 
-        Entries beyond :attr:`PLAN_CACHE_MAX` or with malformed keys are
-        skipped.  Returns how many entries were imported.
+        Entries beyond :attr:`PLAN_CACHE_MAX` or with non-tuple keys are
+        skipped.  An entry that is not a ``(key, PlanAssignment)`` pair
+        raises before anything is imported, so a malformed payload never
+        reaches a shared cache.  Returns how many entries were imported.
         """
+        staged = []
+        for key, assignment in entries:
+            if not isinstance(assignment, PlanAssignment):
+                raise TypeError(f"not a plan assignment: {assignment!r}")
+            if isinstance(key, tuple):
+                staged.append((key, assignment))
         imported = 0
-        for entry in entries:
+        for key, assignment in staged:
             if len(self._plan_cache) >= self.PLAN_CACHE_MAX:
                 break
-            key, assignment = entry
-            if not isinstance(key, tuple):
-                continue
             self._plan_cache[key] = assignment
             imported += 1
         if imported:

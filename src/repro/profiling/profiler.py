@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.agents.base import (
     AgentImplementation,
@@ -111,10 +111,11 @@ def profiling_sweep_count() -> int:
     return _sweep_count
 
 
-#: Memoized master stores keyed by library fingerprint; the cache holds at
+#: Memoized master stores keyed by library fingerprint, each with the
+#: planning-decision cache its unmodified copies share; the cache holds at
 #: most this many distinct library shapes before evicting the oldest.
 _STORE_CACHE_MAX = 32
-_store_cache: "Dict[tuple, ProfileStore]" = {}
+_store_cache: "Dict[tuple, Tuple[ProfileStore, dict]]" = {}
 
 
 def default_profile_store(library: Optional[AgentLibrary] = None) -> ProfileStore:
@@ -128,21 +129,42 @@ def default_profile_store(library: Optional[AgentLibrary] = None) -> ProfileStor
     *independent copy* of the cached master store: mutating one runtime's
     store (e.g. via the service's profile hot-swap endpoints) never leaks
     into other runtimes sharing the same library shape.
+
+    Every copy of one master also carries that master's planning-decision
+    cache (:meth:`ProfileStore.shared_decisions`): planners over unmodified
+    copies hold equal profiles, so a decision one runtime made is the
+    decision any other would make under the same key.  A copy detaches from
+    it on its first mutation.
     """
     if library is None:
         from repro.agents.library import default_library
 
         library = default_library()
     fingerprint = library.fingerprint()
-    store = _store_cache.get(fingerprint)
-    if store is None:
-        store = Profiler().profile_library(library)
+    entry = _store_cache.get(fingerprint)
+    if entry is None:
+        entry = (Profiler().profile_library(library), {})
         if len(_store_cache) >= _STORE_CACHE_MAX:
             _store_cache.pop(next(iter(_store_cache)))
-        _store_cache[fingerprint] = store
-    return store.copy()
+        _store_cache[fingerprint] = entry
+    master, decisions = entry
+    return master.copy(shared_decisions=decisions)
 
 
 def clear_default_profile_store_cache() -> None:
-    """Drop memoized stores (test isolation / forced re-profiling)."""
+    """Drop everything runtimes in this process share: the memoized master
+    stores and their planning-decision caches, the decomposition template
+    memo, and the spec-check verdicts.
+
+    Used for test isolation and to make a benchmark's set-up pay a cold
+    start.  The shared caches are emptied in place, so a runtime that is
+    still alive keeps working and simply recompiles what it needs.
+    """
+    from repro.core.decomposer import clear_shared_templates
+    from repro.spec.compiler import clear_spec_checks
+
+    for _master, decisions in _store_cache.values():
+        decisions.clear()
     _store_cache.clear()
+    clear_shared_templates()
+    clear_spec_checks()

@@ -9,7 +9,9 @@ Selection queries are served from incrementally-maintained indexes:
 * a cached Pareto front per interface.
 
 Every mutation bumps :attr:`ProfileStore.version`, which planners use to
-invalidate their own derived caches.
+invalidate their own derived caches.  An unmodified copy of a memoized
+master store (``default_profile_store``) also carries that master's
+planning-decision cache, which every planner over such a copy shares.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class ProfileStore:
         self._rank_index: Dict[Tuple[AgentInterface, str], List[ExecutionProfile]] = {}
         self._pareto_cache: Dict[AgentInterface, List[ExecutionProfile]] = {}
         self._version = 0
+        self._shared_decisions: Optional[dict] = None
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -60,6 +63,16 @@ class ProfileStore:
         planner's plan cache) compare versions to detect staleness.
         """
         return self._version
+
+    def shared_decisions(self) -> Optional[dict]:
+        """The planning-decision cache planners over this store share, or
+        ``None`` when they must keep a private one.
+
+        Only a copy of a memoized master store shares, and only while it is
+        unmodified (version 0): the first ``add``/``remove_agent`` makes its
+        profiles differ from the master's, so its planners detach.
+        """
+        return self._shared_decisions if self._version == 0 else None
 
     def add(self, profile: ExecutionProfile) -> ExecutionProfile:
         """Add or replace the profile for its key."""
@@ -132,13 +145,16 @@ class ProfileStore:
     def interfaces(self) -> List[AgentInterface]:
         return list(self._by_interface.keys())
 
-    def copy(self) -> "ProfileStore":
+    def copy(self, shared_decisions: Optional[dict] = None) -> "ProfileStore":
         """An independent store holding the same (immutable) profiles.
 
         Only the primary indexes are duplicated (profiles themselves are
-        frozen and safely shared); derived indexes rebuild lazily.
+        frozen and safely shared); derived indexes rebuild lazily.  The copy
+        starts at version 0 and shares ``shared_decisions`` (see
+        :meth:`shared_decisions`); the default is a private decision cache.
         """
         duplicate = ProfileStore()
+        duplicate._shared_decisions = shared_decisions
         duplicate._by_key = dict(self._by_key)
         duplicate._by_interface = {
             interface: dict(profiles) for interface, profiles in self._by_interface.items()

@@ -11,8 +11,9 @@ Beyond the structural validation the IR performs, compilation adds the one
 check that needs the orchestrator: a *decomposition cross-check* proving
 the declared stages and edges survive lowering (the orchestrator produces
 every declared stage, and every declared edge is realised as a dataflow
-dependency).  The check runs once per spec digest and is memoized, so
-the workload registry can compile per-arrival without re-deriving it.
+dependency).  The whole verdict, structural validation included, is
+memoized per spec digest, so the workload registry can compile per-arrival
+without re-deriving it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from repro.core.job import Job
 from repro.llm.orchestrator_llm import DecomposedTask, OrchestratorLLM
 from repro.spec.ir import SpecError, SpecIssue, WorkflowSpec
 
-#: Decomposition cross-check verdicts memoized by spec digest: ``True`` for
-#: a passed check, otherwise the issue tuple to re-raise.
+#: :func:`check_spec` verdicts memoized by spec digest: ``True`` for a
+#: passed check, otherwise the issue tuple to re-raise.
 _CHECKED: Dict[str, object] = {}
 
 #: Decomposed stage plans memoized by spec digest (shared by the cross-check
@@ -40,6 +41,12 @@ def _remember(table: Dict[str, object], digest: str, value) -> None:
     if len(table) >= _MEMO_MAX:
         table.pop(next(iter(table)))
     table[digest] = value
+
+
+def clear_spec_checks() -> None:
+    """Forget every memoized verdict and stage preview."""
+    _CHECKED.clear()
+    _PREVIEWS.clear()
 
 #: Shared orchestrator used for previews/cross-checks (stateless per call).
 _PREVIEW_LLM: Optional[OrchestratorLLM] = None
@@ -174,14 +181,18 @@ def spec_issues(spec: WorkflowSpec) -> List[SpecIssue]:
 def check_spec(spec: WorkflowSpec) -> None:
     """Eager validation: structural checks plus the decomposition cross-check.
 
-    Raises :class:`SpecError` with every finding.  Memoized per spec digest,
-    so per-arrival compiles in the load generator pay it once.
+    Raises :class:`SpecError` with every finding.  The verdict is memoized
+    per spec digest, which covers every field validation reads, so
+    per-arrival compiles in the load generator pay it once.
     """
-    spec.validate()
-    digest = spec.digest()
+    try:
+        digest = spec.digest()
+    except (TypeError, ValueError):
+        spec.validate()  # a spec too malformed to digest reports its findings
+        raise
     verdict = _CHECKED.get(digest)
     if verdict is None:
-        issues = tuple(_decomposition_issues(spec))
+        issues = tuple(spec_issues(spec))
         verdict = issues if issues else True
         _remember(_CHECKED, digest, verdict)
     if verdict is not True:

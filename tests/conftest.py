@@ -7,10 +7,19 @@ import pytest
 from repro.agents.library import AgentLibrary, default_library
 from repro.cluster.cluster import Cluster, paper_testbed
 from repro.cluster.node import Node
-from repro.profiling.profiler import Profiler
+from repro.profiling.profiler import Profiler, clear_default_profile_store_cache
 from repro.profiling.store import ProfileStore
 from repro.sim.engine import SimulationEngine
 from repro.workloads.video import SyntheticVideo, generate_videos
+
+
+@pytest.fixture(autouse=True)
+def _fresh_shared_compile_state():
+    """Start every test on empty process-wide caches (profiled master
+    stores, their shared planning decisions, decomposition templates and
+    spec-check verdicts), so a test that counts cache hits or misses sees
+    the same counts in any order."""
+    clear_default_profile_store_cache()
 
 
 @pytest.fixture(scope="session")

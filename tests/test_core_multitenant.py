@@ -184,7 +184,8 @@ def test_three_gpu_bound_tenants_do_not_stall():
 
 
 def test_multiplex_tenant_that_cannot_deploy_retracts_its_demand():
-    # NVLM sized for the cluster's 8 free GPUs fits no 4-GPU node: the
+    # Every question-answering configuration needs 4 or 8 GPUs, so none fits
+    # a 2-GPU node and the planner falls back to 8-GPU NVLM: the
     # admission fails before the job starts, and its announced DAG must not
     # linger to skew later evictions and rebalancing.
     from repro.cluster.cluster import Cluster
@@ -194,7 +195,7 @@ def test_multiplex_tenant_that_cannot_deploy_retracts_its_demand():
     from repro.service import AIWorkflowService
     from repro.workloads.arrival import uniform_arrivals
 
-    nodes = [Node(name, gpu_count=4, cpu_cores=96) for name in ("a", "b")]
+    nodes = [Node(name, gpu_count=2, cpu_cores=96) for name in ("a", "b")]
     service = AIWorkflowService(runtime=MurakkabRuntime(cluster=Cluster(nodes)))
     arrivals = uniform_arrivals(2, interval_s=1.0, workloads=("chain-of-thought",))
     with pytest.raises(ExecutionError, match="^cannot deploy 'nvlm-72b'"):

@@ -151,8 +151,9 @@ def test_orchestration_tool_calls_are_built_lazily_once(runtime, videos):
 
 @pytest.mark.parametrize("workflow", ["video-understanding", "chain-of-thought"])
 def test_failed_submit_releases_what_its_per_job_pool_deployed(workflow):
-    # Two 4-GPU nodes: the planner sizes NVLM by the cluster's 8 free GPUs,
-    # a shape no single node can hold.
+    # Two 2-GPU nodes: every question-answering configuration needs 4 or 8
+    # GPUs, so none fits a node and the planner falls back to the fastest,
+    # 8-GPU NVLM, a shape no single node can hold.
     from repro.client import MurakkabClient
     from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
@@ -160,7 +161,7 @@ def test_failed_submit_releases_what_its_per_job_pool_deployed(workflow):
     from repro.core.execution import ExecutionError
     from repro.loadgen import default_registry
 
-    nodes = [Node(name, gpu_count=4, cpu_cores=96) for name in ("a", "b")]
+    nodes = [Node(name, gpu_count=2, cpu_cores=96) for name in ("a", "b")]
     runtime = MurakkabRuntime(cluster=Cluster(nodes))
     with MurakkabClient(runtime=runtime, keep_warm=False, registry=default_registry()) as client:
         with pytest.raises(ExecutionError, match="^cannot deploy 'nvlm-72b'"):
@@ -173,6 +174,48 @@ def test_failed_submit_releases_what_its_per_job_pool_deployed(workflow):
         assert runtime.cluster_manager.aggregate_upcoming_demand() == {}
         # The runtime stays usable.
         assert client.submit("newsfeed").result.makespan_s > 0
+
+
+@pytest.mark.parametrize(
+    "workflow, quality", [("video-understanding", 0.9), ("chain-of-thought", None)]
+)
+def test_planner_sizes_deployments_by_the_largest_node(workflow, quality):
+    # Two 4-GPU nodes hold 8 GPUs between them but no 8-GPU deployment: the
+    # planner must pick a configuration one node can hold.
+    from repro.client import MurakkabClient
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.node import Node
+    from repro.core.constraints import Constraint
+    from repro.loadgen import default_registry
+
+    nodes = [Node(name, gpu_count=4, cpu_cores=96) for name in ("a", "b")]
+    runtime = MurakkabRuntime(cluster=Cluster(nodes))
+    with MurakkabClient(runtime=runtime, keep_warm=False, registry=default_registry()) as client:
+        result = client.submit(
+            workflow, constraints=Constraint("min_latency"), quality_target=quality
+        ).result
+    assert result.makespan_s > 0
+    assert max(a.config.gpus for a in result.plan.gpu_assignments()) <= 4
+
+
+def test_node_shapes_key_the_planning_digest():
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.manager import ClusterManager
+    from repro.cluster.node import Node
+
+    def stats(*gpu_counts):
+        nodes = [Node(f"n{i}", gpu_count=g, cpu_cores=96) for i, g in enumerate(gpu_counts)]
+        return ClusterManager(Cluster(nodes)).stats()
+
+    # Equal totals, different largest node: planning may differ, so the
+    # digests must too.
+    split, whole = stats(4, 4), stats(8, 0)
+    assert (split.total_gpus, split.gpus_by_generation) == (
+        whole.total_gpus,
+        whole.gpus_by_generation,
+    )
+    assert split.node_shapes == (("A100", 4, 96),)
+    assert split.planning_digest() != whole.planning_digest()
 
 
 def test_submit_tears_its_pool_down_whatever_fails(videos, monkeypatch):

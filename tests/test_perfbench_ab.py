@@ -157,3 +157,49 @@ def test_parent_is_exported_without_writing_under_git(tmp_path):
     finally:
         perfbench_ab._remove_export(tree)
     assert not tree.parent.exists()
+
+
+def test_layer_rows_pair_each_reported_layer_in_spec_order():
+    specs = [
+        {"name": "core.planner.self_s", "unit": "s"},
+        {"name": "sharding.merged_s", "unit": "s"},
+        {"name": "core.planner.plan_cache_hit_ratio", "unit": "ratio"},
+    ]
+    parent = {"core.planner.self_s": 0.5, "core.planner.plan_cache_hit_ratio": 0.0}
+    change = {"core.planner.self_s": 0.1, "core.planner.plan_cache_hit_ratio": 1.0}
+    rows = perfbench_ab.layer_rows(parent, change, specs)
+    assert [row["name"] for row in rows] == [
+        "core.planner.self_s",
+        "core.planner.plan_cache_hit_ratio",
+    ]
+    assert rows[0]["ratio"] == pytest.approx(0.2)
+    assert (rows[1]["parent"], rows[1]["change"], rows[1]["ratio"]) == (0.0, 1.0, None)
+
+
+def test_main_prints_one_traced_run_per_side_after_the_pairs(monkeypatch, capsys, tmp_path):
+    parent_tree = tmp_path / "export" / "parent"
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        side = "parent" if tree == parent_tree else "change"
+        calls.append((side, seed, trace))
+        if trace:
+            return {"core.orchestrator.self_s": 1.75 if side == "parent" else 0.7}
+        return {"jobs_per_s": 500.0 if side == "parent" else 600.0, "served_frac": 1.0}
+
+    monkeypatch.setattr(perfbench_ab, "_export_parent", lambda parent: parent_tree)
+    monkeypatch.setattr(perfbench_ab, "_remove_export", lambda tree: None)
+    monkeypatch.setattr(perfbench_ab, "_run", fake_run)
+    monkeypatch.setattr(perfbench_ab, "end_to_end_rows", lambda *args: [])
+    assert perfbench_ab.main(["--workload", "interactive", "--pairs", "2", "--first-seed", "7"]) == 0
+
+    # The pairs alternate, untraced; then one traced run per side, first seed.
+    assert calls == [
+        ("parent", 7, 0), ("change", 7, 0),
+        ("change", 8, 0), ("parent", 8, 0),
+        ("parent", 7, 1), ("change", 7, 1),
+    ]
+    out = capsys.readouterr().out
+    assert "one traced run per side (seed 7" in out
+    layer_line = next(line for line in out.splitlines() if "core.orchestrator.self_s" in line)
+    assert "1.75 -> 0.7 s" in layer_line and "x0.400" in layer_line
