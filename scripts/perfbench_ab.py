@@ -21,8 +21,9 @@ prints every per-layer metric of ``BENCHMARK.json`` side by side, so a
 change can name the layer its effect sits in.
 
 Exits 1 when a deterministic output (every ``sim_*`` metric and
-``served_frac``) differs between the two runs of one seed, or when a run
-fails; exits 0 otherwise, whatever the verdict.
+``served_frac``) differs between the two runs of one seed, traced runs
+included, or when a run fails; exits 0 otherwise, whatever the verdict.  A
+failed traced run is reported after the verdict, which it cannot lose.
 
 Usage::
 
@@ -201,6 +202,47 @@ def _remove_export(tree: Path) -> None:
     shutil.rmtree(tree.parent, ignore_errors=True)
 
 
+def _print_pairs(args, spec, higher, parent_runs, change_runs) -> None:
+    """The verdict on ``args.metric`` and every end-to-end row."""
+    result = verdict(
+        [run[args.metric] for run in parent_runs],
+        [run[args.metric] for run in change_runs],
+        higher,
+    )
+    direction = "higher" if higher else "lower"
+    print(f"{args.workload} {args.metric} ({direction} is better), {result['pairs']} pairs:")
+    for side in ("parent", "change"):
+        q1, median, q3 = result[side]
+        print(f"  {side:6s} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
+    print(
+        f"  ratio change/parent {result['ratio']:.3f}; wins {result['wins']}, "
+        f"losses {result['losses']}; parent IQR {result['parent_iqr']:.6g}"
+    )
+    print(f"  verdict: {result['verdict']}")
+    print("end-to-end medians (parent -> change, worse by; bound):")
+    for row in end_to_end_rows(parent_runs, change_runs, spec["end_to_end"]):
+        print(
+            f"  {row['name']:24s} {row['parent']:.6g} -> {row['change']:.6g} {row['unit']}"
+            f"  {100 * row['worse']:+.1f}%; {100 * row['bound']:.0f}%"
+            + ("  WORSE BEYOND BOUND" if row["beyond_bound"] else "")
+        )
+    sys.stdout.flush()
+
+
+def _print_layers(args, spec, traced, differing) -> None:
+    """Every per-layer metric of the two traced runs, side by side."""
+    print(
+        f"per-layer, one traced run per side (seed {args.first_seed}; parent -> change):"
+        + (f"  OUTPUTS DIFFER: {', '.join(differing)}" if differing else "")
+    )
+    for row in layer_rows(traced["parent"], traced["change"], spec["per_layer"]):
+        ratio = "" if row["ratio"] is None else f"  x{row['ratio']:.3f}"
+        print(
+            f"  {row['name']:36s} {row['parent']:.6g} -> {row['change']:.6g} "
+            f"{row['unit']}{ratio}"
+        )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="git revision to compare against")
@@ -226,6 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     parent_tree = _export_parent(args.parent)
     mismatched = False
+    traced_failed = False
     parent_runs: List[Dict[str, float]] = []
     change_runs: List[Dict[str, float]] = []
     try:
@@ -246,46 +289,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 + (f"  OUTPUTS DIFFER: {', '.join(differing)}" if differing else ""),
                 flush=True,
             )
-        traced = {
-            name: _run(tree, args.workload, args.first_seed, args.seconds, trace=1)
-            for name, tree in (("parent", parent_tree), ("change", ROOT))
-        }
+        _print_pairs(args, spec, higher, parent_runs, change_runs)
+        # The verdict is already out, so a failed traced run loses nothing.
+        try:
+            traced = {
+                name: _run(tree, args.workload, args.first_seed, args.seconds, trace=1)
+                for name, tree in (("parent", parent_tree), ("change", ROOT))
+            }
+        except (RuntimeError, ValueError) as error:
+            print(f"traced run failed: {error}", file=sys.stderr)
+            traced_failed = True
+        else:
+            differing = deterministic_mismatches(traced["parent"], traced["change"])
+            mismatched |= bool(differing)
+            _print_layers(args, spec, traced, differing)
     finally:
         _remove_export(parent_tree)
 
-    result = verdict(
-        [run[args.metric] for run in parent_runs],
-        [run[args.metric] for run in change_runs],
-        higher,
-    )
-    direction = "higher" if higher else "lower"
-    print(f"{args.workload} {args.metric} ({direction} is better), {result['pairs']} pairs:")
-    for side in ("parent", "change"):
-        q1, median, q3 = result[side]
-        print(f"  {side:6s} median {median:.6g}  quartiles {q1:.6g} .. {q3:.6g}")
-    print(
-        f"  ratio change/parent {result['ratio']:.3f}; wins {result['wins']}, "
-        f"losses {result['losses']}; parent IQR {result['parent_iqr']:.6g}"
-    )
-    print(f"  verdict: {result['verdict']}")
-    print("end-to-end medians (parent -> change, worse by; bound):")
-    for row in end_to_end_rows(parent_runs, change_runs, spec["end_to_end"]):
-        print(
-            f"  {row['name']:24s} {row['parent']:.6g} -> {row['change']:.6g} {row['unit']}"
-            f"  {100 * row['worse']:+.1f}%; {100 * row['bound']:.0f}%"
-            + ("  WORSE BEYOND BOUND" if row["beyond_bound"] else "")
-        )
-    print(f"per-layer, one traced run per side (seed {args.first_seed}; parent -> change):")
-    for row in layer_rows(traced["parent"], traced["change"], spec["per_layer"]):
-        ratio = "" if row["ratio"] is None else f"  x{row['ratio']:.3f}"
-        print(
-            f"  {row['name']:36s} {row['parent']:.6g} -> {row['change']:.6g} "
-            f"{row['unit']}{ratio}"
-        )
     if mismatched:
         print("deterministic outputs differ within a seed", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if mismatched or traced_failed else 0
 
 
 if __name__ == "__main__":

@@ -225,13 +225,10 @@ class ClusterManager:
         harvestable = (
             self.spot_model.harvestable_gpus(self.now) if self.spot_model else 0
         )
-        gpus_by_generation: Dict[str, int] = {}
-        node_shapes = set()
-        for node in self.cluster:
-            key = node.gpu_generation.value
-            if node.total_gpus:
-                gpus_by_generation[key] = gpus_by_generation.get(key, 0) + node.total_gpus
-            node_shapes.add((key, node.total_gpus, node.total_cpu_cores))
+        node_shapes = {
+            (node.gpu_generation.value, node.total_gpus, node.total_cpu_cores)
+            for node in self.cluster
+        }
         return ResourceStatsMessage(
             timestamp=self.now,
             free_gpus=self.cluster.free_gpus,
@@ -243,7 +240,6 @@ class ClusterManager:
             per_model_gpus=per_model_gpus,
             per_model_cpu_cores=per_model_cores,
             harvestable_gpus=harvestable,
-            gpus_by_generation=gpus_by_generation,
             node_shapes=tuple(sorted(node_shapes)),
         )
 

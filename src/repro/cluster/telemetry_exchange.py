@@ -39,10 +39,6 @@ class ResourceStatsMessage:
     per_model_cpu_cores: Dict[str, int] = field(default_factory=dict)
     #: Harvestable (spot) GPUs currently available.
     harvestable_gpus: int = 0
-    #: Total GPUs per hardware generation present in the cluster (e.g.
-    #: ``{"A100": 16}``); lets the orchestrator avoid planning onto SKUs the
-    #: cluster does not have.
-    gpus_by_generation: Dict[str, int] = field(default_factory=dict)
     #: Every distinct node shape as ``(GPU generation, GPUs, CPU cores)``,
     #: sorted: a deployment lands on one node, so feasibility is per node.
     node_shapes: Tuple[Tuple[str, int, int], ...] = ()
@@ -50,18 +46,14 @@ class ResourceStatsMessage:
     def planning_digest(self) -> Tuple:
         """Hashable digest of the fields configuration planning reads.
 
-        The planner's feasibility check uses cluster totals, per-generation
-        GPU counts and the node shapes; its warm-model preference uses the
-        *set* of running agents.
+        The planner's feasibility check uses the node shapes; its warm-model
+        preference uses the *set* of running agents.
         Timestamps, utilisation fractions, and exact per-model consumption do
         not influence plan output, so two snapshots with equal digests always
         plan identically — which is what makes plans cacheable across
         submissions.
         """
         return (
-            self.total_gpus,
-            self.total_cpu_cores,
-            tuple(sorted(self.gpus_by_generation.items())),
             self.node_shapes,
             tuple(sorted(set(self.per_model_gpus) | set(self.per_model_cpu_cores))),
         )

@@ -16,15 +16,13 @@ a template.  That job and every later one with the same content get a
 :meth:`TaskGraph.stamp` of its structure.  Content seen only once costs
 just its key, so a stream of distinct jobs builds no templates.
 
-Every decomposer a :class:`~repro.core.orchestrator.WorkflowOrchestrator`
-builds by default (:meth:`JobDecomposer.shared`) uses one process-wide
-memo, so runtimes over the same library share templates the way they share
-one profiled master store.  Its keys also hold everything
-:meth:`JobDecomposer.decompose_fresh` reads from the orchestrator LLM (the
-model and the rendered agent-schema lines), so two runtimes only ever share
-a template they would each have decomposed identically.  A
-``JobDecomposer()`` built directly keeps a private memo.
-``clear_default_profile_store_cache`` empties the shared one.
+Every decomposer uses one process-wide memo, so runtimes over the same
+library share templates the way they share one profiled master store.  Its
+keys also hold everything :meth:`JobDecomposer.decompose_fresh` reads
+besides the job (the decomposer class, the orchestrator model and the
+rendered agent-schema lines), so two decomposers only ever share a template
+they would each have decomposed identically.
+``clear_default_profile_store_cache`` empties the memo.
 
 The job id lives in exactly three places, and a stamp rewrites exactly
 those: the task ids (``{job_id}/{stage}/{n}``), the graph's
@@ -126,7 +124,8 @@ class _Template(NamedTuple):
         return self.graph.stamp(old_id, job_id, tasks)
 
 
-#: The template memo every :meth:`JobDecomposer.shared` decomposer uses.
+#: The process-wide template memo: content key -> template, or ``None`` for
+#: content seen only once.
 _SHARED_TEMPLATES: "Dict[tuple, Optional[_Template]]" = {}
 
 
@@ -142,28 +141,18 @@ class JobDecomposer:
     #: reference path in repro.baselines.unoptimized).
     graph_factory = TaskGraph
 
-    #: FIFO bound on a template memo.
+    #: FIFO bound on the process-wide template memo.
     _MEMO_MAX = 256
 
     def __init__(self, orchestrator_llm: Optional[OrchestratorLLM] = None) -> None:
         self.orchestrator_llm = orchestrator_llm or OrchestratorLLM()
-        #: content key -> template, or ``None`` for content seen only once.
-        self._templates: Dict[tuple, Optional[_Template]] = {}
-        #: Leading key fields: empty for a private memo, the orchestrator
-        #: LLM's identity for the shared one.
-        self._scope: tuple = ()
-
-    @classmethod
-    def shared(cls, orchestrator_llm: OrchestratorLLM) -> "JobDecomposer":
-        """A decomposer on the process-wide template memo, scoped to what
-        :meth:`decompose_fresh` reads from ``orchestrator_llm``."""
-        decomposer = cls(orchestrator_llm)
-        decomposer._templates = _SHARED_TEMPLATES
-        decomposer._scope = (
-            orchestrator_llm.spec,
-            tuple(orchestrator_llm.agent_schema_lines),
+        self._templates = _SHARED_TEMPLATES
+        #: Leading key fields: what decomposition reads besides the job.
+        self._scope = (
+            type(self),
+            self.orchestrator_llm.spec,
+            tuple(self.orchestrator_llm.agent_schema_lines),
         )
-        return decomposer
 
     # ------------------------------------------------------------------ #
     # Public API

@@ -81,7 +81,7 @@ class WorkflowOrchestrator:
                 model_name=orchestrator_model,
                 agent_schema_lines=[schema.render() for schema in library.schemas()],
             )
-            decomposer = JobDecomposer.shared(llm)
+            decomposer = JobDecomposer(llm)
         self.decomposer = decomposer
         self.mapper = mapper or TaskAgentMapper(library)
 

@@ -271,21 +271,16 @@ class ConfigurationPlanner:
     def import_plan_cache(self, entries) -> int:
         """Seed the decision cache from :meth:`export_plan_cache` output.
 
-        Entries beyond :attr:`PLAN_CACHE_MAX` or with non-tuple keys are
-        skipped.  An entry that is not a ``(key, PlanAssignment)`` pair
-        raises before anything is imported, so a malformed payload never
-        reaches a shared cache.  Returns how many entries were imported.
+        Entries beyond :attr:`PLAN_CACHE_MAX` or with malformed keys are
+        skipped.  Returns how many entries were imported.
         """
-        staged = []
-        for key, assignment in entries:
-            if not isinstance(assignment, PlanAssignment):
-                raise TypeError(f"not a plan assignment: {assignment!r}")
-            if isinstance(key, tuple):
-                staged.append((key, assignment))
         imported = 0
-        for key, assignment in staged:
+        for entry in entries:
             if len(self._plan_cache) >= self.PLAN_CACHE_MAX:
                 break
+            key, assignment = entry
+            if not isinstance(key, tuple):
+                continue
             self._plan_cache[key] = assignment
             imported += 1
         if imported:

@@ -30,24 +30,15 @@ if TYPE_CHECKING:
 
 def fits_cluster(profile: "ExecutionProfile", stats: "ResourceStatsMessage") -> bool:
     """Whether some node could hold the profile's hardware shape if it were
-    empty (the allocator places a deployment on one node).  A message
-    without node shapes is checked against the cluster totals."""
+    empty (the allocator places a deployment on one node)."""
     config = profile.config
-    if stats.node_shapes:
-        generation = config.gpu_generation.value if config.gpus else None
-        return any(
-            gpus >= config.gpus
-            and cores >= config.cpu_cores
-            and (generation is None or kind == generation)
-            for kind, gpus, cores in stats.node_shapes
-        )
-    if config.gpus > stats.total_gpus or config.cpu_cores > stats.total_cpu_cores:
-        return False
-    if config.gpus and stats.gpus_by_generation:
-        generation = config.gpu_generation.value
-        if stats.gpus_by_generation.get(generation, 0) < config.gpus:
-            return False
-    return True
+    generation = config.gpu_generation.value if config.gpus else None
+    return any(
+        gpus >= config.gpus
+        and cores >= config.cpu_cores
+        and (generation is None or kind == generation)
+        for kind, gpus, cores in stats.node_shapes
+    )
 
 
 class RankedSchedulingPolicy(SchedulingPolicy):

@@ -306,7 +306,8 @@ class AIWorkflowService:
         restored entry can only ever be served for an identical decision.
         The payload is rejected wholesale when it was saved against a
         different profile-store version, and counted invalid when its
-        entries are malformed.
+        entries are malformed.  The planner first moves to a private cache,
+        so restored entries never reach the decisions other runtimes share.
         """
         payload = self.warm_cache.load_plan_cache(self.runtime.library)
         if payload is None:
@@ -314,6 +315,7 @@ class AIWorkflowService:
         if payload.get("store_version") != self.runtime.profile_store.version:
             return
         planner = self.runtime.planner
+        planner.invalidate_cache()
         try:
             planner.import_plan_cache(payload.get("entries", []))
         except Exception:

@@ -36,6 +36,7 @@ def _stats(free_gpus=16, per_model_gpus=None):
         gpu_utilization=0.0,
         cpu_utilization=0.0,
         per_model_gpus=per_model_gpus or {},
+        node_shapes=(("A100", 8, 96), ("H100", 8, 96)),
     )
 
 

@@ -210,10 +210,7 @@ def test_node_shapes_key_the_planning_digest():
     # Equal totals, different largest node: planning may differ, so the
     # digests must too.
     split, whole = stats(4, 4), stats(8, 0)
-    assert (split.total_gpus, split.gpus_by_generation) == (
-        whole.total_gpus,
-        whole.gpus_by_generation,
-    )
+    assert split.total_gpus == whole.total_gpus
     assert split.node_shapes == (("A100", 4, 96),)
     assert split.planning_digest() != whole.planning_digest()
 

@@ -203,3 +203,43 @@ def test_main_prints_one_traced_run_per_side_after_the_pairs(monkeypatch, capsys
     assert "one traced run per side (seed 7" in out
     layer_line = next(line for line in out.splitlines() if "core.orchestrator.self_s" in line)
     assert "1.75 -> 0.7 s" in layer_line and "x0.400" in layer_line
+
+
+def _stub_main(monkeypatch, tmp_path, traced_run):
+    parent_tree = tmp_path / "export" / "parent"
+    benchmark = json.loads((_SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    end_to_end = [metric["name"] for metric in benchmark["end_to_end"]]
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        side = "parent" if tree == parent_tree else "change"
+        if trace:
+            return traced_run(side)
+        run = dict.fromkeys(end_to_end, 1.0)
+        run["jobs_per_s"] = 500.0 if side == "parent" else 600.0
+        return run
+
+    monkeypatch.setattr(perfbench_ab, "_export_parent", lambda parent: parent_tree)
+    monkeypatch.setattr(perfbench_ab, "_remove_export", lambda tree: None)
+    monkeypatch.setattr(perfbench_ab, "_run", fake_run)
+    return perfbench_ab.main(["--workload", "interactive", "--pairs", "2"])
+
+
+def test_a_failed_traced_run_keeps_the_verdict(monkeypatch, capsys, tmp_path):
+    def broken(side):
+        raise RuntimeError(f"perfbench failed ({side})")
+
+    assert _stub_main(monkeypatch, tmp_path, broken) == 1
+    captured = capsys.readouterr()
+    assert "verdict: gain" in captured.out
+    assert "peak_rss_mb" in captured.out  # the end-to-end rows
+    assert "traced run failed: perfbench failed (parent)" in captured.err
+
+
+def test_traced_runs_join_the_deterministic_check(monkeypatch, capsys, tmp_path):
+    def traced(side):
+        return {"served_frac": 1.0 if side == "parent" else 0.5}
+
+    assert _stub_main(monkeypatch, tmp_path, traced) == 1
+    captured = capsys.readouterr()
+    assert "OUTPUTS DIFFER: served_frac" in captured.out
+    assert "deterministic outputs differ" in captured.err

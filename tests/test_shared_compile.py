@@ -1,8 +1,8 @@
 """Runtimes in one process share what they compile.
 
-Every decomposer an orchestrator builds uses one process-wide template
-memo, and every planner over an unmodified copy of a memoized master store
-uses that master's decision cache.  These tests hold a runtime served on
+Every decomposer uses one process-wide template memo, and every planner
+over an unmodified copy of a memoized master store uses that master's
+decision cache.  These tests hold a runtime served on
 warm shared caches to the same session served cold, and check that a
 runtime whose store differs never reads a shared decision.
 """
@@ -151,6 +151,27 @@ def test_a_warm_started_runtime_never_reads_shared_decisions(tmp_path):
     assert len(shared) > saved  # the shared cache was neither read nor cleared
 
 
+@pytest.mark.parametrize("restore", ["caller-runtime", "plans-only"])
+def test_restored_warm_decisions_never_reach_the_shared_cache(tmp_path, restore):
+    cold = AIWorkflowService(warm_cache=tmp_path)
+    cold.submit_job(_REGISTRY.build("newsfeed", "cold-1"))
+    cold.save_warm_state()
+    saved = len(cold.runtime.planner.export_plan_cache())
+    clear_default_profile_store_cache()
+    if restore == "caller-runtime":
+        warm = AIWorkflowService(runtime=MurakkabRuntime(), warm_cache=tmp_path)
+    else:
+        # Profiles missing: the service plans over a default-store copy.
+        (profiles,) = tmp_path.glob("profiles-*.pkl")
+        profiles.unlink()
+        warm = AIWorkflowService(warm_cache=tmp_path)
+    assert warm.runtime.planner.plan_cache_info["size"] == saved
+    assert _shared_decisions() == {}
+    other = MurakkabRuntime()
+    other.submit(_REGISTRY.build("newsfeed", "other-1"))
+    assert other.planner.plan_cache_info["hits"] == 0
+
+
 def test_templates_are_shared_only_under_the_same_orchestrator_llm():
     job = _REGISTRY.build("newsfeed", "scope-1")
     wide = MurakkabRuntime().orchestrator.decomposer
@@ -202,15 +223,20 @@ def test_clearing_empties_both_shared_caches():
     assert runtime.submit(_video_job("clear-3")).makespan_s > 0
 
 
-@pytest.mark.parametrize("builder", ["direct", "uncached", "disabled"])
+def test_every_decomposer_stamps_from_the_process_memo():
+    first, second = JobDecomposer(), JobDecomposer()
+    for job_id in ("direct-1", "direct-2"):  # the repeat compiles the template
+        first.decompose(_video_job(job_id))
+    _, trace = second.decompose(_video_job("direct-3"))
+    assert trace is first.decompose(_video_job("direct-4"))[1]
+
+
+@pytest.mark.parametrize("builder", ["uncached", "disabled"])
 def test_private_compilers_leave_the_shared_caches_alone(builder):
     MurakkabRuntime().submit(_video_job("warm-up"))
     templates = dict(decomposer_module._SHARED_TEMPLATES)
     decisions = dict(_shared_decisions())
-    if builder == "direct":
-        for job_id in ("direct-1", "direct-2", "direct-3"):
-            JobDecomposer().decompose(_video_job(job_id))
-    elif builder == "uncached":
+    if builder == "uncached":
         oracle = unoptimized_runtime()
         for job_id in ("oracle-1", "oracle-2"):
             oracle.submit(_video_job(job_id))
