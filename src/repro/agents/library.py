@@ -7,7 +7,7 @@ Mapping").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.agents.base import AgentImplementation, AgentInterface, AgentSchema
 
@@ -64,6 +64,16 @@ class AgentLibrary:
 
     def interfaces(self) -> List[AgentInterface]:
         return list(self._by_interface.keys())
+
+    def groups_serving(self, demand: Mapping[str, int]) -> Dict[str, Set[str]]:
+        """Interface value -> the deployment groups of its implementations,
+        for each interface with pending tasks in ``demand`` (announced
+        demand, keyed by interface value)."""
+        return {
+            interface.value: {impl.deployment_group for impl in implementations}
+            for interface, implementations in self._by_interface.items()
+            if demand.get(interface.value, 0) > 0
+        }
 
     def names(self) -> List[str]:
         return sorted(self._by_name)

@@ -2,9 +2,10 @@
 
 The indexed profile store, memoized profiling, plan cache, cached DAG
 structure, decomposition templates, tuple-heap event loop, incremental
-executor dispatch, and column accounting of replayed trace jobs are pure
-performance work: they must not change a single scheduling decision, plan
-assignment, event ordering, or accounted value.  This module reproduces the
+executor dispatch, deferred and memoized job dataflow, and column
+accounting of replayed trace jobs are pure performance work: they must not
+change a single scheduling decision, plan assignment, event ordering, agent
+output, or accounted value.  This module reproduces the
 original (pre-optimization) behaviour of every layer so benchmarks and tests
 can run the same job down both paths and assert
 
@@ -26,6 +27,7 @@ import numpy as np
 from repro.agents.base import AgentInterface
 from repro.agents.library import AgentLibrary, default_library
 from repro.core.dag import TaskGraph
+from repro.core.dataflow import JobDataflow
 from repro.core.decomposer import JobDecomposer
 from repro.core.execution import WorkflowExecutor
 from repro.core.job import Job, JobResult
@@ -110,11 +112,25 @@ class UncachedJobDecomposer(JobDecomposer):
         return self.decompose_fresh(job)
 
 
+class EagerDataflow(JobDataflow):
+    """A :class:`JobDataflow` that composes and executes each task's agent
+    the moment the task completes, inside the event loop, and never reads
+    or writes the dataflow memo, exactly as the seed executor did."""
+
+    record = JobDataflow.run_task
+
+    def finish(self):
+        return self.results
+
+
 class RescanWorkflowExecutor(WorkflowExecutor):
     """A :class:`WorkflowExecutor` that rescans the graph instead of reading
     its incremental counters: every dispatch recomputes the ready set, and
     every completion check and announcement walks the whole graph, exactly
-    as the seed executor did."""
+    as the seed executor did.  Its jobs' dataflow is an
+    :class:`EagerDataflow`."""
+
+    dataflow_class = EagerDataflow
 
     def _take_ready(self) -> List[Task]:
         return self._graph.ready_tasks()
@@ -160,7 +176,8 @@ def unoptimized_runtime(library: Optional[AgentLibrary] = None) -> MurakkabRunti
     * decomposes every job from scratch into an :class:`UncachedTaskGraph`,
     * drives a :class:`StepwiseEngine`, and
     * executes every job, single submission or multi-job serving, on a
-      :class:`RescanWorkflowExecutor`.
+      :class:`RescanWorkflowExecutor`, which composes and executes each
+      task's agent as the task completes.
     """
     library = library or default_library()
     runtime = MurakkabRuntime(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.allocator import (
     Allocation,
@@ -29,6 +29,10 @@ from repro.cluster.telemetry_exchange import (
     ScalingCommand,
     WorkflowAnnouncement,
 )
+
+
+if TYPE_CHECKING:
+    from repro.agents.library import AgentLibrary
 
 
 #: Alias: the stats snapshot type the manager publishes to the orchestrator.
@@ -255,39 +259,46 @@ class ClusterManager:
         self._announcements.pop(workflow_id, None)
 
     def aggregate_upcoming_demand(self) -> Dict[str, int]:
-        """Pending tasks per agent name summed across announced workflows."""
+        """Pending tasks per interface value summed across announced workflows."""
         demand: Dict[str, int] = {}
         for announcement in self._announcements.values():
-            for agent_name, count in announcement.upcoming_demand.items():
-                demand[agent_name] = demand.get(agent_name, 0) + count
+            for interface, count in announcement.upcoming_demand.items():
+                demand[interface] = demand.get(interface, 0) + count
         return demand
 
-    def plan_rebalancing(self) -> List[ScalingCommand]:
+    def plan_rebalancing(self, library: "AgentLibrary") -> List[ScalingCommand]:
         """Derive scaling commands from DAG visibility.
 
-        * Deployed agents with zero upcoming demand are scaled down (their
-          devices can be reclaimed for other models).
-        * Announced agents with demand but no running instance are scaled up.
+        Demand is announced per interface and instances are deployed per
+        deployment group; ``library`` maps one to the other (a group serves
+        an interface when one of its implementations provides it).
+
+        * Deployed groups serving no interface with upcoming demand are
+          scaled down (their devices can be reclaimed for other models).
+        * Interfaces with demand that no deployed group serves are scaled
+          up (the command names the interface).
         """
         demand = self.aggregate_upcoming_demand()
+        serving = library.groups_serving(demand)
+        wanted = set().union(*serving.values())
         commands: List[ScalingCommand] = []
-        for agent_name, instances in self._instances.items():
-            if demand.get(agent_name, 0) == 0:
+        for group, instances in self._instances.items():
+            if group not in wanted:
                 commands.append(
                     ScalingCommand(
                         action=ScalingAction.SCALE_DOWN,
-                        agent_name=agent_name,
+                        agent_name=group,
                         delta_gpus=-sum(i.gpus for i in instances),
                         delta_cpu_cores=-sum(i.cpu_cores for i in instances),
                         reason="no upcoming demand in any announced workflow DAG",
                     )
                 )
-        for agent_name, count in demand.items():
-            if count > 0 and agent_name not in self._instances:
+        for interface, count in demand.items():
+            if count > 0 and not serving.get(interface, set()) & self._instances.keys():
                 commands.append(
                     ScalingCommand(
                         action=ScalingAction.SCALE_UP,
-                        agent_name=agent_name,
+                        agent_name=interface,
                         reason=f"{count} upcoming tasks but no running instance",
                     )
                 )

@@ -74,11 +74,12 @@ class ScalingCommand:
 class WorkflowAnnouncement:
     """Orchestrator -> cluster manager: DAG visibility for one workflow.
 
-    ``upcoming_demand`` maps an agent name to the number of pending tasks
-    that will need it; ``completed_tasks``/``total_tasks`` give progress so
-    the manager can anticipate when demand for an agent ends (the paper's
-    example: reclaim Whisper's GPU for Llama once no Speech-to-Text work is
-    expected).
+    ``upcoming_demand`` maps an interface value (``"speech_to_text"``) to
+    the number of pending tasks that will need it; ``completed_tasks``/
+    ``total_tasks`` give progress so the manager can anticipate when demand
+    for an interface ends (the paper's example: reclaim Whisper's GPU for
+    Llama once no Speech-to-Text work is expected).  The agent library maps
+    interfaces to the deployment groups that serve them.
 
     The record is mutable: :class:`~repro.core.execution.WorkflowExecutor`
     announces one record when it starts and then updates it in place on
@@ -93,7 +94,7 @@ class WorkflowAnnouncement:
     upcoming_demand: Dict[str, int] = field(default_factory=dict)
     completed_tasks: int = 0
     total_tasks: int = 0
-    #: Agent names on the workflow's critical path, in order.
+    #: The workflow's stage names in topological order.
     critical_path: Tuple[str, ...] = ()
 
     @property

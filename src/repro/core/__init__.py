@@ -31,6 +31,7 @@ from repro.core.planner import (
     PlanAssignment,
     PlannerOverride,
 )
+from repro.core.dataflow import dataflow_memo_info
 from repro.core.execution import ServerPool, WorkflowExecutor
 from repro.core.quality import cascade_quality, score_object_listing_answer
 from repro.core.quality_control import QualityController, plan_checkpoints
@@ -56,6 +57,7 @@ __all__ = [
     "ExecutionPlan",
     "PlanAssignment",
     "PlannerOverride",
+    "dataflow_memo_info",
     "ServerPool",
     "WorkflowExecutor",
     "cascade_quality",

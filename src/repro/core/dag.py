@@ -43,6 +43,9 @@ class TaskGraph:
         # announcement; for a static graph that is pure waste.
         self._topo_ids: Optional[List[str]] = None
         self._stage_order: Optional[List[str]] = None
+        #: The graph this one was stamped from (see :meth:`stamp`), or
+        #: ``None``; cleared by any topology change.
+        self.stamped_from: Optional["TaskGraph"] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -93,6 +96,7 @@ class TaskGraph:
     def _invalidate_structure_caches(self) -> None:
         self._topo_ids = None
         self._stage_order = None
+        self.stamped_from = None
 
     def stamp(self, old_id: str, new_id: str, tasks: Sequence[Task]) -> "TaskGraph":
         """This graph's structure over ``tasks``, one per task in insertion order.
@@ -102,7 +106,8 @@ class TaskGraph:
         insertion order) and becomes workflow ``new_id``.  Edges, their
         iteration order, and the cached topological and stage orders carry
         over, so the stamp needs no validation or sort of its own.  The
-        result is always a plain :class:`TaskGraph`.
+        result is always a plain :class:`TaskGraph`, and its
+        :attr:`stamped_from` is this graph.
         """
         if len(tasks) != len(self._tasks):
             raise ValueError(f"stamp needs {len(self._tasks)} tasks, got {len(tasks)}")
@@ -130,6 +135,7 @@ class TaskGraph:
         graph._pred = renamed(self._pred)
         graph._topo_ids = [by_old[task_id].task_id for task_id in self._topological_ids()]
         graph._stage_order = self.stage_order()
+        graph.stamped_from = self
         return graph
 
     # ------------------------------------------------------------------ #

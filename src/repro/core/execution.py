@@ -8,11 +8,14 @@ discrete-event engine under an :class:`~repro.core.planner.ExecutionPlan`:
   instance and serialise on its capacity,
 * CPU-only assignments allocate cores per task, bounded by the assignment's
   concurrency (the "64 CPU cores for Speech-to-Text" style budget),
-* dataflow outputs of completed tasks are merged into their consumers'
-  inputs, so agents produce functional end-to-end results,
 * every execution is recorded as trace intervals (Figure-3-style timelines),
   and progress is announced to the cluster manager so it can rebalance
-  (workflow-aware cluster management).
+  (workflow-aware cluster management),
+* the agents' functional outputs stay off the event path: a completion only
+  records which implementation and assignment ran the task, and the job's
+  dataflow (predecessor outputs merged into their consumers' inputs, each
+  agent executed on its composed input) runs once, when the last task
+  completes, memoized per distinct job (:mod:`repro.core.dataflow`).
 
 The same executor also runs the OmAgent-style baseline: ``sequential=True``
 forces one task at a time in deterministic topological order, reproducing
@@ -29,14 +32,13 @@ from repro.agents.base import (
     AgentInterface,
     AgentResult,
     ExecutionEstimate,
-    WorkUnit,
 )
 from repro.agents.library import AgentLibrary
-from repro.agents.synthetic import stable_embedding
 from repro.cluster.allocator import MODEL_OWNER_PREFIX, Allocation, ResourceRequest
 from repro.cluster.manager import ClusterManager, ModelInstance
 from repro.cluster.telemetry_exchange import WorkflowAnnouncement
 from repro.core.dag import TaskGraph
+from repro.core.dataflow import JobDataflow
 from repro.core.planner import ExecutionPlan, PlanAssignment, PlanningError
 from repro.core.task import Task, TaskState
 from repro.sim.engine import SimulationEngine
@@ -229,14 +231,8 @@ class ServerPool:
             return True
         if not manager.can_ever_satisfy(request):
             return False
-        demand = manager.aggregate_upcoming_demand()
-        library = self.library
-        wanted = {
-            implementation.deployment_group
-            for interface in library.interfaces()
-            if demand.get(interface.value, 0) > 0
-            for implementation in library.implementations_for(interface)
-        }
+        serving = self.library.groups_serving(manager.aggregate_upcoming_demand())
+        wanted = set().union(*serving.values())
         idle = sorted(
             (key[0] in wanted, key)
             for key, handle in self._handles.items()
@@ -277,6 +273,10 @@ class _Lane:
 
 class WorkflowExecutor:
     """Runs one task graph to completion on the simulation engine."""
+
+    #: Class of each job's dataflow (swapped by the reference oracle in
+    #: repro.baselines.unoptimized for per-completion composition).
+    dataflow_class = JobDataflow
 
     def __init__(
         self,
@@ -320,8 +320,11 @@ class WorkflowExecutor:
         #: single-workflow hot loop.
         self.stop_when_finished = stop_when_finished
 
+        #: Task id -> agent result, in completion order; filled when the
+        #: last task completes.
         self.results: Dict[str, AgentResult] = {}
         self._graph: Optional[TaskGraph] = None
+        self._dataflow: Optional[JobDataflow] = None
         self._lanes: Dict[AgentInterface, List[_Lane]] = {}
         #: Every lane of ``_lanes``, flattened in the same order.
         self._all_lanes: List[_Lane] = []
@@ -386,6 +389,9 @@ class WorkflowExecutor:
             raise ValueError("task graph is empty")
         self._graph = graph
         self._order_index = {task.task_id: index for index, task in enumerate(order)}
+        self._dataflow = self.dataflow_class(
+            graph, self.library, self.workflow_id, self._order_index
+        )
         # Seed the counters from current task states so graphs arriving
         # with some tasks already COMPLETED account correctly.
         self._completed_count = sum(
@@ -902,10 +908,7 @@ class WorkflowExecutor:
                     now,
                 )
 
-        merged_work = self._compose_work(task)
-        assignment = lane.assignment
-        result = lane.implementation.execute(merged_work, assignment.config, assignment.mode)
-        self.results[task.task_id] = result
+        self._dataflow.record(task, lane.implementation, lane.assignment)
         task.mark(TaskState.COMPLETED)
 
         lane.active -= 1
@@ -929,6 +932,7 @@ class WorkflowExecutor:
         if self.announce:
             self._announce_completion(task, now)
         if self._is_complete():
+            self.results = self._dataflow.finish()
             self.finished_at = now
             if self.announce:
                 self.cluster_manager.retract_workflow(self.workflow_id)
@@ -1018,102 +1022,3 @@ class WorkflowExecutor:
         else:
             record.upcoming_demand.pop(task.interface.value, None)
         self.cluster_manager.announce_workflow(record)
-
-    # ------------------------------------------------------------------ #
-    # Dataflow composition
-    # ------------------------------------------------------------------ #
-    def _compose_work(self, task: Task) -> WorkUnit:
-        """Merge predecessor outputs into the task's input payload."""
-        assert self._graph is not None
-        payload = dict(task.work.payload)
-        for predecessor in self._graph.predecessors(task.task_id):
-            result = self.results.get(predecessor.task_id)
-            if result is None:
-                continue
-            self._merge_output(payload, predecessor.interface, result)
-        if task.interface is AgentInterface.QUESTION_ANSWERING:
-            self._prepare_question_answering(payload)
-        if task.interface is AgentInterface.TEXT_GENERATION:
-            self._prepare_text_generation(payload)
-        return WorkUnit(kind=task.work.kind, quantity=task.work.quantity, payload=payload)
-
-    @staticmethod
-    def _merge_output(payload: Dict[str, object], interface: AgentInterface, result: AgentResult) -> None:
-        output = result.output
-        if interface is AgentInterface.SPEECH_TO_TEXT:
-            payload["transcript"] = output.get("transcript", "")
-        elif interface is AgentInterface.OBJECT_DETECTION:
-            payload.setdefault("objects", [])
-            payload["objects"] = list(payload["objects"]) + [
-                obj for obj in output.get("objects", []) if obj not in payload["objects"]
-            ]
-        elif interface is AgentInterface.SCENE_SUMMARIZATION:
-            texts = list(payload.get("texts", []))
-            texts.append(output.get("summary", ""))
-            payload["texts"] = texts
-            summaries = list(payload.get("summaries", []))
-            summaries.append(output.get("summary", ""))
-            payload["summaries"] = summaries
-            objects = list(payload.get("objects", []))
-            for obj in output.get("objects", []):
-                if obj not in objects:
-                    objects.append(obj)
-            payload["objects"] = objects
-        elif interface is AgentInterface.EMBEDDING:
-            payload["embeddings"] = list(payload.get("embeddings", [])) + list(
-                output.get("embeddings", [])
-            )
-            payload["texts"] = list(payload.get("texts", [])) + list(output.get("texts", []))
-        elif interface is AgentInterface.VECTOR_DB:
-            payload["collection"] = output.get("collection", payload.get("collection"))
-        elif interface is AgentInterface.WEB_SEARCH:
-            snippets = [r.get("snippet", "") for r in output.get("results", [])]
-            payload["context"] = list(payload.get("context", [])) + snippets
-        elif interface is AgentInterface.SENTIMENT_ANALYSIS:
-            payload["labels"] = list(payload.get("labels", [])) + list(output.get("labels", []))
-            payload["texts"] = list(payload.get("texts", [])) + list(output.get("texts", []))
-        elif interface is AgentInterface.QUESTION_ANSWERING:
-            payload["context"] = list(payload.get("context", [])) + [output.get("answer", "")]
-        elif interface is AgentInterface.CALCULATION:
-            payload["context"] = list(payload.get("context", [])) + [str(output.get("value", ""))]
-        elif interface is AgentInterface.TEXT_GENERATION:
-            payload["context"] = list(payload.get("context", [])) + [output.get("text", "")]
-
-    def _prepare_question_answering(self, payload: Dict[str, object]) -> None:
-        """Gather context for the final answer: retrieved scenes + detected objects."""
-        summaries: List[str] = []
-        objects: List[str] = []
-        for result in self.results.values():
-            if result.interface is AgentInterface.SCENE_SUMMARIZATION:
-                summaries.append(str(result.output.get("summary", "")))
-                for obj in result.output.get("objects", []):
-                    if obj not in objects:
-                        objects.append(obj)
-        if summaries and not payload.get("context"):
-            payload["context"] = summaries
-        if objects:
-            existing = list(payload.get("objects", []))
-            for obj in objects:
-                if obj not in existing:
-                    existing.append(obj)
-            payload["objects"] = existing
-        collection = payload.get("collection")
-        question = str(payload.get("question", ""))
-        if collection and question and "vector-db" in self.library:
-            vectordb = self.library.get("vector-db")
-            store = getattr(vectordb, "collection", None)
-            if callable(store) and len(vectordb.collection(str(collection))):
-                matches = vectordb.collection(str(collection)).query(
-                    stable_embedding(question), top_k=int(payload.get("top_k", 5))
-                )
-                payload["context"] = [record.text for record, _score in matches]
-
-    def _prepare_text_generation(self, payload: Dict[str, object]) -> None:
-        prompt = str(payload.get("prompt", ""))
-        labels = payload.get("labels")
-        context = payload.get("context")
-        if labels:
-            prompt += " | observed sentiments: " + ", ".join(str(label) for label in labels)
-        if context:
-            prompt += " | context: " + " ".join(str(c) for c in list(context)[:3])
-        payload["prompt"] = prompt

@@ -16,9 +16,10 @@ from repro.workloads.video import SyntheticVideo, generate_videos
 @pytest.fixture(autouse=True)
 def _fresh_shared_compile_state():
     """Start every test on empty process-wide caches (profiled master
-    stores, their shared planning decisions, decomposition templates and
-    spec-check verdicts), so a test that counts cache hits or misses sees
-    the same counts in any order."""
+    stores, their shared planning decisions, decomposition templates, the
+    job dataflow memo and spec-check verdicts), so a test that counts cache
+    hits or misses, or fresh and replayed dataflows, sees the same counts in
+    any order."""
     clear_default_profile_store_cache()
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.agents.library import default_library
 from repro.cluster.allocator import ResourceRequest
 from repro.cluster.cluster import paper_testbed
 from repro.cluster.manager import ClusterManager
@@ -97,7 +98,7 @@ def test_rebalancing_scales_down_idle_models_and_up_missing_ones():
     manager.announce_workflow(
         WorkflowAnnouncement("wf", 0.0, upcoming_demand={"scene_summarization": 5})
     )
-    commands = manager.plan_rebalancing()
+    commands = manager.plan_rebalancing(default_library())
     actions = {(c.action, c.agent_name) for c in commands}
     assert (ScalingAction.SCALE_DOWN, "whisper") in actions
     assert (ScalingAction.SCALE_UP, "scene_summarization") in actions
@@ -107,7 +108,7 @@ def test_apply_scale_downs_reclaims_gpus():
     manager, _ = _manager()
     manager.deploy_model("whisper", gpus=1)
     manager.announce_workflow(WorkflowAnnouncement("wf", 0.0, upcoming_demand={}))
-    commands = manager.plan_rebalancing()
+    commands = manager.plan_rebalancing(default_library())
     reclaimed = manager.apply_scale_downs(commands)
     assert reclaimed == 1
     assert manager.instances_for("whisper") == []
@@ -118,10 +119,32 @@ def test_no_scale_down_when_demand_exists():
     manager, _ = _manager()
     manager.deploy_model("whisper", gpus=1)
     manager.announce_workflow(
-        WorkflowAnnouncement("wf", 0.0, upcoming_demand={"whisper": 3})
+        WorkflowAnnouncement("wf", 0.0, upcoming_demand={"speech_to_text": 3})
     )
-    commands = manager.plan_rebalancing()
+    commands = manager.plan_rebalancing(default_library())
     assert all(c.agent_name != "whisper" or c.action is not ScalingAction.SCALE_DOWN for c in commands)
+
+
+def test_rebalancing_maps_interface_demand_to_deployment_groups():
+    """Demand is announced per interface; whisper serves speech_to_text, so
+    it is neither scaled down nor asked for again, and a group shared by
+    two interfaces (nvlm-72b) stays while either has demand."""
+    manager, _ = _manager()
+    manager.deploy_model("whisper", gpus=1)
+    manager.deploy_model("nvlm-72b", gpus=8)
+    manager.announce_workflow(
+        WorkflowAnnouncement(
+            "wf", 0.0, upcoming_demand={"speech_to_text": 5, "question_answering": 1}
+        )
+    )
+    commands = manager.plan_rebalancing(default_library())
+    assert commands == []
+    manager.retract_workflow("wf")
+    manager.announce_workflow(
+        WorkflowAnnouncement("wf", 0.0, upcoming_demand={"speech_to_text": 5})
+    )
+    actions = {(c.action, c.agent_name) for c in manager.plan_rebalancing(default_library())}
+    assert actions == {(ScalingAction.SCALE_DOWN, "nvlm-72b")}
 
 
 def test_warm_agents_lists_deployed_models():
