@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-record bench-smoke perfbench-smoke perfbench-ab examples-smoke overload-smoke warm-smoke lint ci
+.PHONY: test bench bench-record bench-smoke perfbench-smoke perfbench-ab examples-smoke overload-smoke warm-smoke replay-smoke lint ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -81,5 +81,13 @@ perfbench-ab:
 warm-smoke:
 	$(PYTHON) scripts/warm_smoke.py
 
+## Replayed single submissions against the reference oracle: one seeded
+## 32-call session served three times on fresh keep-warm clients, by the
+## production runtime and by unoptimized_runtime(); fails unless calls
+## replayed and every call's summary, trace and outputs, and each session's
+## final allocation log, are equal on both sides.
+replay-smoke:
+	$(PYTHON) scripts/replay_smoke.py
+
 ## The exact entrypoint .github/workflows/ci.yml calls — reproducible locally.
-ci: lint test examples-smoke bench-smoke perfbench-smoke overload-smoke warm-smoke
+ci: lint test examples-smoke bench-smoke perfbench-smoke overload-smoke warm-smoke replay-smoke

@@ -2,10 +2,11 @@
 
 The indexed profile store, memoized profiling, plan cache, cached DAG
 structure, decomposition templates, tuple-heap event loop, incremental
-executor dispatch, deferred and memoized job dataflow, and column
-accounting of replayed trace jobs are pure performance work: they must not
-change a single scheduling decision, plan assignment, event ordering, agent
-output, or accounted value.  This module reproduces the
+executor dispatch, deferred and memoized job dataflow, replayed single
+submissions, and column accounting of replayed trace jobs are pure
+performance work: they must not change a single scheduling decision, plan
+assignment, event ordering, agent output, or accounted value.  This module
+reproduces the
 original (pre-optimization) behaviour of every layer so benchmarks and tests
 can run the same job down both paths and assert
 
@@ -128,9 +129,11 @@ class RescanWorkflowExecutor(WorkflowExecutor):
     its incremental counters: every dispatch recomputes the ready set, and
     every completion check and announcement walks the whole graph, exactly
     as the seed executor did.  Its jobs' dataflow is an
-    :class:`EagerDataflow`."""
+    :class:`EagerDataflow`, and its schedules are always simulated, never
+    replayed."""
 
     dataflow_class = EagerDataflow
+    replayable = False
 
     def _take_ready(self) -> List[Task]:
         return self._graph.ready_tasks()
@@ -177,7 +180,7 @@ def unoptimized_runtime(library: Optional[AgentLibrary] = None) -> MurakkabRunti
     * drives a :class:`StepwiseEngine`, and
     * executes every job, single submission or multi-job serving, on a
       :class:`RescanWorkflowExecutor`, which composes and executes each
-      task's agent as the task completes.
+      task's agent as the task completes and never replays a schedule.
     """
     library = library or default_library()
     runtime = MurakkabRuntime(

@@ -110,9 +110,16 @@ class Allocator:
         candidates = self._candidate_nodes(request)
         if not candidates:
             return None
-        node = self.policy.choose(request, candidates, self.active_allocations())
+        policy = self.policy
+        node = policy.choose(request, candidates, policy.allocations_seen(self, request))
         if node is None:
             return None
+        return self.claim(request, node)
+
+    def claim(self, request: ResourceRequest, node: Node) -> Allocation:
+        """Grant ``request`` on ``node`` without consulting the placement
+        policy; the caller vouches that the node can fit it (a replayed
+        schedule claims the node its recording placed the request on)."""
         gpu_ids: Tuple[str, ...] = ()
         if request.gpus:
             gpu_ids = tuple(
@@ -121,7 +128,7 @@ class Allocator:
         if request.cpu_cores:
             node.claim_cpu_cores(request.cpu_cores, request.owner)
         allocation = Allocation(
-            allocation_id=f"alloc-{next(self._counter)}",
+            allocation_id=self._next_id(),
             owner=request.owner,
             node_id=node.node_id,
             gpu_ids=gpu_ids,
@@ -133,6 +140,15 @@ class Allocator:
         if gpu_ids:
             self._free_gpus_by_generation[node.gpu_generation] -= len(gpu_ids)
         return allocation
+
+    def _next_id(self) -> str:
+        return f"alloc-{next(self._counter)}"
+
+    def unclaimed(self, owner: str, node_id: str, cpu_cores: int) -> Allocation:
+        """The record of a CPU allocation on ``node_id`` under the next id,
+        claiming nothing: a replayed task whose cores were back before
+        anything else was placed needs only its id and record."""
+        return Allocation(self._next_id(), owner, node_id, (), cpu_cores)
 
     def release(self, allocation: Allocation) -> None:
         """Return the allocation's devices to the free pool."""

@@ -109,9 +109,44 @@ class ClusterManager:
             self._events.append((self.now, "allocate", allocation))
         return allocation
 
+    def claim(self, request: ResourceRequest, node_id: str) -> Allocation:
+        """Grant ``request`` on node ``node_id`` without consulting the
+        placement policy, logged like :meth:`allocate` (a replayed schedule
+        claims the node its recording placed the request on)."""
+        allocation = self.allocator.claim(request, self.cluster.node(node_id))
+        self._events.append((self.now, "allocate", allocation))
+        return allocation
+
     def release(self, allocation: Allocation) -> None:
         self.allocator.release(allocation)
         self._events.append((self.now, "release", allocation))
+
+    def record(self, time: float, kind: str, allocation: Allocation) -> Allocation:
+        """Log an allocate or release row at ``time`` for an allocation
+        that claims nothing (see :meth:`Allocator.unclaimed`); returns it."""
+        self._events.append((time, kind, allocation))
+        return allocation
+
+    def events_since(self, marker: Optional[tuple]) -> Optional[List[tuple]]:
+        """The ``(time, kind, allocation)`` rows logged after ``marker``, a
+        row this log held (``None``: the log was empty), oldest first; or
+        ``None`` when rows were lost to :attr:`EVENT_LOG_CAP` since."""
+        events = self._events
+        rows = []
+        for row in reversed(events):
+            if row is marker:
+                break
+            rows.append(row)
+        else:
+            if marker is not None or len(events) == events.maxlen:
+                return None
+        rows.reverse()
+        return rows
+
+    @property
+    def last_event(self) -> Optional[tuple]:
+        """The newest logged ``(time, kind, allocation)`` row, or ``None``."""
+        return self._events[-1] if self._events else None
 
     def can_satisfy(self, request: ResourceRequest) -> bool:
         return self.allocator.can_satisfy(request)
@@ -257,6 +292,11 @@ class ClusterManager:
     def retract_workflow(self, workflow_id: str) -> None:
         """Remove a finished workflow's announcement."""
         self._announcements.pop(workflow_id, None)
+
+    @property
+    def announced_workflows(self) -> int:
+        """How many workflows have their DAG announced right now."""
+        return len(self._announcements)
 
     def aggregate_upcoming_demand(self) -> Dict[str, int]:
         """Pending tasks per interface value summed across announced workflows."""

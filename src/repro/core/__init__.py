@@ -37,6 +37,7 @@ from repro.core.quality import cascade_quality, score_object_listing_answer
 from repro.core.quality_control import QualityController, plan_checkpoints
 from repro.core.orchestrator import WorkflowOrchestrator
 from repro.core.runtime import MurakkabRuntime
+from repro.core.schedule import schedule_memo_info
 
 __all__ = [
     "Constraint",
@@ -66,4 +67,5 @@ __all__ = [
     "plan_checkpoints",
     "WorkflowOrchestrator",
     "MurakkabRuntime",
+    "schedule_memo_info",
 ]

@@ -127,6 +127,10 @@ class ServerPool:
         self.cluster_manager = cluster_manager
         self.library = library
         self._handles: Dict[Tuple[str, str], ServerHandle] = {}
+        #: When a list, every deployment appends its assignment and every
+        #: eviction its handle key, in order (a schedule being recorded for
+        #: replay, see :mod:`repro.core.schedule`); ``None`` otherwise.
+        self.journal: Optional[list] = None
 
     def _request(self, assignment: PlanAssignment) -> ResourceRequest:
         """The request a deployment of ``assignment`` makes."""
@@ -146,12 +150,22 @@ class ServerPool:
             RuntimeError: if a new instance does not fit the cluster, or the
                 placement policy refuses it.
         """
-        implementation = self.library.get(assignment.agent_name)
-        group = implementation.deployment_group
-        key = (group, assignment.config.describe())
-        handle = self._handles.get(key)
+        group = self.library.get(assignment.agent_name).deployment_group
+        handle = self._handles.get((group, assignment.config.describe()))
         if handle is not None:
             return handle
+        return self.deploy(assignment)
+
+    def deploy(self, assignment: PlanAssignment) -> ServerHandle:
+        """Deploy a new instance for ``assignment``, whose (group, config)
+        key must not be deployed yet (:meth:`ensure` checks).
+
+        Raises:
+            RuntimeError: if the instance does not fit the cluster, or the
+                placement policy refuses it.
+        """
+        group = self.library.get(assignment.agent_name).deployment_group
+        key = (group, assignment.config.describe())
         instance = self.cluster_manager.deploy_model(
             agent_name=group,
             gpus=assignment.config.gpus,
@@ -160,12 +174,23 @@ class ServerPool:
         )
         handle = ServerHandle(
             group=group,
-            assignment_config_key=assignment.config.describe(),
+            assignment_config_key=key[1],
             instance=instance,
             slots=assignment.max_concurrency,
         )
         self._handles[key] = handle
+        if self.journal is not None:
+            self.journal.append(assignment)
         return handle
+
+    def evict(self, key: Tuple[str, str]) -> None:
+        """Tear down the instance deployed under ``key`` and flag its handle
+        :attr:`ServerHandle.dead`."""
+        handle = self._handles.pop(key)
+        handle.dead = True
+        self.cluster_manager.teardown_model(handle.instance)
+        if self.journal is not None:
+            self.journal.append(key)
 
     def fits_some_node(self, assignment: PlanAssignment) -> bool:
         """Whether some node could hold ``assignment`` if it were empty."""
@@ -214,8 +239,11 @@ class ServerPool:
         then the rest; in key order within each.  Demand orders but never
         forbids, so a job whose only idle instance is still wanted can take
         it.  The order reads only the deployed set and the announced demand,
-        never use history: a replayed job, which never touches the pool,
-        leaves later evictions exactly as a simulated one would.  Eviction
+        never use history, so a job whose schedule is replayed
+        (:mod:`repro.core.schedule`), which applies its recorded deployments
+        and evictions through :meth:`deploy` and :meth:`evict` in their
+        recorded order, leaves the pool exactly as a simulated one would.
+        Eviction
         stops as soon as the cluster can satisfy the assignment's shape;
         returns whether it now can.  Nothing is evicted for a shape no node
         could hold even when empty.  Evicted handles are flagged
@@ -239,9 +267,7 @@ class ServerPool:
             if not handle.active and not handle.dead
         )
         for _wanted, key in idle:
-            handle = self._handles.pop(key)
-            handle.dead = True
-            manager.teardown_model(handle.instance)
+            self.evict(key)
             if manager.can_satisfy(request):
                 return True
         return False
@@ -277,6 +303,11 @@ class WorkflowExecutor:
     #: Class of each job's dataflow (swapped by the reference oracle in
     #: repro.baselines.unoptimized for per-completion composition).
     dataflow_class = JobDataflow
+    #: Whether :meth:`~repro.core.runtime.MurakkabRuntime.submit` may record
+    #: this executor's schedule and replay it instead of simulating
+    #: (:mod:`repro.core.schedule`); the reference oracle's executor opts
+    #: out.
+    replayable = True
 
     def __init__(
         self,
@@ -932,16 +963,34 @@ class WorkflowExecutor:
         if self.announce:
             self._announce_completion(task, now)
         if self._is_complete():
-            self.results = self._dataflow.finish()
-            self.finished_at = now
-            if self.announce:
-                self.cluster_manager.retract_workflow(self.workflow_id)
-            self._drop_vector_collection()
-            self.engine.mark(self.workflow_id)
-            if self.on_finish is not None:
-                self.on_finish(self)
+            self._finish(now)
         else:
             self._dispatch()
+
+    def _finish(self, now: float) -> None:
+        """The job's last task completed at ``now``: run its dataflow,
+        retract its announcement and mark its completion watermark."""
+        self.results = self._dataflow.finish()
+        self.finished_at = now
+        if self.announce:
+            self.cluster_manager.retract_workflow(self.workflow_id)
+        self._drop_vector_collection()
+        self.engine.mark(self.workflow_id)
+        if self.on_finish is not None:
+            self.on_finish(self)
+
+    def finish_replayed(
+        self, graph: TaskGraph, dataflow: JobDataflow, started_at: float
+    ) -> None:
+        """Finish, at the engine's current time, a run whose schedule was
+        replayed instead of simulated (:mod:`repro.core.schedule`): the
+        replay completed ``graph``'s tasks, recorded them on ``dataflow``
+        in completion order, and applied the run's deployments, evictions
+        and allocations."""
+        self._graph = graph
+        self._dataflow = dataflow
+        self.started_at = started_at
+        self._finish(self.engine.now)
 
     # ------------------------------------------------------------------ #
     # Trace + telemetry

@@ -243,13 +243,15 @@ def run_submissions(
         finish_times.append(result.finished_at)
         # Fold the job's dynamic (busy) energy into the running total now;
         # fleet idle energy needs the final batch window and pool size, so it
-        # is integrated once at the end.
-        per_job_energy = accountant.account(executor.trace, provisioned_gpus=0)
-        for category, wh in per_job_energy.dynamic_wh_by_category.items():
+        # is integrated once at the end.  result_of integrated the trace over
+        # the job's window, which holds every interval whole, so its dynamic
+        # terms are the whole trace's to the bit.
+        job_energy = result.energy
+        for category, wh in job_energy.dynamic_wh_by_category.items():
             dynamic_energy.dynamic_wh_by_category[category] = (
                 dynamic_energy.dynamic_wh_by_category.get(category, 0.0) + wh
             )
-        dynamic_energy.cpu_wh += per_job_energy.cpu_wh
+        dynamic_energy.cpu_wh += job_energy.cpu_wh
         report.completed_jobs += 1
         report.job_summaries[result.job_id] = result.compact_summary()
         if window_results is not None:

@@ -28,7 +28,7 @@ from repro.core.constraints import ConstraintSet
 from repro.core.dag import TaskGraph
 from repro.policies.base import SchedulingPolicy
 from repro.policies.context import PlanContext
-from repro.policies.scheduling import DefaultSchedulingPolicy
+from repro.policies.scheduling import DefaultSchedulingPolicy, fits_cluster
 from repro.profiling.store import ProfileStore
 
 
@@ -179,6 +179,11 @@ class ConfigurationPlanner:
         #: surfaced to policies through :class:`PlanContext` (installed by
         #: ``MurakkabRuntime.attach_dynamics``).
         self.dynamics_version_source: Optional[Callable[[], int]] = None
+        #: Whether an attached dynamics schedule may add nodes (spot windows
+        #: or autoscaling; set by ``MurakkabRuntime.attach_dynamics``).  On a
+        #: cluster that cannot grow, a decision no node could hold raises
+        #: :class:`PlanningError` (see :meth:`_check_fits`).
+        self.capacity_can_grow = False
         #: Attached cluster interconnect model (set by
         #: ``MurakkabRuntime.set_fabric``); surfaced to policies through
         #: :class:`PlanContext` and folded into the decision-cache key.
@@ -219,6 +224,7 @@ class ConfigurationPlanner:
                 interface, constraint_set, cluster_stats, stats_digest, override,
                 spec_digest,
             )
+            self._check_fits(assignment, constraint_set, cluster_stats)
             plan.add(assignment)
         return plan
 
@@ -241,8 +247,40 @@ class ConfigurationPlanner:
         stats_digest = (
             cluster_stats.planning_digest() if cluster_stats is not None else None
         )
-        return self._cached_assignment(
+        assignment = self._cached_assignment(
             interface, constraint_set, cluster_stats, stats_digest, override, spec_digest
+        )
+        self._check_fits(assignment, constraint_set, cluster_stats)
+        return assignment
+
+    def _check_fits(
+        self,
+        assignment: PlanAssignment,
+        constraint_set: ConstraintSet,
+        cluster_stats: Optional[ResourceStatsMessage],
+    ) -> None:
+        """Refuse a decision no node of the cluster could hold.
+
+        A policy ranks every acceptable profile when none fits a node shape,
+        so a job would otherwise fail only when it deploys.  That fallback
+        stays in force while :attr:`capacity_can_grow` (a dynamics schedule
+        with spot windows or autoscaling may add a node that fits); on a
+        fixed cluster the job is refused here, at planning time.
+        """
+        if (
+            cluster_stats is None
+            or not cluster_stats.node_shapes
+            or self.capacity_can_grow
+            or fits_cluster(assignment.profile, cluster_stats)
+        ):
+            return
+        kind, gpus, cores = max(
+            cluster_stats.node_shapes, key=lambda shape: (shape[1], shape[2])
+        )
+        raise PlanningError(
+            f"no configuration for {assignment.interface.value!r} that meets quality "
+            f"floor {constraint_set.quality_floor:.2f} fits any node: the largest "
+            f"node has {gpus} {kind} GPUs and {cores} CPU cores"
         )
 
     def invalidate_cache(self) -> None:

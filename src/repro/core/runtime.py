@@ -33,6 +33,7 @@ from repro.core.orchestrator import OrchestrationResult, WorkflowOrchestrator
 from repro.core.planner import PlannerOverride
 from repro.core.quality import cascade_quality, score_object_listing_answer
 from repro.core.quality_control import QualityController
+from repro.core.schedule import run_submission
 from repro.fabric import FabricTopology, fabric_of
 from repro.policies.bundles import PolicyBundle, PolicyLike, resolve_bundle
 from repro.profiling.profiler import default_profile_store
@@ -86,6 +87,9 @@ class MurakkabRuntime:
         #: Attached cluster interconnect model, or ``None`` for the
         #: historical free-data-movement behaviour.
         self.fabric: Optional[FabricTopology] = None
+        #: This runtime's scope in the schedule memo, cached with what it
+        #: was computed from (see :mod:`repro.core.schedule`).
+        self._schedule_scope: Optional[tuple] = None
         if policy is not None:
             if placement_policy is not None:
                 # Refuse the ambiguity rather than let the bundle fingerprint
@@ -186,7 +190,10 @@ class MurakkabRuntime:
             dynamics.install(self.engine, self.cluster_manager)
         self.dynamics = dynamics
         # Surface the disruption-log version to policies via PlanContext.
-        self.orchestrator.planner.dynamics_version_source = lambda: dynamics.log.version
+        planner = self.orchestrator.planner
+        planner.dynamics_version_source = lambda: dynamics.log.version
+        config = dynamics.config
+        planner.capacity_can_grow = config.spot is not None or config.autoscale
         return dynamics
 
     def make_replanner(
@@ -283,11 +290,16 @@ class MurakkabRuntime:
         keep_warm: bool = False,
         server_pool: Optional[ServerPool] = None,
     ) -> JobResult:
-        """Run ``job`` to completion and return its result and metrics."""
+        """Run ``job`` to completion and return its result and metrics.
+
+        A submission that starts on an idle engine may replay the recorded
+        schedule of an identical earlier one instead of simulating it
+        (:mod:`repro.core.schedule`); its result is the same to the bit.
+        """
         pool = server_pool or ServerPool(self.cluster_manager, self.library)
         executor, orchestration, delay = self.launch(job, overrides, pool)
         try:
-            executor.execute(orchestration.graph, delay=delay)
+            run_submission(self, executor, orchestration.graph, delay, pool)
         except BaseException:
             # Give up cleanly, whatever failed (an unrunnable workflow, or a
             # shape no node can hold): cancel the workflow's in-flight

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # real imports would couple the interface layer to every
     # substrate module; the seams only need the names for type checking.
     from repro.agents.base import AgentImplementation, AgentInterface
     from repro.agents.profiles import ExecutionProfile
-    from repro.cluster.allocator import Allocation, ResourceRequest
+    from repro.cluster.allocator import Allocation, Allocator, ResourceRequest
     from repro.cluster.node import Node
     from repro.core.task import Task
     from repro.policies.context import PlanContext
@@ -71,9 +71,26 @@ class PlacementPolicy(Policy):
         self,
         request: "ResourceRequest",
         candidates: Sequence["Node"],
-        active: Sequence["Allocation"],
+        owned: Sequence["Allocation"],
     ) -> Optional["Node"]:
-        """Return the chosen node, or ``None`` to reject placement."""
+        """Return the chosen node, or ``None`` to reject placement.
+
+        ``owned`` is what :meth:`allocations_seen` returned: by default the
+        allocations ``request.owner`` already holds, in allocation order.
+        """
+
+    def allocations_seen(
+        self, allocator: "Allocator", request: "ResourceRequest"
+    ) -> Sequence["Allocation"]:
+        """The allocations :meth:`choose` is handed for ``request``.
+
+        The allocator asks before every placement.  The default hands over
+        only those ``request.owner`` holds, which is all that owner-affine
+        placement reads and costs nothing like a list of every allocation
+        in the cluster; a policy that reads other owners' allocations
+        overrides this.
+        """
+        return allocator.allocations_for(request.owner)
 
 
 class SchedulingPolicy(Policy):

@@ -28,7 +28,7 @@ class FirstFitPolicy(PlacementPolicy):
         self,
         request: ResourceRequest,
         candidates: Sequence[Node],
-        active: Sequence[Allocation],
+        owned: Sequence[Allocation],
     ) -> Optional[Node]:
         return candidates[0] if candidates else None
 
@@ -40,7 +40,7 @@ class BestFitPolicy(PlacementPolicy):
         self,
         request: ResourceRequest,
         candidates: Sequence[Node],
-        active: Sequence[Allocation],
+        owned: Sequence[Allocation],
     ) -> Optional[Node]:
         if not candidates:
             return None
@@ -56,7 +56,7 @@ class SpreadPolicy(PlacementPolicy):
         self,
         request: ResourceRequest,
         candidates: Sequence[Node],
-        active: Sequence[Allocation],
+        owned: Sequence[Allocation],
     ) -> Optional[Node]:
         if not candidates:
             return None
@@ -69,7 +69,8 @@ class WorkflowAwarePolicy(PlacementPolicy):
     """Prefer nodes where the same owner already holds allocations.
 
     Falls back to best-fit packing when the owner has no prior placements on
-    any candidate node.
+    any candidate node.  Reads only the owner's own allocations (the default
+    :meth:`~repro.policies.base.PlacementPolicy.allocations_seen`).
     """
 
     def __init__(self) -> None:
@@ -79,18 +80,18 @@ class WorkflowAwarePolicy(PlacementPolicy):
         self,
         request: ResourceRequest,
         candidates: Sequence[Node],
-        active: Sequence[Allocation],
+        owned: Sequence[Allocation],
     ) -> Optional[Node]:
         if not candidates:
             return None
         if len(candidates) == 1:
             # Colocated or not, best-fit over one candidate picks it.
             return candidates[0]
-        owner_nodes = {a.node_id for a in active if a.owner == request.owner}
+        owner_nodes = {a.node_id for a in owned}
         colocated: List[Node] = [n for n in candidates if n.node_id in owner_nodes]
         if colocated:
-            return self._fallback.choose(request, colocated, active)
-        return self._fallback.choose(request, candidates, active)
+            return self._fallback.choose(request, colocated, owned)
+        return self._fallback.choose(request, candidates, owned)
 
 
 class SpotAwarePlacementPolicy(PlacementPolicy):
@@ -117,15 +118,18 @@ class SpotAwarePlacementPolicy(PlacementPolicy):
         self,
         request: ResourceRequest,
         candidates: Sequence[Node],
-        active: Sequence[Allocation],
+        owned: Sequence[Allocation],
     ) -> Optional[Node]:
         if not candidates:
             return None
         if request.owner.startswith(MODEL_OWNER_PREFIX):
             durable = [n for n in candidates if not self._is_preemptible(n)]
             if durable:
-                return self._base.choose(request, durable, active)
-        return self._base.choose(request, candidates, active)
+                return self._base.choose(request, durable, owned)
+        return self._base.choose(request, candidates, owned)
+
+    def allocations_seen(self, allocator, request):
+        return self._base.allocations_seen(allocator, request)
 
     @staticmethod
     def _is_preemptible(node: Node) -> bool:
@@ -152,6 +156,9 @@ class LocalityAwarePlacementPolicy(PlacementPolicy):
     equally cheap, the filter keeps every candidate and the policy is
     behaviourally identical to its base — which is what keeps the
     ``uniform`` profile byte-identical to running with no fabric at all.
+    Only with a multi-rack fabric does it read other owners' allocations
+    (:meth:`allocations_seen` then hands it every active one); its base is
+    always handed the owner's own.
     """
 
     def __init__(self, base: Optional[PlacementPolicy] = None) -> None:
@@ -167,31 +174,43 @@ class LocalityAwarePlacementPolicy(PlacementPolicy):
         ``None`` to detach).  Called by the runtime, not by users."""
         self._fabric = fabric
 
+    def _spans_racks(self) -> bool:
+        fabric = self._fabric
+        return fabric is not None and len(fabric.racks) > 1
+
+    def allocations_seen(self, allocator, request):
+        if self._spans_racks():
+            return allocator.active_allocations()
+        return self._base.allocations_seen(allocator, request)
+
     def choose(
         self,
         request: ResourceRequest,
         candidates: Sequence[Node],
-        active: Sequence[Allocation],
+        seen: Sequence[Allocation],
     ) -> Optional[Node]:
         if not candidates:
             return None
-        fabric = self._fabric
-        if fabric is None or len(fabric.racks) <= 1:
-            return self._base.choose(request, candidates, active)
-        anchors = {a.node_id for a in active if a.owner == request.owner}
+        if not self._spans_racks():
+            return self._base.choose(request, candidates, seen)
+        # Handed every active allocation (see allocations_seen); the base
+        # is handed only the owner's own.
+        owned = [a for a in seen if a.owner == request.owner]
+        anchors = {a.node_id for a in owned}
         if not anchors:
             # Serving instances are owned by ``model:<group>`` while task
             # lanes are owned by the workflow, so a chatty stage pair never
             # shares an owner.  Anchor to every occupied node instead: the
             # workflow's other stages are there, and pulling new capacity
             # toward the occupied racks is what avoids the cross-rack hop.
-            anchors = {a.node_id for a in active}
+            anchors = {a.node_id for a in seen}
         if not anchors:
-            return self._base.choose(request, candidates, active)
+            return self._base.choose(request, candidates, owned)
+        fabric = self._fabric
         costs = {
             node.node_id: sum(fabric.hop_cost(anchor, node.node_id) for anchor in sorted(anchors))
             for node in candidates
         }
         cheapest = min(costs.values())
         near = [n for n in candidates if costs[n.node_id] == cheapest]
-        return self._base.choose(request, near, active)
+        return self._base.choose(request, near, owned)

@@ -154,8 +154,8 @@ def default_profile_store(library: Optional[AgentLibrary] = None) -> ProfileStor
 def clear_default_profile_store_cache() -> None:
     """Drop everything runtimes in this process share: the memoized master
     stores and their planning-decision caches, the decomposition template
-    memo, the job dataflow memo (and its counters), and the spec-check
-    verdicts.
+    memo, the job dataflow and schedule memos (and their counters), and the
+    spec-check verdicts.
 
     Used for test isolation and to make a benchmark's set-up pay a cold
     start.  The shared caches are emptied in place, so a runtime that is
@@ -163,6 +163,7 @@ def clear_default_profile_store_cache() -> None:
     """
     from repro.core.dataflow import clear_dataflow_memo
     from repro.core.decomposer import clear_shared_templates
+    from repro.core.schedule import clear_schedule_memo
     from repro.spec.compiler import clear_spec_checks
 
     for _master, decisions in _store_cache.values():
@@ -170,4 +171,5 @@ def clear_default_profile_store_cache() -> None:
     _store_cache.clear()
     clear_shared_templates()
     clear_dataflow_memo()
+    clear_schedule_memo()
     clear_spec_checks()

@@ -42,6 +42,22 @@ class SimulationEngine:
         """Number of live (non-cancelled) events still in the queue."""
         return self._queue.live_count
 
+    @property
+    def idle(self) -> bool:
+        """Whether no event is queued at all, not even a cancelled one."""
+        return not self._queue
+
+    def fast_forward(self, time: float, scheduled: int = 0) -> None:
+        """Move an idle engine's clock to ``time`` without firing anything.
+
+        A replayed schedule (:mod:`repro.core.schedule`) stands in for
+        ``scheduled`` events it never queued: the scheduling sequence skips
+        them, so later events break ties exactly as after the simulated
+        run.  :attr:`events_fired` counts only events that really fired.
+        """
+        self._clock.advance_to(time)
+        self._queue._next_sequence += scheduled
+
     def schedule(
         self, delay: float, callback: Callable[..., Any], *args: Any, **kwargs: Any
     ) -> Event:

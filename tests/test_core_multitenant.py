@@ -185,9 +185,10 @@ def test_three_gpu_bound_tenants_do_not_stall():
 
 def test_multiplex_tenant_that_cannot_deploy_retracts_its_demand():
     # Every question-answering configuration needs 4 or 8 GPUs, so none fits
-    # a 2-GPU node and the planner falls back to 8-GPU NVLM: the
-    # admission fails before the job starts, and its announced DAG must not
-    # linger to skew later evictions and rebalancing.
+    # a 2-GPU node.  A planner that expects capacity to grow (as under an
+    # autoscaling schedule) falls back to 8-GPU NVLM: the admission fails
+    # before the job starts, and its announced DAG must not linger to skew
+    # later evictions and rebalancing.
     from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
     from repro.core.execution import ExecutionError
@@ -196,8 +197,58 @@ def test_multiplex_tenant_that_cannot_deploy_retracts_its_demand():
     from repro.workloads.arrival import uniform_arrivals
 
     nodes = [Node(name, gpu_count=2, cpu_cores=96) for name in ("a", "b")]
-    service = AIWorkflowService(runtime=MurakkabRuntime(cluster=Cluster(nodes)))
+    runtime = MurakkabRuntime(cluster=Cluster(nodes))
+    runtime.planner.capacity_can_grow = True
+    service = AIWorkflowService(runtime=runtime)
     arrivals = uniform_arrivals(2, interval_s=1.0, workloads=("chain-of-thought",))
     with pytest.raises(ExecutionError, match="^cannot deploy 'nvlm-72b'"):
         service.submit_trace(arrivals, registry=default_registry(), mode="multiplex")
     assert service.runtime.cluster_manager.aggregate_upcoming_demand() == {}
+
+
+def test_streaming_energy_totals_are_each_results_dynamic_terms():
+    # A fidelity-shaped trace (every workflow, overlapping arrivals, over a
+    # multi-rack fabric): the streaming totals fold in the dynamic terms
+    # result_of already integrated, and equal integrating every finished
+    # trace a second time to the bit, in the same category order.
+    from repro.cluster.hardware import get_cpu_spec
+    from repro.loadgen import default_registry
+    from repro.sim.energy import EnergyAccountant
+    from repro.workloads.arrival import poisson_arrivals
+
+    runtime = MurakkabRuntime(fabric="datacenter-3tier")
+    registry = default_registry()
+    arrivals = poisson_arrivals(
+        rate_per_s=0.15,
+        horizon_s=200.0,
+        workloads=("video-understanding", "newsfeed", "document-qa", "chain-of-thought"),
+        seed=5,
+    )
+    submissions = [
+        TenantSubmission(arrival.arrival_time, registry.build(arrival.workload, f"mt-e{index}"))
+        for index, arrival in enumerate(arrivals)
+    ]
+    accountant = EnergyAccountant(
+        gpu_power=runtime.cluster.nodes[0].gpu_spec.power,
+        cpu_power_per_core_w=get_cpu_spec().active_w_per_core,
+    )
+    dynamic = {}
+    cpu = []
+
+    def integrate_again(result):
+        energy = accountant.account(result.trace, provisioned_gpus=0)
+        for category, wh in energy.dynamic_wh_by_category.items():
+            dynamic[category] = dynamic.get(category, 0.0) + wh
+        cpu.append(energy.cpu_wh)
+
+    report = run_submissions(
+        runtime, submissions, collect_traces=False, on_result=integrate_again
+    )
+    assert report.completed_jobs == len(arrivals) > 10
+    totals = report.total_energy.dynamic_wh_by_category
+    assert list(totals) == list(dynamic)
+    assert [wh.hex() for wh in totals.values()] == [wh.hex() for wh in dynamic.values()]
+    total_cpu = 0.0
+    for wh in cpu:
+        total_cpu += wh
+    assert report.total_energy.cpu_wh.hex() == total_cpu.hex()

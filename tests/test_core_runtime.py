@@ -152,8 +152,9 @@ def test_orchestration_tool_calls_are_built_lazily_once(runtime, videos):
 @pytest.mark.parametrize("workflow", ["video-understanding", "chain-of-thought"])
 def test_failed_submit_releases_what_its_per_job_pool_deployed(workflow):
     # Two 2-GPU nodes: every question-answering configuration needs 4 or 8
-    # GPUs, so none fits a node and the planner falls back to the fastest,
-    # 8-GPU NVLM, a shape no single node can hold.
+    # GPUs, so none fits a node.  A planner that expects capacity to grow (as
+    # under an autoscaling schedule) falls back to the fastest, 8-GPU NVLM, a
+    # shape no single node can hold.
     from repro.client import MurakkabClient
     from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
@@ -163,6 +164,7 @@ def test_failed_submit_releases_what_its_per_job_pool_deployed(workflow):
 
     nodes = [Node(name, gpu_count=2, cpu_cores=96) for name in ("a", "b")]
     runtime = MurakkabRuntime(cluster=Cluster(nodes))
+    runtime.planner.capacity_can_grow = True
     with MurakkabClient(runtime=runtime, keep_warm=False, registry=default_registry()) as client:
         with pytest.raises(ExecutionError, match="^cannot deploy 'nvlm-72b'"):
             client.submit(workflow, constraints=Constraint("min_latency"))
@@ -196,6 +198,64 @@ def test_planner_sizes_deployments_by_the_largest_node(workflow, quality):
         ).result
     assert result.makespan_s > 0
     assert max(a.config.gpus for a in result.plan.gpu_assignments()) <= 4
+
+
+def _min_latency_video_job():
+    from repro.core.constraints import Constraint
+    from repro.loadgen import default_registry
+
+    registry = default_registry()
+    spec = registry.spec("video-understanding").with_overrides(
+        constraints=Constraint("min_latency")
+    )
+    return compile_spec(
+        spec, inputs=registry.materialized_inputs("video-understanding"), job_id="vu-4gpu"
+    )
+
+
+def test_planner_refuses_a_job_no_node_can_hold():
+    # At video-understanding's 0.93 floor only NVLM answers questions, and it
+    # needs eight GPUs: on two 4-GPU nodes the job is refused while it is
+    # planned, before anything deploys.
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.node import Node
+    from repro.core.planner import PlanningError
+
+    nodes = [Node(name, gpu_count=4, cpu_cores=96) for name in ("a", "b")]
+    runtime = MurakkabRuntime(cluster=Cluster(nodes))
+    job = _min_latency_video_job()
+    assert job.constraint_set().quality_floor == 0.93
+    with pytest.raises(
+        PlanningError,
+        match=r"meets quality floor 0\.93 fits any node: the largest node has "
+        r"4 A100 GPUs and 96 CPU cores",
+    ):
+        runtime.submit(job)
+    assert runtime.cluster_manager.allocation_events == []
+    assert runtime.engine.events_fired == 0
+
+
+def test_planner_keeps_ranking_when_autoscaling_can_add_a_node():
+    # An autoscaler may add an 8-GPU node, so the planner still ranks every
+    # acceptable configuration (as it does under spot windows) and the job
+    # runs once the new node holds NVLM.  Failures alone only remove nodes.
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.dynamics import DynamicsConfig, FailureModel
+    from repro.cluster.node import Node
+    from repro.core.planner import PlanningError
+
+    def two_small_nodes():
+        return Cluster([Node(name, gpu_count=4, cpu_cores=96) for name in ("a", "b")])
+
+    growing = MurakkabRuntime(cluster=two_small_nodes())
+    growing.attach_dynamics(DynamicsConfig(autoscale=True))
+    result = growing.submit(_min_latency_video_job())
+    assert max(a.config.gpus for a in result.plan.gpu_assignments()) == 8
+
+    shrinking = MurakkabRuntime(cluster=two_small_nodes())
+    shrinking.attach_dynamics(DynamicsConfig(failures=FailureModel(failures=[])))
+    with pytest.raises(PlanningError, match="fits any node"):
+        shrinking.submit(_min_latency_video_job())
 
 
 def test_node_shapes_key_the_planning_digest():
@@ -244,11 +304,11 @@ class _RefuseFirstDeployment(WorkflowAwarePolicy):
         super().__init__()
         self.refused = []
 
-    def choose(self, request, candidates, active):
+    def choose(self, request, candidates, owned):
         if request.owner.startswith(MODEL_OWNER_PREFIX) and request.owner not in self.refused:
             self.refused.append(request.owner)
             return None
-        return super().choose(request, candidates, active)
+        return super().choose(request, candidates, owned)
 
 
 @pytest.mark.parametrize("elastic", [False, True], ids=["fixed", "elastic"])

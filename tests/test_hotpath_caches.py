@@ -19,7 +19,7 @@ from test_decomposer_templates import _result_view
 
 from repro.baselines.unoptimized import RescanWorkflowExecutor, unoptimized_runtime
 from repro.cluster.allocator import Allocator, ResourceRequest
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import Cluster, paper_testbed
 from repro.cluster.hardware import GpuGeneration
 from repro.cluster.node import Node
 from repro.core.constraints import MIN_COST, ConstraintSet
@@ -30,6 +30,7 @@ from repro.core.runtime import MurakkabRuntime
 from repro.core.task import Task
 from repro.core.dag import TaskGraph
 from repro.loadgen import default_registry
+from repro.policies.placement import WorkflowAwarePolicy
 from repro.profiling.profiler import (
     Profiler,
     clear_default_profile_store_cache,
@@ -667,3 +668,150 @@ def test_repeated_submission_speedup_at_least_5x():
         f"optimized {optimized_s * 1e3:.1f} ms vs unoptimized "
         f"{unoptimized_s * 1e3:.1f} ms -> only {speedup:.1f}x"
     )
+
+
+# --------------------------------------------------------------------- #
+# Owner-scoped placement
+# --------------------------------------------------------------------- #
+#: SHA-256 of every allocate call's placement on the fidelity-shaped trace
+#: below, as the allocator produced it when it handed each placement policy
+#: the list of every active allocation.
+_FIDELITY_PLACEMENTS = "1a3c71edd54f2d473f78da151e676d44707555507ed419c4543dce13226a179b"
+
+
+@pytest.mark.parametrize("policy", ["default", "locality_aware"])
+def test_owner_scoped_placement_keeps_every_placement(policy):
+    # Policies are handed only the requesting owner's allocations (the
+    # locality policy, on a multi-rack fabric, every one): a multiplex
+    # trace over the datacenter-3tier fabric places every request exactly
+    # as with the full list.
+    from repro.admission import AdmissionConfig
+    from repro.capture import payload_checksum
+    from repro.service import AIWorkflowService
+    from repro.workloads.arrival import poisson_arrivals
+
+    arrivals = poisson_arrivals(
+        rate_per_s=0.15,
+        horizon_s=300.0,
+        workloads=("video-understanding", "newsfeed", "document-qa", "chain-of-thought"),
+        seed=11,
+    )
+    service = AIWorkflowService(fabric="datacenter-3tier", policy=policy)
+    manager = service.runtime.cluster_manager
+    allocate = manager.allocate
+    placements = []
+
+    def recording(request):
+        allocation = allocate(request)
+        placements.append(
+            None
+            if allocation is None
+            else [
+                allocation.allocation_id,
+                allocation.owner,
+                allocation.node_id,
+                list(allocation.gpu_ids),
+                allocation.cpu_cores,
+            ]
+        )
+        return allocation
+
+    manager.allocate = recording
+    try:
+        service.submit_trace(
+            arrivals,
+            registry=default_registry(),
+            mode="multiplex",
+            admission=AdmissionConfig(
+                rate_per_s=0.08,
+                burst=3.0,
+                max_defer_s=20.0,
+                degrade=True,
+                degraded_constraint="min_latency",
+                default_deadline_s=120.0,
+            ),
+        )
+    finally:
+        service.shutdown()
+    assert len(placements) == 507
+    assert payload_checksum(placements) == _FIDELITY_PLACEMENTS
+
+
+def test_allocator_hands_policies_only_the_owners_allocations():
+    seen = []
+
+    class Watching(WorkflowAwarePolicy):
+        def choose(self, request, candidates, owned):
+            seen.append((request.owner, [a.owner for a in owned]))
+            return super().choose(request, candidates, owned)
+
+    allocator = Allocator(paper_testbed(), Watching())
+    for owner in ("alpha", "beta", "alpha"):
+        assert allocator.allocate(ResourceRequest(owner=owner, cpu_cores=4)) is not None
+    assert seen == [("alpha", []), ("beta", []), ("alpha", ["alpha"])]
+
+
+# --------------------------------------------------------------------- #
+# Process-wide memos
+# --------------------------------------------------------------------- #
+def test_clearing_empties_every_process_wide_memo():
+    from repro.core import decomposer
+    from repro.core.dataflow import dataflow_memo_info
+    from repro.core.schedule import schedule_memo_info
+    from repro.profiling import profiler
+    from repro.spec import compiler
+    from repro.workflows.newsfeed import newsfeed_spec
+
+    registry = default_registry()
+    compiler.check_spec(newsfeed_spec())
+    for index in range(4):
+        MurakkabRuntime().submit(registry.build("newsfeed", f"memo-{index}"))
+    decisions = [shared for _master, shared in profiler._store_cache.values()]
+    memos = {
+        "templates": lambda: len(decomposer._SHARED_TEMPLATES),
+        "master stores": lambda: len(profiler._store_cache),
+        "plan decisions": lambda: sum(len(shared) for shared in decisions),
+        "spec verdicts": lambda: len(compiler._CHECKED),
+        "dataflow memo": lambda: sum(dataflow_memo_info().values()),
+        "schedule memo": lambda: sum(schedule_memo_info().values()),
+    }
+    assert all(size() for size in memos.values()), {n: size() for n, size in memos.items()}
+    assert schedule_memo_info()["replayed"] == 1
+    clear_default_profile_store_cache()
+    assert {name: size() for name, size in memos.items()} == dict.fromkeys(memos, 0)
+
+
+def test_schedule_memo_keeps_its_bounds_when_over_full(monkeypatch):
+    # Nine contexts, each submitted until it replays, through a memo of
+    # three entries and 1.5 kB: entries go by count and by bytes, oldest
+    # first, and the bounds hold after every submission.
+    from repro.core.constraints import Constraint
+    from repro.core.schedule import _SHARED_SCHEDULES, schedule_memo_info
+
+    monkeypatch.setattr(_SHARED_SCHEDULES, "MAX_ENTRIES", 3)
+    monkeypatch.setattr(_SHARED_SCHEDULES, "MAX_BYTES", 1500)
+    registry = default_registry()
+    runtime = MurakkabRuntime()
+    contexts = [
+        (workflow, constraint)
+        for workflow in ("newsfeed", "chain-of-thought", "document-qa")
+        for constraint in (None, "min_latency", "min_energy")
+    ]
+    largest = 0
+    for index, (workflow, constraint) in enumerate(contexts):
+        spec = registry.spec(workflow).with_overrides(
+            constraints=Constraint(constraint) if constraint else None
+        )
+        for sighting in range(4):
+            job = compile_spec(
+                spec,
+                inputs=registry.materialized_inputs(workflow),
+                job_id=f"bound-{index}-{sighting}",
+            )
+            runtime.submit(job)
+            info = schedule_memo_info()
+            assert info["entries"] <= 3 and info["bytes"] <= 1500
+            largest = max(largest, info["bytes"])
+    info = schedule_memo_info()
+    assert info["replayed"] >= 3 and info["candidates"] > info["entries"]
+    assert largest > 750

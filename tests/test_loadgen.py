@@ -462,15 +462,15 @@ def test_replay_reconfirms_after_warm_instances_are_evicted(registry, monkeypatc
         seed=3,
     )
     evictions = []
-    evict = ServerPool.evict_idle_for
+    evict = ServerPool.evict
 
-    def counting(pool, assignment):
-        before = pool.handles()
-        fits = evict(pool, assignment)
-        evictions.extend(handle.group for handle in before if handle.dead)
-        return fits
+    def counting(pool, key):
+        # Every eviction, simulated or applied by a replayed submission,
+        # goes through ServerPool.evict.
+        evictions.append(key[0])
+        evict(pool, key)
 
-    monkeypatch.setattr(ServerPool, "evict_idle_for", counting)
+    monkeypatch.setattr(ServerPool, "evict", counting)
 
     def one_node_service():
         return AIWorkflowService(runtime=MurakkabRuntime(cluster=paper_testbed(node_count=1)))
