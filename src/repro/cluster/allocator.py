@@ -128,7 +128,7 @@ class Allocator:
         if request.cpu_cores:
             node.claim_cpu_cores(request.cpu_cores, request.owner)
         allocation = Allocation(
-            allocation_id=self._next_id(),
+            allocation_id=f"alloc-{next(self._counter)}",
             owner=request.owner,
             node_id=node.node_id,
             gpu_ids=gpu_ids,
@@ -140,15 +140,6 @@ class Allocator:
         if gpu_ids:
             self._free_gpus_by_generation[node.gpu_generation] -= len(gpu_ids)
         return allocation
-
-    def _next_id(self) -> str:
-        return f"alloc-{next(self._counter)}"
-
-    def unclaimed(self, owner: str, node_id: str, cpu_cores: int) -> Allocation:
-        """The record of a CPU allocation on ``node_id`` under the next id,
-        claiming nothing: a replayed task whose cores were back before
-        anything else was placed needs only its id and record."""
-        return Allocation(self._next_id(), owner, node_id, (), cpu_cores)
 
     def release(self, allocation: Allocation) -> None:
         """Return the allocation's devices to the free pool."""

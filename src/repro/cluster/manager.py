@@ -121,12 +121,6 @@ class ClusterManager:
         self.allocator.release(allocation)
         self._events.append((self.now, "release", allocation))
 
-    def record(self, time: float, kind: str, allocation: Allocation) -> Allocation:
-        """Log an allocate or release row at ``time`` for an allocation
-        that claims nothing (see :meth:`Allocator.unclaimed`); returns it."""
-        self._events.append((time, kind, allocation))
-        return allocation
-
     def events_since(self, marker: Optional[tuple]) -> Optional[List[tuple]]:
         """The ``(time, kind, allocation)`` rows logged after ``marker``, a
         row this log held (``None``: the log was empty), oldest first; or

@@ -23,8 +23,9 @@ job creates and drops inside itself.  So a job's results are a function of
   scene summaries, which question answering gathers in completion order,
 
 plus the job id, which names the vector collection.  One process-wide memo
-keys on exactly that, bounded by entry count and by stored bytes, and
-emptied by :func:`~repro.profiling.profiler.clear_default_profile_store_cache`.
+(a :class:`~repro.caches.BoundedMemo`) keys on exactly that, bounded by
+entry count and by stored bytes, and emptied by
+:func:`~repro.profiling.profiler.clear_default_profile_store_cache`.
 Stored results are abstracted from their job: they are pickled in
 template-position order with the job id as a persistent id (so are
 interface members, and read-only arrays, which are shared as the eager
@@ -50,6 +51,7 @@ import numpy as np
 from repro.agents.base import AgentImplementation, AgentInterface, AgentResult, WorkUnit
 from repro.agents.library import AgentLibrary
 from repro.agents.synthetic import stable_embedding
+from repro.caches import CONFIRMED, REFUSED, BoundedMemo, MemoEntry
 from repro.core.dag import TaskGraph
 from repro.core.planner import PlanAssignment
 from repro.core.task import Task
@@ -87,28 +89,32 @@ class _Abstracter(pickle.Pickler):
         return None
 
 
-_CANDIDATE, _CONFIRMED, _REFUSED = "candidate", "confirmed", "refused"
-
-
-class _Entry:
+class _Entry(MemoEntry):
     """Results by template position, pickled without their job id, and the
     id of the job that stored them while they await confirmation."""
 
-    __slots__ = ("state", "blob", "shared", "job_id", "size")
+    __slots__ = ("blob", "shared", "job_id")
 
-    def __init__(self, results: List[AgentResult], job_id: str) -> None:
-        buffer = io.BytesIO()
-        pickler = _Abstracter(buffer, job_id)
-        pickler.dump(results)
-        self.state = _REFUSED if pickler.leaked else _CANDIDATE
-        self.blob = buffer.getvalue()
-        self.shared = tuple(pickler.shared)
+    def __init__(self, blob: bytes, shared: Tuple[np.ndarray, ...], job_id: str) -> None:
+        super().__init__(len(blob) + sum(array.nbytes for array in shared))
+        self.blob = blob
+        self.shared = shared
         self.job_id: Optional[str] = job_id
-        self.size = len(self.blob) + sum(array.nbytes for array in self.shared)
 
     def refuse(self) -> None:
-        self.state = _REFUSED
-        self.blob, self.shared, self.job_id, self.size = b"", (), None, 0
+        super().refuse()
+        self.blob, self.shared, self.job_id = b"", (), None
+
+
+def _abstract(results: List[AgentResult], job_id: str) -> Optional[_Entry]:
+    """A candidate entry for ``results``, or ``None`` when a string in them
+    holds the job id inside it."""
+    buffer = io.BytesIO()
+    pickler = _Abstracter(buffer, job_id)
+    pickler.dump(results)
+    if pickler.leaked:
+        return None
+    return _Entry(buffer.getvalue(), tuple(pickler.shared), job_id)
 
 
 class _Restorer(pickle.Unpickler):
@@ -146,68 +152,39 @@ def _same(a: object, b: object) -> bool:
     return bool(a == b)
 
 
-class _DataflowMemo:
-    """The process-wide memo of job dataflows (see the module docstring),
-    evicted oldest first."""
-
-    #: Bounds on the entries held and on their bytes.
-    MAX_ENTRIES = 256
-    MAX_BYTES = 16 << 20
+class _DataflowMemo(BoundedMemo):
+    """The process-wide memo of job dataflows (see the module docstring)."""
 
     def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        self._entries: Dict[tuple, _Entry] = {}
-        self._bytes = 0
-        self._counts = dict.fromkeys(
-            ("fresh", "candidates", "confirmed", "refused", "replayed"), 0
-        )
-
-    def info(self) -> Dict[str, int]:
-        return {**self._counts, "entries": len(self._entries), "bytes": self._bytes}
+        super().__init__(max_entries=256, max_bytes=16 << 20)
 
     def results(self, flow: "JobDataflow") -> Dict[str, AgentResult]:
         """``flow``'s results: replayed from a confirmed entry, else computed."""
         key = flow.memo_key()
-        entry = self._entries.get(key) if key is not None else None
-        counts = self._counts
-        if entry is not None and entry.state is _CONFIRMED:
-            counts["replayed"] += 1
+        entry = self.lookup(key)
+        if entry is not None and entry.state is CONFIRMED:
+            self.count("replayed")
             return flow.replay(entry)
         results = flow.compute()
-        if key is None or (entry is not None and entry.state is _REFUSED):
-            counts["fresh"] += 1
+        if key is None or (entry is not None and entry.state is REFUSED):
+            self.count("fresh")
         elif entry is None:
-            entry = _Entry(flow.by_position(results), flow.job_id)
-            if entry.state is _REFUSED or entry.size > self.MAX_BYTES:
-                counts["fresh"] += 1
+            candidate = _abstract(flow.by_position(results), flow.job_id)
+            if candidate is None:
+                self.count("fresh")
             else:
-                counts["candidates"] += 1
-                self._store(key, entry)
+                self.propose(key, candidate)
         elif entry.job_id == flow.job_id:
             # Equal ids cannot tell the job id from an equal literal.
-            counts["fresh"] += 1
+            self.count("fresh")
         else:
             stored = flow.replay(entry)
-            self._bytes -= entry.size
             if all(_same(stored[task_id], result) for task_id, result in results.items()):
-                counts["confirmed"] += 1
-                entry.state, entry.job_id = _CONFIRMED, None
+                entry.job_id = None
+                self.confirm(key, entry)
             else:
-                counts["refused"] += 1
-                entry.refuse()
-            self._bytes += entry.size
+                self.refuse(key, entry)
         return results
-
-    def _store(self, key: tuple, entry: _Entry) -> None:
-        entries = self._entries
-        while entries and (
-            len(entries) >= self.MAX_ENTRIES or self._bytes + entry.size > self.MAX_BYTES
-        ):
-            self._bytes -= entries.pop(next(iter(entries))).size
-        entries[key] = entry
-        self._bytes += entry.size
 
 
 _SHARED_DATAFLOWS = _DataflowMemo()

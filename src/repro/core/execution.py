@@ -801,7 +801,11 @@ class WorkflowExecutor:
         or the placement policy refuses it.
 
         Without a replanner the cluster is fixed, so a shape no node could
-        hold even when empty raises at once instead of polling forever.
+        hold even when empty raises at once instead of polling forever.  A
+        runtime's planner already refuses such a shape on a fixed cluster
+        (:class:`~repro.core.planner.PlanningError`); this catches executors
+        built on plans made without cluster stats, such as the imperative
+        baseline's (:mod:`repro.baselines.omagent`).
         """
         pool = self.server_pool
         if pool.evict_idle_for(assignment):

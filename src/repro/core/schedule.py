@@ -13,7 +13,9 @@ it starts from, not of when it starts:
   every active allocation (the warm instances), and the deployment key,
   slots, node and GPU ids of every handle in its server pool,
 * a scope shared by every call of a runtime: the executor class, the
-  library fingerprint, the profile-store version, the policy bundle's
+  library fingerprint and each implementation's class and public instance
+  attributes (which its ``estimate`` may read, such as
+  ``seconds_per_item``), the profile-store version, the policy bundle's
   fingerprint, the placement policy's and the cluster's node shapes.
 
 That is this memo's key.  Only stock placement policies, which keep no
@@ -57,9 +59,9 @@ completions on the job's dataflow (whose memo supplies the outputs, see
 time.  Only :attr:`~repro.sim.engine.SimulationEngine.events_fired` and the
 count of placement calls differ from a simulated run.
 
-The memo is bounded by entry count and stored bytes (oldest evicted first)
-and emptied by
-:func:`~repro.profiling.profiler.clear_default_profile_store_cache`.
+The memo is a :class:`~repro.caches.BoundedMemo`, like the dataflow memo:
+bounded by entry count and stored bytes (oldest evicted first) and emptied
+by :func:`~repro.profiling.profiler.clear_default_profile_store_cache`.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ import zlib
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.agents.base import AgentInterface
+from repro.caches import CONFIRMED, REFUSED, BoundedMemo, MemoEntry
 from repro.cluster.allocator import MODEL_OWNER_PREFIX, ResourceRequest
 from repro.core.execution import ServerPool, WorkflowExecutor, display_category
 from repro.core.planner import PlanAssignment
@@ -92,7 +95,6 @@ _STATELESS_PLACEMENT = (FirstFitPolicy, BestFitPolicy, SpreadPolicy, WorkflowAwa
 
 #: Operation kinds of a recorded schedule.
 _DEPLOY, _EVICT, _ALLOCATE, _RELEASE = range(4)
-_CANDIDATE, _CONFIRMED, _REFUSED = "candidate", "confirmed", "refused"
 
 
 def _stateless(policy) -> bool:
@@ -137,58 +139,66 @@ class _Recorder:
         del self.engine.schedule
 
 
-class _Entry:
-    __slots__ = ("state", "payload", "size", "assignments")
+class _Entry(MemoEntry):
+    __slots__ = ("payload", "assignments")
 
-    def __init__(self, state: str, payload: bytes, assignments: tuple) -> None:
-        self.state = state
+    def __init__(self, payload: bytes, assignments: tuple) -> None:
+        super().__init__(len(payload))
+        #: A digest of the schedule while a candidate, the compressed
+        #: schedule once confirmed.
         self.payload = payload
-        self.size = len(payload)
         #: The plan assignments whose ids the key holds: alive while the
         #: entry is, so no other object can take one of their ids.
         self.assignments = assignments
 
+    def refuse(self) -> None:
+        super().refuse()
+        self.payload = b""
 
-class _ScheduleMemo:
-    """The process-wide schedule memo (see the module docstring), evicted
-    oldest first."""
 
-    #: Bounds on the entries held and on their bytes (digests and
-    #: compressed schedules).
-    MAX_ENTRIES = 4096
-    MAX_BYTES = 4 << 20
+def _parameters(implementation) -> tuple:
+    """The class of ``implementation`` and its public instance attributes,
+    which its ``estimate`` may read beyond what the library fingerprint
+    covers (private attributes hold run state, such as the vector
+    database's collections)."""
+    public = [(name, value) for name, value in vars(implementation).items() if name[0] != "_"]
+    return (type(implementation), tuple(sorted(public)))
+
+
+class _ScheduleMemo(BoundedMemo):
+    """The process-wide schedule memo (see the module docstring)."""
 
     def __init__(self) -> None:
         self.generation = 0
-        self.clear()
+        super().__init__(max_entries=4096, max_bytes=4 << 20, counters=("fallbacks",))
 
     def clear(self) -> None:
-        self._entries: Dict[tuple, _Entry] = {}
-        self._bytes = 0
+        super().clear()
         #: Scope value -> small token, so keys hash an int instead of the
-        #: library fingerprint; a new generation invalidates every
+        #: library's parameters; a new generation invalidates every
         #: runtime's cached token.
         self._scopes: Dict[tuple, int] = {}
         #: One shared copy of each claim state and plan the keys hold.
         self._interned: Dict[tuple, tuple] = {}
         self.generation += 1
-        self._counts = dict.fromkeys(
-            ("fresh", "candidates", "confirmed", "refused", "replayed", "fallbacks"), 0
-        )
-
-    def info(self) -> Dict[str, int]:
-        return {**self._counts, "entries": len(self._entries), "bytes": self._bytes}
 
     # ------------------------------------------------------------------ #
     # Keys
     # ------------------------------------------------------------------ #
-    def _scope(self, runtime: "MurakkabRuntime", executor_class: type) -> int:
-        library_fingerprint = runtime.library.fingerprint()
+    def _scope(self, runtime: "MurakkabRuntime", executor_class: type) -> Optional[int]:
+        """The token of ``runtime``'s scope (``None``: not eligible), cached
+        on the runtime with what it was computed from.  Implementation
+        parameters are read only when the token is computed (a change to
+        any of ``checks`` recomputes it): they are taken to be fixed once
+        the library serves."""
+        library = runtime.library
+        library_fingerprint = library.fingerprint()
         bundle = runtime.policy
         placement = runtime.cluster_manager.allocator.policy
         cluster = runtime.cluster
         checks = (
             self.generation,
+            library,
             library_fingerprint,
             runtime.profile_store.version,
             bundle,
@@ -203,6 +213,7 @@ class _ScheduleMemo:
         value = (
             executor_class,
             library_fingerprint,
+            tuple(_parameters(library.get(name)) for name in library.names()),
             runtime.profile_store.version,
             bundle.fingerprint() if bundle is not None else None,
             placement.fingerprint(),
@@ -211,13 +222,18 @@ class _ScheduleMemo:
                 for node in cluster
             ),
         )
-        token = self._scopes.setdefault(value, len(self._scopes))
+        try:
+            token: Optional[int] = self._scopes.setdefault(value, len(self._scopes))
+        except TypeError:
+            # An unhashable instance attribute cannot key what the
+            # implementation estimates: this runtime never replays.
+            token = None
         runtime._schedule_scope = (checks, token)
         return token
 
     def _intern(self, value: tuple) -> tuple:
         interned = self._interned
-        if len(interned) > 2 * self.MAX_ENTRIES:
+        if len(interned) > 2 * self.max_entries:
             interned.clear()
         return interned.setdefault(value, value)
 
@@ -245,6 +261,9 @@ class _ScheduleMemo:
             or not _stateless(manager.allocator.policy)
         ):
             return None
+        scope = self._scope(runtime, type(executor))
+        if scope is None:
+            return None
         claims = [
             (allocation.owner, allocation.node_id, allocation.gpu_ids, allocation.cpu_cores)
             for allocation in manager.allocator.active_allocations()
@@ -257,14 +276,16 @@ class _ScheduleMemo:
             handles.append((key, handle.slots, allocation.node_id, allocation.gpu_ids))
         # Assignments by identity: an entry holds the objects, so an id in
         # a stored key always names the object it was taken from.
-        plan = [id(assignment) for lanes in executor.plan.assignments.values() for assignment in lanes]
+        plan = [
+            id(assignment) for lanes in executor.plan.assignments.values() for assignment in lanes
+        ]
         # No decision reads the order of allocations or handles, only which
         # exist: sorted, pools that deployed the same instances in another
         # order share their schedules.
         claims.sort()
         handles.sort()
         return (
-            self._scope(runtime, type(executor)),
+            scope,
             template,
             delay,
             self._intern(tuple(plan)),
@@ -285,17 +306,17 @@ class _ScheduleMemo:
         """Run ``executor`` on ``graph``: replayed, or simulated (and
         recorded while its key awaits confirmation)."""
         key = self.key(runtime, executor, graph, delay, pool)
-        entry = self._entries.get(key) if key is not None else None
-        counts = self._counts
-        if entry is not None and entry.state is _CONFIRMED:
+        entry = self.lookup(key)
+        if entry is not None and entry.state is CONFIRMED:
             schedule = marshal.loads(zlib.decompress(entry.payload))
             if _replay(schedule, runtime, executor, graph, pool):
-                counts["replayed"] += 1
+                self.count("replayed")
                 return
-            counts["fallbacks"] += 1
-        if key is None or entry is not None and entry.state is not _CANDIDATE:
-            if entry is None or entry.state is _REFUSED:
-                counts["fresh"] += 1
+            self.count("fallbacks")
+            executor.execute(graph, delay=delay)
+            return
+        if key is None or entry is not None and entry.state is REFUSED:
+            self.count("fresh")
             executor.execute(graph, delay=delay)
             return
         schedule = _record(runtime, executor, graph, delay, pool)
@@ -303,35 +324,16 @@ class _ScheduleMemo:
             assignment for lanes in executor.plan.assignments.values() for assignment in lanes
         )
         if schedule is None:
-            counts["refused"] += 1
-            self._put(key, _Entry(_REFUSED, b"", assignments))
+            self.refuse(key, entry or _Entry(b"", assignments))
             return
         # A process-local digest, like the memo: equal schedules hash equal.
         digest = hash(schedule).to_bytes(8, "little", signed=True)
         if entry is None:
-            counts["candidates"] += 1
-            self._put(key, _Entry(_CANDIDATE, digest, assignments))
+            self.propose(key, _Entry(digest, assignments))
         elif entry.payload == digest:
-            counts["confirmed"] += 1
-            blob = zlib.compress(marshal.dumps(schedule))
-            self._put(key, _Entry(_CONFIRMED, blob, assignments))
+            self.confirm(key, _Entry(zlib.compress(marshal.dumps(schedule)), assignments))
         else:
-            counts["refused"] += 1
-            self._put(key, _Entry(_REFUSED, b"", assignments))
-
-    def _put(self, key: tuple, entry: _Entry) -> None:
-        entries = self._entries
-        previous = entries.pop(key, None)
-        if previous is not None:
-            self._bytes -= previous.size
-        if entry.size > self.MAX_BYTES:
-            entry = _Entry(_REFUSED, b"", entry.assignments)
-        while entries and (
-            len(entries) >= self.MAX_ENTRIES or self._bytes + entry.size > self.MAX_BYTES
-        ):
-            self._bytes -= entries.pop(next(iter(entries))).size
-        entries[key] = entry
-        self._bytes += entry.size
+            self.refuse(key, entry)
 
 
 def _record(
@@ -366,11 +368,10 @@ def _record(
 
 def _encode(start: float, scheduled, executor, graph, rows, journal) -> Optional[tuple]:
     """The schedule tuple of a recorded run (see the module docstring):
-    ``(events, ties, ops, completions, started slot, isolated)``, where a
-    slot is a firing position (0: the submission, at ``start``) and
-    ``isolated`` says no deployment or eviction happened while a task held
-    CPU cores.  ``scheduled`` holds every event the run scheduled, as
-    ``(clock, delay)``, and every one of them fired."""
+    ``(events, ties, ops, completions, started slot)``, where a slot is a
+    firing position (0: the submission, at ``start``).  ``scheduled`` holds
+    every event the run scheduled, as ``(clock, delay)``, and every one of
+    them fired."""
     fire_times = [clock + delay for clock, delay in scheduled]
     firing = sorted(range(len(scheduled)), key=lambda index: (fire_times[index], index))
     times = [start]
@@ -403,7 +404,6 @@ def _encode(start: float, scheduled, executor, graph, rows, journal) -> Optional
 
     ops = []
     held: Dict[str, int] = {}
-    isolated = True
     prefix = f"{workflow}:"
     pool_changes = iter(journal)
     for time, kind, allocation in rows:
@@ -422,7 +422,6 @@ def _encode(start: float, scheduled, executor, graph, rows, journal) -> Optional
                 ops.append((slot, _EVICT, change[0], change[1]))
             else:
                 return None
-            isolated = isolated and not held
         elif kind == "allocate" and owner.startswith(prefix) and not allocation.gpu_ids:
             position = positions.get(owner[len(prefix):])
             if position is None:
@@ -478,7 +477,7 @@ def _encode(start: float, scheduled, executor, graph, rows, journal) -> Optional
     started = slot_of.get(executor.started_at)
     if started is None or executor.finished_at != times[-1]:
         return None
-    return (tuple(events), tuple(ties), tuple(ops), tuple(done), started, isolated)
+    return (tuple(events), tuple(ties), tuple(ops), tuple(done), started)
 
 
 def _replay(
@@ -490,7 +489,7 @@ def _replay(
 ) -> bool:
     """Apply ``schedule`` at the engine's clock; ``False`` (nothing
     applied) when its recomputed times break the recorded order or ties."""
-    events, ties, ops, done, started, isolated = schedule
+    events, ties, ops, done, started = schedule
     engine = runtime.engine
     previous = engine.now
     times = [previous]
@@ -506,30 +505,18 @@ def _replay(
     workflow = executor.workflow_id
     order = graph.topological_order()
     granted: list = [None] * len(ops)
-    record, unclaimed = manager.record, manager.allocator.unclaimed
     for index, op in enumerate(ops):
         kind = op[1]
+        engine.fast_forward(times[op[0]])
         if kind == _ALLOCATE:
             owner = f"{workflow}:{order[op[2]].task_id}"
-            if isolated:
-                # Released before anything else is placed: the cores need
-                # no claim, only the allocation's id and its log row.
-                granted[index] = record(times[op[0]], "allocate", unclaimed(owner, op[3], op[4]))
-            else:
-                engine.fast_forward(times[op[0]])
-                granted[index] = manager.claim(ResourceRequest(owner, cpu_cores=op[4]), op[3])
+            granted[index] = manager.claim(ResourceRequest(owner, cpu_cores=op[4]), op[3])
         elif kind == _RELEASE:
-            if isolated:
-                record(times[op[0]], "release", granted[op[2]])
-            else:
-                engine.fast_forward(times[op[0]])
-                manager.release(granted[op[2]])
+            manager.release(granted[op[2]])
+        elif kind == _DEPLOY:
+            pool.deploy(assignments[_INTERFACES[op[2]]][op[3]])
         else:
-            engine.fast_forward(times[op[0]])
-            if kind == _DEPLOY:
-                pool.deploy(assignments[_INTERFACES[op[2]]][op[3]])
-            else:
-                pool.evict((op[2], op[3]))
+            pool.evict((op[2], op[3]))
 
     library = executor.library
     trace_record = executor.trace.record

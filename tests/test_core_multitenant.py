@@ -185,25 +185,23 @@ def test_three_gpu_bound_tenants_do_not_stall():
 
 def test_multiplex_tenant_that_cannot_deploy_retracts_its_demand():
     # Every question-answering configuration needs 4 or 8 GPUs, so none fits
-    # a 2-GPU node.  A planner that expects capacity to grow (as under an
-    # autoscaling schedule) falls back to 8-GPU NVLM: the admission fails
-    # before the job starts, and its announced DAG must not linger to skew
-    # later evictions and rebalancing.
+    # a 2-GPU node: on a cluster that cannot grow the admission is refused
+    # while it is planned, and no announced DAG lingers to skew later
+    # evictions and rebalancing.
     from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
-    from repro.core.execution import ExecutionError
+    from repro.core.planner import PlanningError
     from repro.loadgen import default_registry
     from repro.service import AIWorkflowService
     from repro.workloads.arrival import uniform_arrivals
 
     nodes = [Node(name, gpu_count=2, cpu_cores=96) for name in ("a", "b")]
-    runtime = MurakkabRuntime(cluster=Cluster(nodes))
-    runtime.planner.capacity_can_grow = True
-    service = AIWorkflowService(runtime=runtime)
+    service = AIWorkflowService(runtime=MurakkabRuntime(cluster=Cluster(nodes)))
     arrivals = uniform_arrivals(2, interval_s=1.0, workloads=("chain-of-thought",))
-    with pytest.raises(ExecutionError, match="^cannot deploy 'nvlm-72b'"):
+    with pytest.raises(PlanningError, match="fits any node: the largest node has 2 A100 GPUs"):
         service.submit_trace(arrivals, registry=default_registry(), mode="multiplex")
     assert service.runtime.cluster_manager.aggregate_upcoming_demand() == {}
+    assert service.runtime.cluster_manager.total_deployed_gpus() == 0
 
 
 def test_streaming_energy_totals_are_each_results_dynamic_terms():

@@ -152,23 +152,21 @@ def test_orchestration_tool_calls_are_built_lazily_once(runtime, videos):
 @pytest.mark.parametrize("workflow", ["video-understanding", "chain-of-thought"])
 def test_failed_submit_releases_what_its_per_job_pool_deployed(workflow):
     # Two 2-GPU nodes: every question-answering configuration needs 4 or 8
-    # GPUs, so none fits a node.  A planner that expects capacity to grow (as
-    # under an autoscaling schedule) falls back to the fastest, 8-GPU NVLM, a
-    # shape no single node can hold.
+    # GPUs, so none fits a node, and on a cluster that cannot grow the
+    # planner refuses the job before its per-job pool deploys anything.
     from repro.client import MurakkabClient
     from repro.cluster.cluster import Cluster
     from repro.cluster.node import Node
     from repro.core.constraints import Constraint
-    from repro.core.execution import ExecutionError
+    from repro.core.planner import PlanningError
     from repro.loadgen import default_registry
 
     nodes = [Node(name, gpu_count=2, cpu_cores=96) for name in ("a", "b")]
     runtime = MurakkabRuntime(cluster=Cluster(nodes))
-    runtime.planner.capacity_can_grow = True
     with MurakkabClient(runtime=runtime, keep_warm=False, registry=default_registry()) as client:
-        with pytest.raises(ExecutionError, match="^cannot deploy 'nvlm-72b'"):
+        with pytest.raises(PlanningError, match="fits any node: the largest node has 2 A100 GPUs"):
             client.submit(workflow, constraints=Constraint("min_latency"))
-        # Raised before the job's first event, instead of polling for
+        # Refused before the job's first event, instead of polling for
         # capacity that can never appear.
         assert runtime.engine.events_fired == 0
         assert runtime.cluster_manager.total_deployed_gpus() == 0

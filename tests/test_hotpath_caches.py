@@ -788,8 +788,8 @@ def test_schedule_memo_keeps_its_bounds_when_over_full(monkeypatch):
     from repro.core.constraints import Constraint
     from repro.core.schedule import _SHARED_SCHEDULES, schedule_memo_info
 
-    monkeypatch.setattr(_SHARED_SCHEDULES, "MAX_ENTRIES", 3)
-    monkeypatch.setattr(_SHARED_SCHEDULES, "MAX_BYTES", 1500)
+    monkeypatch.setattr(_SHARED_SCHEDULES, "max_entries", 3)
+    monkeypatch.setattr(_SHARED_SCHEDULES, "max_bytes", 1500)
     registry = default_registry()
     runtime = MurakkabRuntime()
     contexts = [

@@ -21,6 +21,8 @@ import pytest
 
 from repro.admission import AdmissionConfig
 from repro.baselines.unoptimized import ReferenceLoadGenerator
+from repro.core.execution import WorkflowExecutor
+from repro.core.runtime import MurakkabRuntime
 from repro.loadgen import (
     ServiceLoadGenerator,
     TraceReport,
@@ -106,6 +108,13 @@ def test_grouped_trace_matches_serial_loop_exactly():
         assert trace_service.stats.per_job[job_id] == pytest.approx(record)
 
 
+class _SimulatingExecutor(WorkflowExecutor):
+    """Never replays a recorded schedule (``repro.core.schedule``): a loop of
+    single submissions on it simulates every job, as a serial loop does."""
+
+    replayable = False
+
+
 def test_1k_job_trace_is_10x_faster_than_per_job_loop():
     posts = generate_posts()
     arrivals = poisson_arrivals(
@@ -118,7 +127,9 @@ def test_1k_job_trace_is_10x_faster_than_per_job_loop():
     assert report.jobs == len(arrivals)
     assert report.replayed_jobs >= len(arrivals) - 4
 
-    loop_service = AIWorkflowService()
+    loop_runtime = MurakkabRuntime()
+    loop_runtime.executor_class = _SimulatingExecutor
+    loop_service = AIWorkflowService(runtime=loop_runtime)
     started = time.perf_counter()
     for index in range(len(arrivals)):
         loop_service.submit_job(

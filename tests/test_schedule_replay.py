@@ -8,6 +8,7 @@ import pytest
 
 from repro.baselines.unoptimized import unoptimized_runtime
 from repro.agents.base import AgentInterface
+from repro.agents.library import default_library
 from repro.cluster.allocator import ResourceRequest
 from repro.core.constraints import Constraint
 from repro.core.execution import ServerPool, WorkflowExecutor
@@ -306,3 +307,61 @@ def test_the_key_tells_warm_pools_and_claims_apart():
     assert schedule_memo_info()["replayed"] >= 3
     assert schedule_memo_info()["refused"] == 0
     assert replayed == _pools_apart(_never_replays)
+
+
+def _slower_library():
+    """The stock library with ``seconds_per_item`` doubled on each instance
+    that has it: the same fingerprint, longer tasks."""
+    library = default_library()
+    for name in library.names():
+        implementation = library.get(name)
+        if hasattr(implementation, "seconds_per_item"):
+            implementation.seconds_per_item *= 2
+    return library
+
+
+def test_libraries_that_estimate_differently_never_share_schedules():
+    # Equal fingerprints, so the two libraries share templates, profiles
+    # and plan decisions; only their implementations' parameters tell
+    # their schedules apart.
+    registry = default_registry()
+
+    def calls(make_runtime):
+        return [
+            _result_view(make_runtime().submit(registry.build("newsfeed", "feed")))
+            for _ in range(4)
+        ]
+
+    stock = calls(MurakkabRuntime)
+    assert schedule_memo_info()["replayed"] == 1
+    assert _slower_library().fingerprint() == default_library().fingerprint()
+    slower = calls(lambda: MurakkabRuntime(library=_slower_library()))
+    counts = schedule_memo_info()
+    assert (counts["candidates"], counts["confirmed"], counts["replayed"]) == (2, 2, 3)
+
+    def never_replays():
+        runtime = MurakkabRuntime(library=_slower_library())
+        runtime.executor_class = _NeverReplays
+        return runtime
+
+    assert slower == calls(never_replays)
+    assert slower[-1]["fields"]["makespan_s"] > stock[-1]["fields"]["makespan_s"]
+
+
+def test_a_library_with_an_unhashable_parameter_simulates():
+    registry = default_registry()
+
+    def listed_library():
+        library = default_library()
+        library.get("distilbert-sentiment").labels = ["positive", "negative"]
+        return library
+
+    results = [
+        _result_view(
+            MurakkabRuntime(library=listed_library()).submit(registry.build("newsfeed", "feed"))
+        )
+        for _ in range(4)
+    ]
+    counts = schedule_memo_info()
+    assert (counts["fresh"], counts["entries"], counts["replayed"]) == (4, 0, 0)
+    assert results[0] == results[3]
